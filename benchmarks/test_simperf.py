@@ -1,15 +1,19 @@
 """simperf: wall-clock performance of the simulator itself.
 
-Two jobs:
+Tier-1 holds no wall-clock assertion against a committed number: the
+normalised-cost regression gate over the quick scenario subset runs in
+the CI ``perf-smoke`` job only (``python -m repro simperf --quick``),
+because its calibration loop does not co-vary with the simulator across
+hosts (ROADMAP item 0).  What stays here:
 
-* the **perf-smoke gate** — run the quick scenario subset and fail on a
-  >30% machine-normalized regression against the committed baseline
-  (``benchmarks/results/simperf.json``, written once by
-  ``python -m repro simperf --json ...`` and updated deliberately);
-* the **warp acceptance shape** — the committed baseline must document
-  the PR-5 speedups: >=3x on the 128-rank sync scenario in exact mode
-  against the seed reference, and >=10x from ``--warp`` on the
-  failure-free 1024-rank scenario.
+* the **telemetry-off guard** — a paired in-process ratio, stable on
+  any host;
+* the **committed-baseline shape** — ``benchmarks/results/simperf.json``
+  (written once by ``python -m repro simperf --json ...`` and updated
+  deliberately) must document the PR-5 speedups (>=3x on the 128-rank
+  sync scenario in exact mode against the seed reference, >=10x from
+  ``--warp`` on the failure-free 1024-rank scenario), the shard pair
+  and the event-queue swap.
 """
 
 import json
@@ -21,14 +25,11 @@ import pytest
 from repro.harness.simperf import (
     SHARD_NSHARDS,
     SHARD_RANKS,
-    check_regression,
     check_shard_speedup,
     check_telemetry_overhead,
     format_shard_pair,
-    format_simperf,
     format_telemetry_overhead,
     shard_pair,
-    simperf_quick,
     telemetry_overhead,
 )
 
@@ -39,16 +40,6 @@ def _baseline():
     if not BASELINE.exists():
         pytest.skip("no committed simperf baseline yet")
     return json.loads(BASELINE.read_text())
-
-
-@pytest.mark.benchmark(group="simperf")
-def test_simperf_quick_no_regression(benchmark):
-    baseline = _baseline()
-    result = benchmark.pedantic(simperf_quick, rounds=1, iterations=1)
-    print()
-    print(format_simperf(result, baseline))
-    problems = check_regression(result, baseline)
-    assert not problems, "\n".join(problems)
 
 
 @pytest.mark.benchmark(group="simperf")

@@ -34,7 +34,7 @@ from repro.mpi.message import (
 )
 from repro.mpi.request import RecvRequest, Request, SendRequest, Status
 from repro.obs import resolve_telemetry
-from repro.sim.engine import AllOf, AnyOf, Engine, SimError, Trigger
+from repro.sim.engine import AllOf, AnyOf, Engine, SimError, Trigger, sim_gc
 from repro.sim.network import Network, NetworkParams, Packet, Topology
 from repro.sim.process import DebtWait, SimProcess, SleepMarker
 from repro.sim.tracing import CommEvent, Trace
@@ -920,29 +920,32 @@ class World:
         eager_threshold: int = DEFAULT_EAGER_THRESHOLD,
         telemetry: Any = None,
     ) -> None:
-        self.engine = Engine()
-        # Resolve telemetry before anything touches the engine: runtime
-        # construction already runs protocol attach hooks (which bind
-        # the storage backend and its I/O scheduler to this engine).
-        self.telemetry = resolve_telemetry(telemetry)
-        self.engine.telemetry = self.telemetry
-        self.topology = Topology(nranks=nranks, ranks_per_node=ranks_per_node)
-        self.network = self._make_network(net_params, seed)
-        self.trace = Trace(enabled=trace)
-        self.comms = CommunicatorRegistry(nranks)
-        self.hooks = hooks or NativeHooks()
-        self.eager_threshold = eager_threshold
-        # Steady-state warp controller (repro.sim.warp); None = exact mode.
-        self.warp = None
-        self.runtimes: List[MPIRuntime] = [MPIRuntime(self, r) for r in range(nranks)]
-        for rt in self.runtimes:
-            self.hooks.attach(rt)
-        self.processes: Dict[int, SimProcess] = {}
-        # The queue-depth sampler is observation-only (reads the heap,
-        # schedules nothing but its own re-arm); guarded like every
-        # other call site so disabled telemetry is never even invoked.
-        if self.telemetry.enabled:
-            self.telemetry.start_queue_sampler(self.engine)
+        # Construction allocates O(nranks) long-lived objects; the young
+        # generation is sized for it like the run itself (see sim_gc).
+        with sim_gc(nranks):
+            self.engine = Engine()
+            # Resolve telemetry before anything touches the engine: runtime
+            # construction already runs protocol attach hooks (which bind
+            # the storage backend and its I/O scheduler to this engine).
+            self.telemetry = resolve_telemetry(telemetry)
+            self.engine.telemetry = self.telemetry
+            self.topology = Topology(nranks=nranks, ranks_per_node=ranks_per_node)
+            self.network = self._make_network(net_params, seed)
+            self.trace = Trace(enabled=trace)
+            self.comms = CommunicatorRegistry(nranks)
+            self.hooks = hooks or NativeHooks()
+            self.eager_threshold = eager_threshold
+            # Steady-state warp controller (repro.sim.warp); None = exact mode.
+            self.warp = None
+            self.runtimes: List[MPIRuntime] = [MPIRuntime(self, r) for r in range(nranks)]
+            for rt in self.runtimes:
+                self.hooks.attach(rt)
+            self.processes: Dict[int, SimProcess] = {}
+            # The queue-depth sampler is observation-only (reads the heap,
+            # schedules nothing but its own re-arm); guarded like every
+            # other call site so disabled telemetry is never even invoked.
+            if self.telemetry.enabled:
+                self.telemetry.start_queue_sampler(self.engine)
 
     def _make_network(self, net_params: Optional[NetworkParams], seed: int) -> Network:
         """Subclass hook: the sharded world (repro.sim.shard) swaps in a
@@ -965,7 +968,8 @@ class World:
         return proc
 
     def run(self, until_ns: Optional[int] = None, detect_deadlock: bool = True) -> int:
-        return self.engine.run(until_ns=until_ns, detect_deadlock=detect_deadlock)
+        with sim_gc(self.nranks):
+            return self.engine.run(until_ns=until_ns, detect_deadlock=detect_deadlock)
 
     def all_done(self) -> bool:
         from repro.sim.process import ProcessStatus

@@ -33,6 +33,8 @@ Fast paths (profiled on the Tier-1 workloads, see
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.obs import NULL_TELEMETRY
@@ -49,6 +51,36 @@ class DeadlockError(SimError):
     A drained event queue with live blocked processes means no future event
     can ever wake them: the simulated program has deadlocked.
     """
+
+
+@contextmanager
+def sim_gc(nranks: int) -> Iterator[None]:
+    """Size ``gc``'s young generation to a simulation's in-flight objects.
+
+    An in-flight message, request or queued event lives until thousands
+    of *other ranks'* events have run, so at CPython's default
+    generation-0 threshold (700 allocations) it survives both young
+    generations and nearly every event promotes an object, forcing old-
+    generation and full collections over the whole heap although a run
+    creates almost no cyclic garbage (37 % of wall at 4096 ranks, 78 %
+    at 16384).  The in-flight population is O(1) objects per rank; 16
+    per rank is the largest measured multiplier that does not also
+    delay the collection of dropped worlds (docs/performance.md, "Why
+    per-event cost grew with rank count").
+
+    Process-global state under stack discipline: the scope only ever
+    raises generation 0, leaves a caller's larger threshold and a
+    caller's ``gc.disable()`` alone, and restores exactly the thresholds
+    it found — so nested scopes and two live worlds are safe.
+    """
+    found = gc.get_threshold()
+    young = 16 * nranks
+    if 0 < found[0] < young:  # 0 = collection switched off by the caller
+        gc.set_threshold(young, *found[1:])
+    try:
+        yield
+    finally:
+        gc.set_threshold(*found)
 
 
 class EventHandle:

@@ -115,7 +115,6 @@ class Network:
         "params",
         "_rng",
         "_pcache",
-        "_nranks",
         "_chan_state",
         "_nic_free",
         "_node_of",
@@ -144,13 +143,15 @@ class Network:
             p.alpha_inter_ns, p.beta_inter_ns_per_byte,
         )
         self._rng = random.Random(seed ^ 0x5B5C_2013)
-        # Per-directed-pair [last_arrival_ns, fifo_seq], stored in a flat
-        # src*nranks+dst list: one index per send instead of a tuple
-        # hash (FIFO enforcement + channel numbering share the entry).
-        self._nranks = topology.nranks
-        self._chan_state: List[Optional[List[int]]] = (
-            [None] * (topology.nranks * topology.nranks)
-        )
+        # Per-directed-pair [last_arrival_ns, fifo_seq], one dict per
+        # source rank keyed by destination, filled on a pair's first
+        # send: memory is O(pairs that sent).  (A flat src*nranks+dst
+        # list saves the dict probe but costs 2 GiB at 16384 ranks, all
+        # of it walked by every full GC pass.)  FIFO enforcement and
+        # channel numbering share the entry.
+        self._chan_state: List[Dict[int, List[int]]] = [
+            {} for _ in range(topology.nranks)
+        ]
         # Per-rank NIC availability time (sender serialization).
         self._nic_free: List[int] = [0] * topology.nranks
         # Cached rank -> node map (send-path: same-node test is two list
@@ -208,10 +209,11 @@ class Network:
         jitter_max = self.params.jitter_max_ns
         jitter = self._rng.randrange(jitter_max + 1) if jitter_max else 0
         arrival = start + inject + wire + jitter
-        idx = src * self._nranks + dst
-        state = self._chan_state[idx]
-        if state is None:
-            state = self._chan_state[idx] = [0, 0]
+        row = self._chan_state[src]
+        try:
+            state = row[dst]
+        except KeyError:  # the pair's first send
+            state = row[dst] = [0, 0]
         if arrival <= state[0]:
             arrival = state[0] + 1  # preserve FIFO and strict ordering
         state[0] = arrival
@@ -260,12 +262,11 @@ class Network:
         return len(self._in_flight)
 
     def chan_state_items(self):
-        """Active directed pairs as ((src, dst), [last_arrival, seq])
-        (warp snapshot/apply helper over the flat store)."""
-        n = self._nranks
-        for idx, state in enumerate(self._chan_state):
-            if state is not None:
-                yield divmod(idx, n), state
+        """Directed pairs that have sent, as ((src, dst), [last_arrival,
+        seq]) in ascending (src, dst) order (warp snapshot/apply helper)."""
+        for src, row in enumerate(self._chan_state):
+            for dst in sorted(row):
+                yield (src, dst), row[dst]
 
 
 DEFAULT_EAGER_THRESHOLD = 64 * KB

@@ -1,8 +1,18 @@
 """Unit tests for the discrete-event engine and triggers."""
 
+import gc
+
 import pytest
 
-from repro.sim.engine import AllOf, AnyOf, DeadlockError, Engine, SimError, Trigger
+from repro.sim.engine import (
+    AllOf,
+    AnyOf,
+    DeadlockError,
+    Engine,
+    SimError,
+    Trigger,
+    sim_gc,
+)
 
 
 def test_events_fire_in_time_order():
@@ -196,3 +206,107 @@ def test_deadlock_detection_reports_blocked_process():
     SimProcess(eng, "stuck", app()).start()
     with pytest.raises(DeadlockError, match="stuck"):
         eng.run()
+
+
+# ----------------------------------------------------------------------
+# sim_gc: the scoped young-generation policy (process-global state, so
+# every test restores what it changed)
+# ----------------------------------------------------------------------
+@pytest.fixture
+def gc_state():
+    """Pin a known collector state for the test and put the real one back."""
+    found, was_enabled = gc.get_threshold(), gc.isenabled()
+    gc.enable()
+    gc.set_threshold(700, 10, 10)
+    yield
+    gc.set_threshold(*found)
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def _world_seeing_threshold(nranks, seen, stuck=False):
+    """A world whose first event records the thresholds in force."""
+    from repro.mpi.runtime import World
+
+    world = World(nranks, ranks_per_node=4, trace=False)
+    world.engine.schedule(1, lambda: seen.append(gc.get_threshold()))
+    if stuck:
+        from repro.sim.process import SimProcess
+
+        def app():
+            yield Trigger(name="never")
+
+        SimProcess(world.engine, "stuck", app()).start()
+    return world
+
+
+def test_sim_gc_raises_generation0_inside_and_restores(gc_state):
+    with sim_gc(100):
+        assert gc.get_threshold() == (1600, 10, 10)
+        with sim_gc(1000):  # nested: inner restores the outer's value
+            assert gc.get_threshold() == (16000, 10, 10)
+        assert gc.get_threshold() == (1600, 10, 10)
+        with sim_gc(10):  # never lowers
+            assert gc.get_threshold() == (1600, 10, 10)
+    assert gc.get_threshold() == (700, 10, 10)
+
+
+def test_world_run_scopes_the_policy(gc_state):
+    seen = []
+    world = _world_seeing_threshold(64, seen)
+    assert gc.get_threshold() == (700, 10, 10)  # construction restored it
+    world.run()
+    assert seen == [(1024, 10, 10)]
+    assert gc.get_threshold() == (700, 10, 10)
+
+
+def test_world_run_restores_after_deadlock(gc_state):
+    seen = []
+    world = _world_seeing_threshold(64, seen, stuck=True)
+    with pytest.raises(DeadlockError, match="stuck"):
+        world.run()
+    assert seen == [(1024, 10, 10)]
+    assert gc.get_threshold() == (700, 10, 10)
+
+
+def test_sim_gc_leaves_a_callers_policy_as_found(gc_state):
+    seen = []
+    gc.set_threshold(50_000, 20, 30)  # larger than 16 * nranks
+    _world_seeing_threshold(64, seen).run()
+    assert seen == [(50_000, 20, 30)]
+    assert gc.get_threshold() == (50_000, 20, 30)
+
+    gc.disable()
+    gc.set_threshold(0)  # the other spelling of "off"
+    _world_seeing_threshold(64, seen).run()
+    assert seen[-1][0] == 0
+    assert not gc.isenabled() and gc.get_threshold()[0] == 0
+
+
+def test_simulated_timeline_independent_of_collection_timing(gc_state):
+    """Nothing simulated may hang off ``__del__``/weakref callbacks: the
+    same run with the collector enabled and with it disabled by the
+    caller is observable-equal."""
+    from repro.apps.synthetic import ring_app
+    from repro.core.clusters import ClusterMap
+    from repro.core.protocol import SPBCConfig
+    from repro.harness.runner import run_spbc
+    from repro.journal.recorder import commit_history_of
+
+    def observe():
+        cm = ClusterMap.block(64, 8)
+        res = run_spbc(
+            ring_app(iters=6, msg_bytes=2048, compute_ns=50_000), 64, cm,
+            config=SPBCConfig(clusters=cm, checkpoint_every=2, state_nbytes=4096),
+            storage="tiered:ram@1,pfs@2", trace=False,
+        )
+        net = res.world.network
+        return (
+            res.makespan_ns, res.finish_ns, res.results,
+            res.hooks.total_bytes_logged(), commit_history_of(res.hooks),
+            res.world.engine.events_executed, net.packets_sent, net.bytes_sent,
+            list(net.chan_state_items()),
+        )
+
+    with_gc = observe()
+    gc.disable()
+    assert observe() == with_gc

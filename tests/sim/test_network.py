@@ -149,3 +149,66 @@ def test_property_same_seed_same_arrivals(seed):
         return out
 
     assert arrivals(seed) == arrivals(seed)
+
+
+# ----------------------------------------------------------------------
+# Sparse per-channel state: memory is O(pairs that sent), not O(nranks^2)
+# ----------------------------------------------------------------------
+def test_channel_table_holds_exactly_the_pairs_that_sent(monkeypatch):
+    from repro.apps.synthetic import ring_app
+    from repro.core.clusters import ClusterMap
+    from repro.harness.runner import run_spbc
+
+    nranks = 64
+    sent = {}
+    real_send = Network.send
+
+    def recording_send(self, src, dst, payload, nbytes):
+        pkt = real_send(self, src, dst, payload, nbytes)
+        sent[(src, dst)] = pkt.channel_seq
+        return pkt
+
+    monkeypatch.setattr(Network, "send", recording_send)
+    res = run_spbc(
+        ring_app(iters=3, msg_bytes=512, compute_ns=10_000),
+        nranks, ClusterMap.block(nranks, 8), trace=False,
+    )
+    items = list(res.world.network.chan_state_items())
+    keys = [k for k, _ in items]
+    assert keys == sorted(sent)  # exactly the senders, ascending (src, dst)
+    assert len(keys) <= 4 * nranks  # a ring is O(n) pairs, not n^2
+    # fifo_seq of each entry is the channel_seq of the pair's last packet.
+    assert {pair: state[1] for pair, state in items} == sent
+
+
+def test_repeated_pair_fifo_bump_and_channel_seq():
+    eng, net = make_net()
+    net.attach(1, lambda p: None)
+    # A large packet followed by a tiny one: the tiny one's natural
+    # arrival is earlier, so FIFO bumps it to last_arrival + 1.
+    big = net.send(0, 1, "big", 1_000_000)
+    eng.run(until_ns=net.params.inject_time(1_000_000))  # NIC idle again
+    small = net.send(0, 1, "small", 0)
+    other = net.send(0, 2, "other", 0)
+    assert (big.channel_seq, small.channel_seq, other.channel_seq) == (1, 2, 1)
+    assert small.arrives_at == big.arrives_at + 1
+    assert list(net.chan_state_items()) == [
+        ((0, 1), [small.arrives_at, 2]),
+        ((0, 2), [other.arrives_at, 1]),
+    ]
+
+
+def test_network_construction_memory_is_linear_in_ranks():
+    import tracemalloc
+
+    topo = Topology(nranks=16384, ranks_per_node=8)
+    eng = Engine()
+    tracemalloc.start()
+    try:
+        net = Network(eng, topo)
+        allocated, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.topology is topo
+    # 2 GiB with an nranks*nranks table; ~1.6 MiB of per-rank rows now.
+    assert allocated < 8 * 1024 * 1024

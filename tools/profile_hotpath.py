@@ -7,6 +7,7 @@ measurement is reproducible::
     PYTHONPATH=src python tools/profile_hotpath.py                 # all
     PYTHONPATH=src python tools/profile_hotpath.py logging --ranks 128
     PYTHONPATH=src python tools/profile_hotpath.py sync --sort cumulative
+    PYTHONPATH=src python tools/profile_hotpath.py logging --ranks 4096 --gc
 
 Workloads (the shapes the simperf matrix and docs/performance.md talk
 about):
@@ -23,15 +24,21 @@ about):
   time actually goes.
 
 Output: raw wall-clock (profiler off), events/sec, then the cProfile
-top-N by the requested sort key.
+top-N by the requested sort key.  With ``--gc`` the cProfile table is
+replaced by what the cyclic collector did during one more unprofiled
+run: collections per generation and the total pause, timed through
+``gc.callbacks``, plus the process's peak RSS (the measurement behind
+"Why per-event cost grew with rank count" in docs/performance.md).
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import io
 import pstats
+import resource
 import time
 
 from repro.apps.synthetic import halo2d_app, ring_app
@@ -87,7 +94,33 @@ def profile_eventq(sort: str, top: int) -> None:
     print(buf.getvalue())
 
 
-def profile_one(workload: str, nranks: int, sort: str, top: int) -> None:
+class GcWatch:
+    """Collections per generation and summed collector pause, observed
+    through ``gc.callbacks`` while the ``with`` block runs."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.pause_s = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.collections[info["generation"]] += 1
+            self.pause_s += time.perf_counter() - self._started
+
+    def __enter__(self) -> "GcWatch":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self)
+
+
+def profile_one(
+    workload: str, nranks: int, sort: str, top: int, gc_report: bool = False
+) -> None:
     if workload == "eventq":
         profile_eventq(sort, top)
         return
@@ -101,6 +134,22 @@ def profile_one(workload: str, nranks: int, sort: str, top: int) -> None:
         f"wall {wall:.3f}s   events {events}   "
         f"{events / wall / 1e3:.0f} kev/s"
     )
+    if gc_report:
+        # Free the earlier runs' worlds now, so the watched run's pause
+        # is its own collector work and not their deallocation.
+        del res
+        gc.collect()
+        with GcWatch() as watch:
+            gc_wall = _timed(run)
+        g0, g1, g2 = watch.collections
+        print(
+            f"gc   wall {gc_wall:.3f}s   collections gen0/gen1/gen2 "
+            f"{g0}/{g1}/{g2}   pause {watch.pause_s:.3f}s "
+            f"({100 * watch.pause_s / gc_wall:.1f}% of wall)   "
+            f"{gc_wall / events * 1e6:.2f} us/event   peak rss "
+            f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MiB"
+        )
+        return
     pr = cProfile.Profile()
     pr.enable()
     run()
@@ -128,9 +177,14 @@ def main() -> int:
         help="pstats sort key (tottime, cumulative, ncalls, ...)",
     )
     ap.add_argument("--top", type=int, default=25)
+    ap.add_argument(
+        "--gc", action="store_true",
+        help="report collections per generation and total collector pause "
+        "(gc.callbacks) instead of the cProfile table",
+    )
     args = ap.parse_args()
     for w in [args.workload] if args.workload else WORKLOADS:
-        profile_one(w, args.ranks, args.sort, args.top)
+        profile_one(w, args.ranks, args.sort, args.top, gc_report=args.gc)
     return 0
 
 
