@@ -92,8 +92,8 @@ SHARD_RANKS = 4096
 SHARD_NSHARDS = 8
 #: Required sharded-vs-exact wall-clock speedup when the host has at
 #: least SHARD_NSHARDS cores (scaled down to 2x on smaller multi-core
-#: hosts and to 1.5x on two cores, skipped on single-core ones —
-#: process parallelism cannot beat the core count).
+#: hosts, skipped on single-core ones — process parallelism cannot
+#: beat one core).
 SHARD_SPEEDUP_TARGET = 3.0
 
 #: Quick subset run by the CI perf-smoke job (same scenario ids as the
@@ -699,17 +699,15 @@ def check_shard_speedup(
     """Gate the shard pair's wall-clock speedup, scaled to the host.
 
     ``target`` (3x) applies when the host has at least as many cores as
-    shards; smaller multi-core hosts are held to 2x, but never to more
-    than three quarters of their core count (on two cores 2x is the
-    ideal, not a floor: 1.5x there); a single-core host cannot run
-    worker processes in parallel at all, so the pair is informational
-    there (empty problem list — the exactness tests, not wall-clock,
-    carry the correctness guarantee)."""
+    shards; smaller multi-core hosts are held to 2x; a single-core host
+    cannot run worker processes in parallel at all, so the pair is
+    informational there (empty problem list — the exactness tests, not
+    wall-clock, carry the correctness guarantee)."""
     cpus = pair["host_cpus"]
     nshards = pair["nshards"]
     if cpus < 2:
         return []
-    required = target if cpus >= nshards else min(target, 2.0, 0.75 * cpus)
+    required = target if cpus >= nshards else min(target, 2.0)
     if pair["speedup"] < required:
         return [
             f"{pair['rows'][1]['scenario']}: sharded speedup "

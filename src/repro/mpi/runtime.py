@@ -920,32 +920,32 @@ class World:
         eager_threshold: int = DEFAULT_EAGER_THRESHOLD,
         telemetry: Any = None,
     ) -> None:
+        self.engine = Engine()
+        # Resolve telemetry before anything touches the engine: runtime
+        # construction already runs protocol attach hooks (which bind
+        # the storage backend and its I/O scheduler to this engine).
+        self.telemetry = resolve_telemetry(telemetry)
+        self.engine.telemetry = self.telemetry
+        self.topology = Topology(nranks=nranks, ranks_per_node=ranks_per_node)
+        self.network = self._make_network(net_params, seed)
+        self.trace = Trace(enabled=trace)
+        self.comms = CommunicatorRegistry(nranks)
+        self.hooks = hooks or NativeHooks()
+        self.eager_threshold = eager_threshold
+        # Steady-state warp controller (repro.sim.warp); None = exact mode.
+        self.warp = None
         # Construction allocates O(nranks) long-lived objects; the young
         # generation is sized for it like the run itself (see sim_gc).
         with sim_gc(nranks):
-            self.engine = Engine()
-            # Resolve telemetry before anything touches the engine: runtime
-            # construction already runs protocol attach hooks (which bind
-            # the storage backend and its I/O scheduler to this engine).
-            self.telemetry = resolve_telemetry(telemetry)
-            self.engine.telemetry = self.telemetry
-            self.topology = Topology(nranks=nranks, ranks_per_node=ranks_per_node)
-            self.network = self._make_network(net_params, seed)
-            self.trace = Trace(enabled=trace)
-            self.comms = CommunicatorRegistry(nranks)
-            self.hooks = hooks or NativeHooks()
-            self.eager_threshold = eager_threshold
-            # Steady-state warp controller (repro.sim.warp); None = exact mode.
-            self.warp = None
             self.runtimes: List[MPIRuntime] = [MPIRuntime(self, r) for r in range(nranks)]
             for rt in self.runtimes:
                 self.hooks.attach(rt)
-            self.processes: Dict[int, SimProcess] = {}
-            # The queue-depth sampler is observation-only (reads the heap,
-            # schedules nothing but its own re-arm); guarded like every
-            # other call site so disabled telemetry is never even invoked.
-            if self.telemetry.enabled:
-                self.telemetry.start_queue_sampler(self.engine)
+        self.processes: Dict[int, SimProcess] = {}
+        # The queue-depth sampler is observation-only (reads the heap,
+        # schedules nothing but its own re-arm); guarded like every
+        # other call site so disabled telemetry is never even invoked.
+        if self.telemetry.enabled:
+            self.telemetry.start_queue_sampler(self.engine)
 
     def _make_network(self, net_params: Optional[NetworkParams], seed: int) -> Network:
         """Subclass hook: the sharded world (repro.sim.shard) swaps in a

@@ -395,67 +395,71 @@ def shard_worker_main(conn, plan) -> None:
       empty); ``("finalize",)`` to reply with the merged summary and
       exit.
     """
+    # The window loop calls engine.run directly, so the GC scope
+    # World.run would apply is taken here, sized by the ranks this
+    # worker actually simulates.
+    with sim_gc(len(plan.owned_ranks)):
+        _shard_worker_loop(conn, plan)
+
+
+def _shard_worker_loop(conn, plan) -> None:
     try:
-        # The window loop calls engine.run directly, so the GC scope
-        # World.run would apply is taken here, sized by the ranks this
-        # worker actually simulates.
-        with sim_gc(len(plan.owned_ranks)):
-            world, spbc, manager = build_shard_world(plan)
-            engine = world.engine
-            net: ShardNetwork = world.network
-            owned = plan.owned_ranks
-            iosched = getattr(spbc.storage, "iosched", None)
-            mirroring = iosched is not None and iosched.flow_outbox is not None
+        world, spbc, manager = build_shard_world(plan)
+        engine = world.engine
+        net: ShardNetwork = world.network
+        owned = plan.owned_ranks
+        iosched = getattr(spbc.storage, "iosched", None)
+        mirroring = iosched is not None and iosched.flow_outbox is not None
 
-            def report() -> Dict[str, Any]:
-                done = all(
-                    world.processes[r].status is ProcessStatus.DONE for r in owned
-                )
-                blocked = (
-                    [
-                        world.processes[r].name
-                        for r in sorted(owned)
-                        if world.processes[r].status is not ProcessStatus.DONE
-                    ]
-                    if not done
-                    else []
-                )
-                exports, net.outbox = net.outbox, []
-                return {
-                    "next_ns": engine.next_event_time(),
-                    "hold_ns": manager.hold_ns() if manager else None,
-                    "exports": exports,
-                    "milestones": manager.drain_milestones() if manager else [],
-                    "flows": iosched.drain_flow_records() if mirroring else [],
-                    "done": done,
-                    "blocked": blocked,
-                    "now_ns": engine.now,
-                }
+        def report() -> Dict[str, Any]:
+            done = all(
+                world.processes[r].status is ProcessStatus.DONE for r in owned
+            )
+            blocked = (
+                [
+                    world.processes[r].name
+                    for r in sorted(owned)
+                    if world.processes[r].status is not ProcessStatus.DONE
+                ]
+                if not done
+                else []
+            )
+            exports, net.outbox = net.outbox, []
+            return {
+                "next_ns": engine.next_event_time(),
+                "hold_ns": manager.hold_ns() if manager else None,
+                "exports": exports,
+                "milestones": manager.drain_milestones() if manager else [],
+                "flows": iosched.drain_flow_records() if mirroring else [],
+                "done": done,
+                "blocked": blocked,
+                "now_ns": engine.now,
+            }
 
+        conn.send(("report", report()))
+        while True:
+            msg = conn.recv()
+            if msg[0] == "finalize":
+                conn.send(("summary", _summarize(world, spbc, manager, owned)))
+                return
+            _kind, horizon, imports, actions, flow_records = msg
+            for rec in flow_records:
+                iosched.schedule_flow_record(rec)
+            for at_ns, cluster, members, node in actions:
+                engine.schedule_at(
+                    at_ns, manager.mirror_restart, cluster, members, node
+                )
+            # Deterministic cross-source injection order: equal-arrival
+            # imports from different shards get their delivery sequence
+            # from this globally agreed sort, not from relay timing.
+            for export in sorted(imports, key=lambda e: (e[6], e[4], e[0], e[7])):
+                net.inject(export)
+            engine.run(until_ns=horizon - 1, detect_deadlock=False)
+            failure = _check_owned(world, owned)
+            if failure is not None:
+                conn.send(("error", failure))
+                return
             conn.send(("report", report()))
-            while True:
-                msg = conn.recv()
-                if msg[0] == "finalize":
-                    conn.send(("summary", _summarize(world, spbc, manager, owned)))
-                    return
-                _kind, horizon, imports, actions, flow_records = msg
-                for rec in flow_records:
-                    iosched.schedule_flow_record(rec)
-                for at_ns, cluster, members, node in actions:
-                    engine.schedule_at(
-                        at_ns, manager.mirror_restart, cluster, members, node
-                    )
-                # Deterministic cross-source injection order: equal-arrival
-                # imports from different shards get their delivery sequence
-                # from this globally agreed sort, not from relay timing.
-                for export in sorted(imports, key=lambda e: (e[6], e[4], e[0], e[7])):
-                    net.inject(export)
-                engine.run(until_ns=horizon - 1, detect_deadlock=False)
-                failure = _check_owned(world, owned)
-                if failure is not None:
-                    conn.send(("error", failure))
-                    return
-                conn.send(("report", report()))
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
