@@ -8,6 +8,10 @@ hosts (ROADMAP item 0).  What stays here:
 
 * the **telemetry-off guard** — a paired in-process ratio, stable on
   any host;
+* the **checkpoint-storm scaling guard** (slow-marked; also a CI
+  ``perf-smoke`` step) — host cost per engine event of the
+  ``ckpt_storm`` shape at 2048 ranks over the same at 512 ranks, again
+  a paired in-process ratio;
 * the **committed-baseline shape** — ``benchmarks/results/simperf.json``
   (written once by ``python -m repro simperf --json ...`` and updated
   deliberately) must document the PR-5 speedups (>=3x on the 128-rank
@@ -19,9 +23,15 @@ hosts (ROADMAP item 0).  What stays here:
 import json
 import os
 import pathlib
+import time
 
 import pytest
 
+from repro.apps.synthetic import ring_app
+from repro.ckptdata.regions import TEST_PROFILE
+from repro.core.clusters import ClusterMap
+from repro.core.protocol import SPBCConfig
+from repro.harness.runner import run_spbc
 from repro.harness.simperf import (
     SHARD_NSHARDS,
     SHARD_RANKS,
@@ -168,3 +178,40 @@ def test_shard_pair_speedup_live(benchmark):
     assert not problems, "\n".join(problems)
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("single-core host: speedup informational only")
+
+
+def _storm_us_per_event(nranks: int) -> float:
+    """Host microseconds per engine event, best of two runs, of the
+    ``ckpt_storm_512`` shape of ``benchmarks/e2e`` at ``nranks``: a
+    checkpoint every iteration, the PFS copy of every other round
+    drained as a background flow — thousands of flushes in flight."""
+    app = ring_app(iters=20, msg_bytes=4096, compute_ns=200_000)
+    cm = ClusterMap.block(nranks, nranks // 8)
+    best = float("inf")
+    for _ in range(2):
+        cfg = SPBCConfig(clusters=cm, checkpoint_every=1, state_nbytes=1 << 20)
+        t0 = time.perf_counter()
+        res = run_spbc(
+            app, nranks, cm, config=cfg,
+            storage="partner:ram@1,partner@1,pfs@2:async",
+            ckpt_data="incr:4:zlib-like", profile=TEST_PROFILE, trace=False,
+        )
+        wall = time.perf_counter() - t0
+        best = min(best, wall / res.world.engine.events_executed * 1e6)
+    return best
+
+
+@pytest.mark.slow
+def test_storm_cost_per_event_flat_in_ranks():
+    """Checkpoint-path host cost must not grow with the number of
+    flushes in flight (docs/performance.md, "Why checkpoint cost grew
+    with in-flight flows"): four times the ranks is four times the live
+    flows on the PFS lane, and a lane or a durable-round query that
+    rescans them per mutation doubles the cost per event (2.1x measured
+    before the sorted pool and the guaranteed-round memo, 1.3-1.4x
+    after; what is left is the event queue's, ROADMAP item 3)."""
+    small = _storm_us_per_event(512)
+    large = _storm_us_per_event(2048)
+    print(f"\nstorm us/event: 512 ranks {small:.2f}, 2048 ranks {large:.2f}, "
+          f"ratio {large / small:.2f}")
+    assert large / small <= 1.6

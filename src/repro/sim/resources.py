@@ -26,6 +26,20 @@ Semantics:
 * **Determinism** — completions are engine events ordered by the global
   scheduling sequence, so runs remain reproducible byte-for-byte.
 
+Cost.  The active set is one list kept sorted by ``remaining``.  Every
+active flow receives the same ``remaining -= drained`` sequence, and
+IEEE subtraction of a common value is monotone (``x <= y`` implies
+``fl(x - d) <= fl(y - d)``), so draining can merge two neighbours into a
+tie but never invert them: the list stays sorted without re-keying.  The
+next completion is ``active[0]``, the flows due now are a prefix, an
+admit is one bisection (an append in the common case of a newcomer
+larger than every partly drained flow) and a cancel is a bisection plus
+a scan over the flows that tie with the victim — O(log n) interpreted
+steps and one pointer ``memmove`` per mutation, where a rescan of the
+whole set used to be.  Only the drain itself stays linear, once per
+*distinct instant* that touches the lane (see :meth:`BandwidthResource.
+_advance`).
+
 Sharded simulation (``repro.harness.parallel``) decomposes a *shared*
 resource across worker processes by mirroring: the shard owning a flow
 runs it for real and exports ``("start", ...)`` / ``("cancel", ...)``
@@ -49,12 +63,17 @@ invariants make the replay exact:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.engine import Engine, EventHandle, Trigger
 
 #: Sub-byte slack absorbing float drift when deciding a flow finished.
 _EPS_BYTES = 1e-3
+
+_REMAINING = attrgetter("remaining")
+_ADMIT_SEQ = attrgetter("admit_seq")
 
 
 class Flow:
@@ -68,6 +87,7 @@ class Flow:
         "start_ns",
         "end_ns",
         "admit_at_ns",
+        "admit_seq",
         "cancelled",
         "done",
         "on_done",
@@ -93,8 +113,11 @@ class Flow:
         # Absolute admission time (requested + delay + latency): the
         # instant the flow joins the sharing pool on *every* shard.
         self.admit_at_ns: int = requested_ns
+        # Position in the lane's admission order while the flow is in
+        # the sharing pool, None before admission and after leaving it.
+        self.admit_seq: Optional[int] = None
         self.cancelled = False
-        self.done = Trigger(name=f"flow.{resource.name}")
+        self.done = Trigger(name=resource._trigger_name)
         self.on_done = on_done
         self.meta = meta or {}
         # Cross-shard identity of an exported flow (owner shard, seq) —
@@ -139,7 +162,11 @@ class BandwidthResource:
         self.name = name
         self.bandwidth_bytes_per_s = bandwidth_bytes_per_s
         self.shared = shared
+        self._trigger_name = f"flow.{name}"
+        # The sharing pool, ascending by ``remaining`` (module docstring).
         self._active: List[Flow] = []
+        self._admit_seq = 0
+        self._owned = 0  # non-mirror flows in ``_active``
         self._last_ns = engine.now
         self._tick: Optional[EventHandle] = None
         # Absolute time of the scheduled completion tick (None while the
@@ -227,9 +254,13 @@ class BandwidthResource:
                 self.export_sink(
                     ("cancel", self.name, flow.gid, self.engine.now)
                 )
-        if flow in self._active:
-            self._active.remove(flow)
+        if flow.admit_seq is not None:
+            active = self._active
+            first_tie = bisect_left(active, flow.remaining, key=_REMAINING)
+            del active[active.index(flow, first_tie)]
+            flow.admit_seq = None
             if not flow.mirror:
+                self._owned -= 1
                 self._emit_level()
         self._replan()
         return True
@@ -245,9 +276,16 @@ class BandwidthResource:
             self._replan()
             self._complete(flow)
             return
-        self._active.append(flow)
+        self._admit_seq += 1
+        flow.admit_seq = self._admit_seq
+        active = self._active
+        if active and flow.remaining < active[-1].remaining:
+            insort(active, flow, key=_REMAINING)
+        else:
+            active.append(flow)
         self._replan()
         if not flow.mirror:
+            self._owned += 1
             self._emit_level()
 
     def _emit_level(self) -> None:
@@ -255,8 +293,7 @@ class BandwidthResource:
         sharded timelines account each real flow exactly once."""
         tele = self.engine.telemetry
         if tele.enabled:
-            level = sum(1 for f in self._active if not f.mirror)
-            tele.storage_level(self.name, self.engine.now, level)
+            tele.storage_level(self.name, self.engine.now, self._owned)
 
     def _rate_bytes_per_ns(self) -> float:
         bw = self.bandwidth_bytes_per_s
@@ -265,13 +302,22 @@ class BandwidthResource:
         return bw / 1e9
 
     def _advance(self) -> None:
-        """Drain every active flow for the time since the last event."""
+        """Drain every active flow for the time since the last event.
+
+        Eager on purpose: one multiply and one subtraction per flow per
+        *distinct instant* touching the lane.  The lazy alternative —
+        give each flow a finish tag in a lane-wide virtual time and
+        derive ``remaining`` on demand — re-associates the float
+        arithmetic (``(r - a) - b`` becomes ``r - (a + b)``), which can
+        move a ``ceil(shortest / rate)`` by 1 ns and with it every
+        downstream observable; and draining lazily with the *exact*
+        subtraction sequence replays that sequence per flow, which is no
+        cheaper than doing it here."""
         now = self.engine.now
         if self._active and now > self._last_ns:
-            rate = self._rate_bytes_per_ns()
-            dt = now - self._last_ns
+            drained = (now - self._last_ns) * self._rate_bytes_per_ns()
             for f in self._active:
-                f.remaining -= dt * rate
+                f.remaining -= drained
         self._last_ns = now
 
     def _reap(self) -> None:
@@ -283,11 +329,22 @@ class BandwidthResource:
         processed first — intra-instant event order differs across
         shards (and between sequential and sharded runs) and must not
         be observable."""
-        due = [f for f in self._active if f.remaining <= _EPS_BYTES]
-        if not due:
+        active = self._active
+        ndue = bisect_right(active, _EPS_BYTES, key=_REMAINING)
+        if not ndue:
             return
-        self._active = [f for f in self._active if f.remaining > _EPS_BYTES]
-        if any(not f.mirror for f in due):
+        due = active[:ndue]
+        del active[:ndue]
+        # Callbacks fire in admission order: they schedule engine events,
+        # whose sequence numbers order everything downstream.
+        due.sort(key=_ADMIT_SEQ)
+        owned = 0
+        for f in due:
+            f.admit_seq = None
+            if not f.mirror:
+                owned += 1
+        if owned:
+            self._owned -= owned
             self._emit_level()
         for f in due:
             self._complete(f)
@@ -301,7 +358,7 @@ class BandwidthResource:
         if not self._active:
             return
         rate = self._rate_bytes_per_ns()
-        shortest = min(f.remaining for f in self._active)
+        shortest = self._active[0].remaining
         dt = max(1, math.ceil(max(0.0, shortest) / rate))
         self._tick = self.engine.schedule(dt, self._on_tick)
         self.tick_at_ns = self.engine.now + dt

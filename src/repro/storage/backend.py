@@ -336,6 +336,13 @@ class TieredBackend(StorageBackend):
         )
         # rank -> round -> tier name -> checkpoint copy
         self._copies: Dict[int, Dict[int, Dict[str, "Checkpoint"]]] = {}
+        self._durable_tiers = frozenset(
+            t.name for t in plan.tiers if t.survives_node_failure
+        )
+        # rank -> guaranteed_round(rank), valid until ``_copies[rank]``
+        # next changes: every site that writes or deletes a copy drops
+        # the rank's entry (save, _flow_landed, invalidate_node_copies).
+        self._guaranteed: Dict[int, int] = {}
         self._all_rounds: Dict[int, List[int]] = {}
         self.tier_writes: Dict[str, int] = {t.name: 0 for t in plan.tiers}
         self.tier_bytes: Dict[str, int] = {t.name: 0 for t in plan.tiers}
@@ -495,6 +502,7 @@ class TieredBackend(StorageBackend):
             self.bytes_written += ckpt.stored_bytes
             if tele.enabled:
                 tele.inc("storage.tier_bytes", ckpt.stored_bytes, tier=t.name)
+        self._guaranteed.pop(ckpt.rank, None)
         self.writes += 1
         self.write_ns_total += write_ns
         rounds = self._all_rounds.setdefault(ckpt.rank, [])
@@ -558,6 +566,7 @@ class TieredBackend(StorageBackend):
             ckpt.round_no, {}
         )
         per_round[name] = ckpt
+        self._guaranteed.pop(rank, None)
         self.tier_writes[name] += 1
         self.tier_bytes[name] += ckpt.stored_bytes
         self.bytes_written += ckpt.stored_bytes
@@ -625,6 +634,7 @@ class TieredBackend(StorageBackend):
                     ]:
                         del per_round[name]
                         dropped += 1
+            self._guaranteed.clear()
             self.invalidated_copies += dropped
             self._cancel_dead_flows(dead, dead_nodes=None)
             return dropped
@@ -642,6 +652,7 @@ class TieredBackend(StorageBackend):
                 ]:
                     del per_round[name]
                     dropped += 1
+        self._guaranteed.clear()
         self.invalidated_copies += dropped
         self._cancel_dead_flows(dead, dead_nodes)
         return dropped
@@ -673,10 +684,11 @@ class TieredBackend(StorageBackend):
         (including ``round_no`` itself) has no surviving copy — a delta
         whose base died with a node is unusable.  Opaque (payload-less)
         checkpoints are their own one-element chain."""
+        per_rank = self._copies.get(rank, {})
         chain: List[int] = []
         rnd = round_no
         while True:
-            copies = self._copies.get(rank, {}).get(rnd)
+            copies = per_rank.get(rnd)
             if not copies:
                 return None
             chain.append(rnd)
@@ -685,32 +697,40 @@ class TieredBackend(StorageBackend):
             if payload is None or payload.base_round is None:
                 chain.reverse()
                 return chain
-            if payload.base_round in chain or len(chain) > len(
-                self._copies.get(rank, {})
-            ):
+            if payload.base_round in chain or len(chain) > len(per_rank):
                 raise ValueError(
                     f"rank {rank}: corrupt delta chain at round {rnd} "
                     f"(base {payload.base_round} cycles)"
                 )
             rnd = payload.base_round
 
-    def _round_durable(self, rank: int, round_no: int) -> bool:
-        copies = self._copies.get(rank, {}).get(round_no) or {}
-        return any(self._tier(n).survives_node_failure for n in copies)
-
     def guaranteed_round(self, rank: int) -> int:
         """Latest round whose *whole chain* sits on tiers that survive
         node failure.  Partner copies do not qualify: they survive any
         *single* node loss, but a later failure of the buddy can still
         take them.  A durable delta whose base is only volatile does not
-        qualify either — losing the base loses the round."""
-        # Newest-first: the common case (latest round durably chained)
-        # returns after one chain walk instead of walking every round.
-        for rnd in sorted(self._copies.get(rank, {}), reverse=True):
+        qualify either — losing the base loses the round.
+
+        Memoized per rank until the rank's copies next change, so the
+        protocol's ``min(guaranteed_round(m) for m in members)`` at
+        every commit barrier is k dict reads."""
+        known = self._guaranteed.get(rank)
+        if known is None:
+            known = self._guaranteed[rank] = self._latest_durable_chain(rank)
+        return known
+
+    def _latest_durable_chain(self, rank: int) -> int:
+        """:meth:`guaranteed_round`, computed.  Only rounds that hold a
+        durable copy themselves have their chain walked: while flushes
+        drain, the newest rounds are volatile-only."""
+        durable_rounds = {
+            rnd
+            for rnd, copies in self._copies.get(rank, {}).items()
+            if not self._durable_tiers.isdisjoint(copies)
+        }
+        for rnd in sorted(durable_rounds, reverse=True):
             chain = self._chain_rounds(rank, rnd)
-            if chain is not None and all(
-                self._round_durable(rank, link) for link in chain
-            ):
+            if chain is not None and durable_rounds.issuperset(chain):
                 return rnd
         return 0
 

@@ -11,9 +11,14 @@ The properties the storage layer leans on:
   total bytes at exactly the aggregate bandwidth.
 """
 
+import math
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import resources
 from repro.sim.engine import Engine
 from repro.sim.resources import BandwidthResource
 
@@ -124,3 +129,209 @@ def test_shared_resource_is_work_conserving(sizes):
     by_size = sorted(flows, key=lambda f: f.nbytes)
     ends = [f.end_ns for f in by_size]
     assert ends == sorted(ends)
+
+
+# ----------------------------------------------------------------------
+# Differential: the sorted pool against the lane it replaced
+# ----------------------------------------------------------------------
+
+_EPS = resources._EPS_BYTES
+
+
+class ReferenceLane(BandwidthResource):
+    """The lane as it was before the sorted pool: ``_active`` in
+    admission order, and every admit, completion and cancel rescans it.
+    Kept here as the definition the production lane must equal."""
+
+    def cancel(self, flow):
+        if flow.cancelled or flow.finished:
+            return False
+        if self._active:
+            self._advance()
+            self._reap()
+            if flow.finished:
+                self._replan()
+                return False
+        flow.cancelled = True
+        if not flow.mirror:
+            self.flows_cancelled += 1
+            if self.export_sink is not None and flow.gid is not None:
+                self.export_sink(("cancel", self.name, flow.gid, self.engine.now))
+        if flow in self._active:
+            self._active.remove(flow)
+            if not flow.mirror:
+                self._emit_level()
+        self._replan()
+        return True
+
+    def _admit(self, flow):
+        if flow.cancelled:
+            return
+        self._advance()
+        self._reap()
+        flow.start_ns = self.engine.now
+        if flow.remaining <= _EPS:
+            self._replan()
+            self._complete(flow)
+            return
+        self._active.append(flow)
+        self._replan()
+        if not flow.mirror:
+            self._emit_level()
+
+    def _emit_level(self):
+        tele = self.engine.telemetry
+        if tele.enabled:
+            level = sum(1 for f in self._active if not f.mirror)
+            tele.storage_level(self.name, self.engine.now, level)
+
+    def _advance(self):
+        now = self.engine.now
+        if self._active and now > self._last_ns:
+            rate = self._rate_bytes_per_ns()
+            dt = now - self._last_ns
+            for f in self._active:
+                f.remaining -= dt * rate
+        self._last_ns = now
+
+    def _reap(self):
+        due = [f for f in self._active if f.remaining <= _EPS]
+        if not due:
+            return
+        self._active = [f for f in self._active if f.remaining > _EPS]
+        if any(not f.mirror for f in due):
+            self._emit_level()
+        for f in due:
+            self._complete(f)
+
+    def _replan(self):
+        if self._tick is not None:
+            self._tick.cancel()
+            self._tick = None
+            self.tick_at_ns = None
+        if not self._active:
+            return
+        rate = self._rate_bytes_per_ns()
+        shortest = min(f.remaining for f in self._active)
+        dt = max(1, math.ceil(max(0.0, shortest) / rate))
+        self._tick = self.engine.schedule(dt, self._on_tick)
+        self.tick_at_ns = self.engine.now + dt
+
+
+class _Levels:
+    """Telemetry stand-in recording the lane's occupancy samples."""
+
+    enabled = True
+
+    def __init__(self):
+        self.samples = []
+
+    def storage_level(self, lane, t_ns, level):
+        self.samples.append((lane, t_ns, level))
+
+
+def random_program(rng):
+    """Steps ``(t_ns, kind, ...)`` over a few hundred microseconds:
+    same-instant bursts of equal and near-equal flows, staggered admits,
+    zero-byte flows, mirror flows, cancels of anything at any time, and
+    completion callbacks that re-enter the lane."""
+    steps = []
+    nflows = 0
+    t = 0
+    for _ in range(rng.randint(3, 10)):
+        t += rng.choice((0, 0, 1, 7, 1_000, 33_333, 250_001))
+        base = rng.choice((0, 1, 4096, 1 << 20, 999_983, 3_000_000_001))
+        for _ in range(rng.choice((1, 1, 2, 5, 12))):
+            nbytes = max(0, base + rng.choice((0, 0, 0, 1, -1, 17)))
+            lead = rng.choice((0, 0, 0, 5, 40_000))
+            if rng.random() < 0.2:
+                steps.append((t, "mirror", nflows, nbytes, t + lead))
+            else:
+                then = rng.choice((None, None, None, "chain", "cancel"))
+                steps.append((t, "start", nflows, nbytes, lead, then))
+            nflows += 1
+    for _ in range(rng.randint(0, nflows)):
+        steps.append((rng.randint(0, t + 400_000), "cancel", rng.randrange(nflows)))
+    return steps
+
+
+def play(lane_cls, steps, shared, bandwidth, export):
+    """Run a program on a fresh engine and lane; return the state seen
+    after every step instant and after the drain, plus the flows."""
+    engine = Engine()
+    engine.telemetry = levels = _Levels()
+    lane = lane_cls(engine, "lane", bandwidth, shared=shared)
+    exported = []
+    if export:
+        lane.export_sink = exported.append
+    flows, fired, cancels = {}, [], []
+
+    def on_done(flow, key, then):
+        fired.append((key, engine.now))
+        if then == "chain":  # what ChainRead does: next link, same lane
+            flows[key, "next"] = lane.start_flow(
+                flow.nbytes // 2, on_done=lambda f: on_done(f, (key, "next"), None)
+            )
+        elif then == "cancel" and flows:
+            victim = sorted(flows, key=repr)[len(fired) % len(flows)]
+            cancels.append((key, victim, lane.cancel(flows[victim])))
+
+    def step(kind, *args):
+        if kind == "start":
+            key, nbytes, lead, then = args
+            flows[key] = lane.start_flow(
+                nbytes, latency_ns=lead // 2, delay_ns=lead - lead // 2,
+                on_done=lambda f: on_done(f, key, then),
+            )
+        elif kind == "mirror":
+            key, nbytes, admit_at = args
+            flows[key] = lane.mirror_flow((9, key), nbytes)
+            flows[key].on_done = lambda f: fired.append((key, engine.now))
+            engine.schedule_at(admit_at, lane._admit, flows[key])
+        elif args[0] in flows:
+            cancels.append((engine.now, args[0], lane.cancel(flows[args[0]])))
+
+    def state():
+        return (
+            engine.now, engine.events_executed, lane.tick_at_ns,
+            lane.active_flows, lane.flows_started, lane.flows_completed,
+            lane.flows_cancelled, lane.bytes_completed,
+            [
+                (k, f.start_ns, f.end_ns, f.cancelled, f.remaining, f.gid)
+                for k, f in sorted(flows.items(), key=repr)
+            ],
+            list(fired), list(cancels), list(levels.samples), list(exported),
+        )
+
+    for t, kind, *args in steps:
+        engine.schedule_at(t, step, kind, *args)
+    seen = []
+    for t in sorted({s[0] for s in steps}):
+        engine.run(until_ns=t)
+        seen.append(state())
+        if lane_cls is BandwidthResource:
+            pool = [f.remaining for f in lane._active]
+            assert pool == sorted(pool)
+    engine.run()
+    seen.append(state())
+    return seen, flows
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_sorted_pool_equals_the_rescanning_lane(seed):
+    rng = random.Random(seed)
+    steps = random_program(rng)
+    shared = rng.random() < 0.8
+    bandwidth = rng.choice((BW, 1.37e9, 2.5e8))
+    export = shared and rng.random() < 0.5
+    # Cancels at the very instant a flow completes: learn the instants
+    # from the reference, then replay the extended program on both.
+    _seen, flows = play(ReferenceLane, steps, shared, bandwidth, export)
+    for key, flow in sorted(flows.items(), key=repr):
+        if flow.end_ns is not None and isinstance(key, int) and rng.random() < 0.3:
+            steps.append((flow.end_ns, "cancel", rng.choice((key, rng.randrange(key + 1)))))
+    want, _ = play(ReferenceLane, steps, shared, bandwidth, export)
+    got, _ = play(BandwidthResource, steps, shared, bandwidth, export)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w

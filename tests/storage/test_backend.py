@@ -1,8 +1,21 @@
 """Storage backend layer: receipts, tier scheduling, survivability."""
 
-import pytest
+from dataclasses import replace
 
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.ckptdata.plane import CkptPayload
 from repro.core.checkpoint import Checkpoint, StableStorage
+from repro.sim.engine import Engine
+from repro.sim.network import Topology
 from repro.storage.backend import (
     InMemoryBackend,
     TieredBackend,
@@ -193,3 +206,112 @@ def test_empty_tiered_plan_suggests_an_example():
     with pytest.raises(ValueError) as e:
         make_backend("tiered: ,, ")
     assert "ram@1,pfs@4" in str(e.value)
+
+
+# ----------------------------------------------------------------------
+# The guaranteed-round memo against the walk-everything definitions
+# ----------------------------------------------------------------------
+
+NRANKS, RANKS_PER_NODE = 6, 2
+
+
+def chain_from_copies(backend, rank, round_no):
+    """Rounds needed to rebuild ``round_no`` (newest first), None when a
+    link has no surviving copy — recomputed from ``_copies``."""
+    per_rank = backend._copies.get(rank, {})
+    chain = []
+    while round_no is not None:
+        copies = per_rank.get(round_no)
+        if not copies:
+            return None
+        chain.append(round_no)
+        payload = next(iter(copies.values())).payload
+        round_no = payload.base_round if payload is not None else None
+    return chain
+
+
+def guaranteed_from_copies(backend, rank):
+    per_rank = backend._copies.get(rank, {})
+    best = 0
+    for rnd in per_rank:
+        chain = chain_from_copies(backend, rank, rnd)
+        if chain is not None and all(
+            any(backend._tier(n).survives_node_failure for n in per_rank[link])
+            for link in chain
+        ):
+            best = max(best, rnd)
+    return best
+
+
+class BackendIndexMachine(RuleBasedStateMachine):
+    """Drives an async partner backend through every operation that
+    writes or deletes a checkpoint copy; after each one the memoized
+    ``guaranteed_round`` and ``restorable_rounds`` must equal what a
+    fresh walk over ``_copies`` says.  (The invariant queries every
+    rank, so each rule runs against a fully populated memo.)"""
+
+    def __init__(self):
+        super().__init__()
+        self.engine = Engine()
+        self.backend = make_backend("partner:ram@1,partner@1,pfs@2:async")
+        self.backend.bind_engine(self.engine)
+        self.backend.bind_topology(
+            Topology(nranks=NRANKS, ranks_per_node=RANKS_PER_NODE)
+        )
+        self.latest = dict.fromkeys(range(NRANKS), 0)
+
+    def _save(self, rank, round_no, delta_on):
+        base = None
+        if delta_on is not None and round_no > 1:
+            base = 1 + delta_on % (round_no - 1)  # any earlier round
+        payload = CkptPayload(
+            kind="full" if base is None else "delta", round_no=round_no,
+            full_bytes=MB, delta_bytes=MB, base_round=base,
+            stored_bytes=(1 + round_no % 3) * MB, compress_ns=0,
+        )
+        self.backend.save(replace(ckpt(rank, round_no), payload=payload))
+
+    @rule(rank=st.integers(0, NRANKS - 1), delta_on=st.none() | st.integers(0, 50))
+    def save_next_round(self, rank, delta_on):
+        self.latest[rank] += 1
+        self._save(rank, self.latest[rank], delta_on)
+
+    @precondition(lambda self: any(self.latest.values()))
+    @rule(data=st.data(), delta_on=st.none() | st.integers(0, 50))
+    def supersede_a_round(self, data, delta_on):
+        rank = data.draw(st.sampled_from([r for r, n in self.latest.items() if n]))
+        self._save(rank, data.draw(st.integers(1, self.latest[rank])), delta_on)
+
+    @rule(dt_ms=st.integers(1, 400))
+    def let_flows_land(self, dt_ms):
+        self.engine.run(until_ns=self.engine.now + dt_ms * 1_000_000)
+
+    @rule(rank=st.integers(0, NRANKS - 1), above=st.integers(0, 6))
+    def cancel_flushes_above(self, rank, above):
+        self.backend.cancel_inflight_above(rank, above)
+
+    @rule(node=st.integers(0, NRANKS // RANKS_PER_NODE - 1))
+    def lose_node(self, node):
+        first = node * RANKS_PER_NODE
+        self.backend.invalidate_node_copies(range(first, first + RANKS_PER_NODE))
+
+    @rule(node=st.integers(0, NRANKS // RANKS_PER_NODE - 1))
+    def rebuild_partner_copies(self, node):
+        self.backend.rebuild_partner_copies(node)
+
+    @invariant()
+    def index_equals_the_walk(self):
+        b = self.backend
+        for rank in range(NRANKS):
+            assert b.guaranteed_round(rank) == guaranteed_from_copies(b, rank)
+            assert b.restorable_rounds(rank) == [
+                rnd
+                for rnd in sorted(b._copies.get(rank, {}))
+                if chain_from_copies(b, rank, rnd) is not None
+            ]
+
+
+BackendIndexMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+TestBackendIndex = BackendIndexMachine.TestCase

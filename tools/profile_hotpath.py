@@ -8,6 +8,7 @@ measurement is reproducible::
     PYTHONPATH=src python tools/profile_hotpath.py logging --ranks 128
     PYTHONPATH=src python tools/profile_hotpath.py sync --sort cumulative
     PYTHONPATH=src python tools/profile_hotpath.py logging --ranks 4096 --gc
+    PYTHONPATH=src python tools/profile_hotpath.py storm --ranks 2048
 
 Workloads (the shapes the simperf matrix and docs/performance.md talk
 about):
@@ -17,14 +18,22 @@ about):
 * ``sync``    — coordinated checkpoints every 4 iterations against a
   ram+pfs plan (collective-heavy);
 * ``halo``    — the 2-D halo exchange (waitall-heavy);
+* ``storm``   — the ``ckpt_storm_512`` shape of ``benchmarks/e2e``: a
+  checkpoint every iteration against ``partner:ram@1,partner@1,
+  pfs@2:async`` with ``incr:4:zlib-like`` payloads, so thousands of
+  PFS flushes are in flight at once (the measurement behind "Why
+  checkpoint cost grew with in-flight flows" in docs/performance.md);
 * ``eventq``  — not a simulation: the hold-model event-queue
   microbenchmark head-to-head on both queue backends
   (``repro.harness.simperf.queue_microbench``), then a cProfile of the
   calendar queue at the deepest depth — where the bucket hot path's
   time actually goes.
 
-Output: raw wall-clock (profiler off), events/sec, then the cProfile
-top-N by the requested sort key.  With ``--gc`` the cProfile table is
+Output: raw wall-clock (profiler off) and events/sec; when the workload
+moved bytes as flows, what the bandwidth lanes did (flows admitted, the
+most in flight on one lane, how often a lane walked its whole pool and
+over how many flows); then the cProfile top-N by the requested sort
+key.  With ``--gc`` the cProfile table is
 replaced by what the cyclic collector did during one more unprofiled
 run: collections per generation and the total pause, timed through
 ``gc.callbacks``, plus the process's peak RSS (the measurement behind
@@ -42,11 +51,13 @@ import resource
 import time
 
 from repro.apps.synthetic import halo2d_app, ring_app
+from repro.ckptdata.regions import TEST_PROFILE
 from repro.core.clusters import ClusterMap
 from repro.core.protocol import SPBCConfig
 from repro.harness.runner import run_spbc
+from repro.sim.resources import BandwidthResource
 
-WORKLOADS = ("logging", "sync", "halo", "eventq")
+WORKLOADS = ("logging", "sync", "halo", "storm", "eventq")
 
 
 def build(workload: str, nranks: int):
@@ -54,15 +65,24 @@ def build(workload: str, nranks: int):
         factory = ring_app(iters=20, msg_bytes=4096, compute_ns=200_000)
         cm = ClusterMap.singletons(nranks)
         return lambda: run_spbc(factory, nranks, cm, trace=False)
-    if workload == "sync":
+    if workload in ("sync", "storm"):
         factory = ring_app(iters=20, msg_bytes=4096, compute_ns=200_000)
         cm = ClusterMap.block(nranks, max(2, nranks // 8))
+        every, storage, data_plane = (
+            (4, "tiered:ram@1,pfs@4", {})
+            if workload == "sync"
+            else (
+                1,
+                "partner:ram@1,partner@1,pfs@2:async",
+                {"ckpt_data": "incr:4:zlib-like", "profile": TEST_PROFILE},
+            )
+        )
         cfg = lambda: SPBCConfig(  # noqa: E731 - fresh config per run
-            clusters=cm, checkpoint_every=4, state_nbytes=1 << 20
+            clusters=cm, checkpoint_every=every, state_nbytes=1 << 20
         )
         return lambda: run_spbc(
-            factory, nranks, cm, config=cfg(),
-            storage="tiered:ram@1,pfs@4", trace=False,
+            factory, nranks, cm, config=cfg(), storage=storage, trace=False,
+            **data_plane,
         )
     if workload == "halo":
         factory = halo2d_app(iters=10, msg_bytes=8192, compute_ns=400_000)
@@ -118,6 +138,42 @@ class GcWatch:
         gc.callbacks.remove(self)
 
 
+class LaneWatch:
+    """What the bandwidth lanes did while the ``with`` block ran: flows
+    admitted, the most flows in flight on one lane, and the whole-pool
+    passes (the per-instant drain — the only walk over every live flow
+    a lane makes) with the flows they visited."""
+
+    def __init__(self) -> None:
+        self.admitted = 0
+        self.high_water = 0
+        self.passes = 0
+        self.visited = 0
+
+    def __enter__(self) -> "LaneWatch":
+        self._admit = admit = BandwidthResource._admit
+        self._advance = advance = BandwidthResource._advance
+
+        def watched_admit(lane, flow):
+            admit(lane, flow)
+            self.admitted += 1
+            self.high_water = max(self.high_water, lane.active_flows)
+
+        def watched_advance(lane):
+            if lane.active_flows and lane.engine.now > lane._last_ns:
+                self.passes += 1
+                self.visited += lane.active_flows
+            advance(lane)
+
+        BandwidthResource._admit = watched_admit
+        BandwidthResource._advance = watched_advance
+        return self
+
+    def __exit__(self, *exc) -> None:
+        BandwidthResource._admit = self._admit
+        BandwidthResource._advance = self._advance
+
+
 def profile_one(
     workload: str, nranks: int, sort: str, top: int, gc_report: bool = False
 ) -> None:
@@ -127,13 +183,20 @@ def profile_one(
     run = build(workload, nranks)
     # Raw wall first (profiler overhead excluded), best of 3.
     wall = min(_timed(run) for _ in range(3))
-    res = run()
+    with LaneWatch() as lanes:
+        res = run()
     events = res.world.engine.events_executed
     print(f"== {workload} @ {nranks} ranks ==")
     print(
         f"wall {wall:.3f}s   events {events}   "
-        f"{events / wall / 1e3:.0f} kev/s"
+        f"{events / wall / 1e3:.0f} kev/s   {wall / events * 1e6:.2f} us/event"
     )
+    if lanes.admitted:
+        print(
+            f"lanes  flows {lanes.admitted}   live high-water "
+            f"{lanes.high_water}   whole-pool passes {lanes.passes} "
+            f"({lanes.visited} flow visits)"
+        )
     if gc_report:
         # Free the earlier runs' worlds now, so the watched run's pause
         # is its own collector work and not their deallocation.
