@@ -12,6 +12,9 @@ hosts (ROADMAP item 0).  What stays here:
   ``perf-smoke`` step) — host cost per engine event of the
   ``ckpt_storm`` shape at 2048 ranks over the same at 512 ranks, again
   a paired in-process ratio;
+* the **tracing-cost guard** (slow-marked; also a CI ``perf-smoke``
+  step) — host time of the paper pipeline's AMG logging run traced over
+  the same untraced, the median of alternating in-process pairs;
 * the **committed-baseline shape** — ``benchmarks/results/simperf.json``
   (written once by ``python -m repro simperf --json ...`` and updated
   deliberately) must document the PR-5 speedups (>=3x on the 128-rank
@@ -20,9 +23,11 @@ hosts (ROADMAP item 0).  What stays here:
   and the event-queue swap.
 """
 
+import gc
 import json
 import os
 import pathlib
+import statistics
 import time
 
 import pytest
@@ -31,6 +36,7 @@ from repro.apps.synthetic import ring_app
 from repro.ckptdata.regions import TEST_PROFILE
 from repro.core.clusters import ClusterMap
 from repro.core.protocol import SPBCConfig
+from repro.harness.experiments import PAPER_NET, app_factory
 from repro.harness.runner import run_spbc
 from repro.harness.simperf import (
     SHARD_NSHARDS,
@@ -215,3 +221,33 @@ def test_storm_cost_per_event_flat_in_ranks():
     print(f"\nstorm us/event: 512 ranks {small:.2f}, 2048 ranks {large:.2f}, "
           f"ratio {large / small:.2f}")
     assert large / small <= 1.6
+
+
+def _paper_run_cpu_s(trace: bool) -> float:
+    """Host CPU seconds of the ``make_logging_run("amg")`` shape at 128
+    ranks (57 % of a ``paper_tables_128`` repetition of
+    ``benchmarks/e2e``): the AMG skeleton under SPBC with singleton
+    clusters on ``PAPER_NET``."""
+    gc.collect()  # the previous run's world is not this run's work
+    t0 = time.process_time()
+    run_spbc(
+        app_factory("amg"), 128, ClusterMap.singletons(128),
+        net_params=PAPER_NET, trace=trace,
+    )
+    return time.process_time() - t0
+
+
+@pytest.mark.slow
+def test_tracing_cost_on_the_paper_shape():
+    """Tracing observes a run, it does not re-shape it
+    (docs/performance.md, "Why tracing cost a third of a paper run"):
+    an event object per message kept alive for the whole run, and a
+    completion event per traced send, read 1.5-1.6x here; flat rows on
+    the one completion path read 1.05-1.2x."""
+    ratios = []
+    for _ in range(3):
+        untraced = _paper_run_cpu_s(False)
+        ratios.append(_paper_run_cpu_s(True) / untraced)
+    print("\npaper shape, traced / untraced cpu:",
+          " ".join(f"{r:.2f}" for r in ratios))
+    assert statistics.median(ratios) <= 1.35

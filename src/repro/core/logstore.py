@@ -84,12 +84,18 @@ class LogStore:
 
     def append(self, rec: LogRecord) -> None:
         key = (rec.comm_id, rec.dst)
-        if rec.seqnum <= self.last_seq(rec.comm_id, rec.dst):
+        # One probe of the channel tail serves the check, the message
+        # and the append; only an empty resident area asks last_seq.
+        chan = self.channels.get(key)
+        last = chan[-1].seqnum if chan else self.last_seq(rec.comm_id, rec.dst)
+        if rec.seqnum <= last:
             raise ValueError(
                 f"log seqnums must increase per channel: {rec.seqnum} after "
-                f"{self.last_seq(rec.comm_id, rec.dst)} on {key}"
+                f"{last} on {key}"
             )
-        self.channels.setdefault(key, []).append(rec)
+        if chan is None:
+            chan = self.channels[key] = []
+        chan.append(rec)
         self.bytes_logged += rec.nbytes
         self.records_logged += rec.count
         self.resident_bytes += rec.nbytes

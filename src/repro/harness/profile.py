@@ -80,14 +80,15 @@ class TrafficSplit:
 def traffic_split(result: RunResult, clusters: ClusterMap) -> TrafficSplit:
     """How much of the communicated volume crosses clusters (i.e. would
     be logged, and replayed during a recovery)."""
-    total = 0
-    inter = 0
-    for e in result.trace.sends():
-        src, dst, _cid = e.channel
-        total += e.nbytes
-        if clusters.is_intercluster(src, dst):
-            inter += e.nbytes
-    return TrafficSplit(total_bytes=total, intercluster_bytes=inter)
+    pair_bytes = result.trace.send_pair_bytes()
+    inter = sum(
+        nbytes
+        for (src, dst), nbytes in pair_bytes.items()
+        if clusters.is_intercluster(src, dst)
+    )
+    return TrafficSplit(
+        total_bytes=sum(pair_bytes.values()), intercluster_bytes=inter
+    )
 
 
 def explain_recovery_potential(

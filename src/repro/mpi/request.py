@@ -77,9 +77,8 @@ class Request:
 class SendRequest(Request):
     """Tracks one send until local completion.
 
-    ``post_seq``/``complete_seq`` record the per-rank order in which send
-    requests were posted and completed — the two orders SPBC logs to drive
-    replay without rendezvous deadlocks (section 5.2.2).
+    ``post_seq``/``complete_seq`` number the request in its rank's
+    posting and completion order.
     """
 
     __slots__ = ("env", "post_seq", "complete_seq", "rendezvous", "suppressed")

@@ -37,7 +37,14 @@ from repro.obs import resolve_telemetry
 from repro.sim.engine import AllOf, AnyOf, Engine, SimError, Trigger, sim_gc
 from repro.sim.network import Network, NetworkParams, Packet, Topology
 from repro.sim.process import DebtWait, SimProcess, SleepMarker
-from repro.sim.tracing import CommEvent, Trace
+from repro.sim.tracing import (
+    KIND_DELIVER,
+    KIND_MATCH,
+    KIND_POST,
+    KIND_SEND,
+    Trace,
+    pack_row,
+)
 
 # CPU cost of handing a loopback (self) message through shared memory.
 LOOPBACK_NS_PER_BYTE = 0.05
@@ -53,8 +60,9 @@ class MPIRuntime:
         self.engine: Engine = world.engine
         self.hooks: ProtocolHooks = world.hooks
         self.matching = MatchingEngine(self.hooks.match_allowed)
-        self.trace = world.trace  # cached: consulted on every send/recv
         self._trace_on = world.trace.enabled  # immutable for a run
+        # Row sink of the trace (repro.sim.tracing): one C call per event.
+        self._trace_put = world.trace.rows.frombytes
         self.telemetry = world.telemetry
         self._tele_on = world.telemetry.enabled  # immutable for a run
         self._eager_threshold = world.eager_threshold
@@ -75,10 +83,6 @@ class MPIRuntime:
         self._recv_post_seq = 0
         self._send_post_seq = 0
         self._send_complete_seq = 0
-        # Send-request order logs (section 5.2.2): per-rank post order and
-        # completion order of send requests, used for replay flow control.
-        self.send_post_order: List[Tuple[int, int, int, int]] = []  # message keys
-        self.send_complete_order: List[Tuple[int, int, int, int]] = []
 
         # Rendezvous bookkeeping.
         self._rvz_pending_cts: Dict[int, SendRequest] = {}
@@ -213,22 +217,11 @@ class MPIRuntime:
             rendezvous=nbytes > self._eager_threshold and dst != self.rank,
         )
         if self._trace_on:
-            # The send post/completion order logs (section 5.2.2) are
-            # offline-analysis artifacts like the trace itself: recorded
-            # only when tracing, never consulted by the simulation.
-            self.send_post_order.append(env.message_key)
-            self.trace.record(
-                CommEvent(
-                    kind="send",
-                    rank=self.rank,
-                    time_ns=self.engine.now,
-                    channel=env.channel,
-                    seqnum=env.seqnum,
-                    tag=tag,
-                    nbytes=nbytes,
-                    ident=env.ident,
-                )
-            )
+            ident = env.ident
+            self._trace_put(pack_row(
+                KIND_SEND, self.rank, self.engine.now, self.rank, dst, comm_id,
+                seqnum, tag, nbytes, -1, ident[0], ident[1],
+            ))
         decision, overhead = self.hooks.on_send_with_cost(self, env)
         if overhead:
             self.cpu_debt_ns += overhead
@@ -273,13 +266,10 @@ class MPIRuntime:
             pkt = self.world.network.send(
                 self.rank, env.dst, EagerMsg(env), env.nbytes + WIRE_HEADER_BYTES
             )
-            if self._trace_on:
-                self.engine.schedule_at_fast(
-                    pkt.inject_done_at, self._complete_send_evt, req,
-                    self.incarnation,
-                )
-            else:
+            if req._trigger is None:
                 req.completes_at_ns = pkt.inject_done_at
+            else:
+                self._complete_send_at(req, pkt.inject_done_at)
             return
         self._transmit(env, req)
 
@@ -302,18 +292,30 @@ class MPIRuntime:
                 self.rank, env.dst, EagerMsg(env), env.nbytes + WIRE_HEADER_BYTES
             )
             # Local completion once the NIC finished injecting the
-            # payload.  With tracing off, no engine event is spent on
-            # it: the request completes lazily at its first observation
+            # payload.  No engine event is spent on it: the request
+            # completes lazily at its first observation
             # (_settle/_settle_or_schedule) — same completion time, one
-            # event per send saved.  Tracing keeps the evented path so
-            # send_complete_order records the true global order.
-            if self._trace_on:
-                self.engine.schedule_at_fast(
-                    pkt.inject_done_at, self._complete_send_evt, req,
-                    self.incarnation,
-                )
-            else:
+            # event per send saved.  A request whose trigger already
+            # exists may have a waiter: see _complete_send_at.
+            if req._trigger is None:
                 req.completes_at_ns = pkt.inject_done_at
+            else:
+                self._complete_send_at(req, pkt.inject_done_at)
+
+    def _complete_send_at(self, req: SendRequest, at_ns: int) -> None:
+        """Local completion of an eager send whose trigger already exists.
+
+        A send transmitted *after* its owner blocked on it — deferred at
+        restart while LS was unknown, then moved by ``release_deferred``
+        — has a waiter that is past every observation point: nothing
+        would settle a parked completion time, so the completion must be
+        an event or the wake-up is lost."""
+        if req._trigger._waiters:
+            self.engine.schedule_at_fast(
+                at_ns, self._complete_send_evt, req, self.incarnation
+            )
+        else:
+            req.completes_at_ns = at_ns
 
     def isend_raw(self, env: Envelope) -> SendRequest:
         """Send a pre-built envelope verbatim (log replay).
@@ -403,8 +405,6 @@ class MPIRuntime:
             return
         self._send_complete_seq += 1
         req.complete_seq = self._send_complete_seq
-        if self._trace_on:
-            self.send_complete_order.append(req.env.message_key)
         env = req.env
         req.complete(Status(-1, env.tag, env.nbytes))
 
@@ -436,18 +436,11 @@ class MPIRuntime:
             ident=self.active_ident if self.stamp_idents else DEFAULT_IDENT,
         )
         if self._trace_on:
-            self.trace.record(
-                CommEvent(
-                    kind="post",
-                    rank=self.rank,
-                    time_ns=self.engine.now,
-                    channel=(src, self.rank, comm.comm_id),
-                    seqnum=-1,
-                    tag=tag,
-                    req_seq=req.req_seq,
-                    ident=req.ident,
-                )
-            )
+            ident = req.ident
+            self._trace_put(pack_row(
+                KIND_POST, self.rank, self.engine.now, src, self.rank,
+                comm.comm_id, -1, tag, 0, req.req_seq, ident[0], ident[1],
+            ))
         env = self.matching.post(req)
         if env is not None:
             self._on_matched(req, env)
@@ -479,19 +472,7 @@ class MPIRuntime:
 
     def _on_matched(self, req: RecvRequest, env: Envelope) -> None:
         if self._trace_on:
-            self.trace.record(
-                CommEvent(
-                    kind="match",
-                    rank=self.rank,
-                    time_ns=self.engine.now,
-                    channel=env.channel,
-                    seqnum=env.seqnum,
-                    tag=env.tag,
-                    nbytes=env.nbytes,
-                    req_seq=req.req_seq,
-                    ident=env.ident,
-                )
-            )
+            self._trace_env(KIND_MATCH, env, req.req_seq)
         rvz_id = (
             self._rvz_unexpected.pop(env.message_key, None)
             if self._rvz_unexpected
@@ -506,25 +487,20 @@ class MPIRuntime:
             return
         self._complete_recv(req, env)
 
+    def _trace_env(self, kind: int, env: Envelope, req_seq: int) -> None:
+        ident = env.ident
+        self._trace_put(pack_row(
+            kind, self.rank, self.engine.now, env.src, env.dst, env.comm_id,
+            env.seqnum, env.tag, env.nbytes, req_seq, ident[0], ident[1],
+        ))
+
     def _complete_recv(self, req: RecvRequest, env: Envelope) -> None:
         comm = self._comms[env.comm_id]
         # Direct map hit (the sender is a member by construction); the
         # checked comm_rank() accessor costs a try/except per delivery.
         status = Status(comm._rank_of_world[env.src], env.tag, env.nbytes, env.payload)
         if self._trace_on:
-            self.trace.record(
-                CommEvent(
-                    kind="deliver",
-                    rank=self.rank,
-                    time_ns=self.engine.now,
-                    channel=env.channel,
-                    seqnum=env.seqnum,
-                    tag=env.tag,
-                    nbytes=env.nbytes,
-                    req_seq=req.req_seq,
-                    ident=env.ident,
-                )
-            )
+            self._trace_env(KIND_DELIVER, env, req.req_seq)
         self.hooks.on_deliver(self, env)
         # req.complete() inlined (once per delivered message).
         if not req.done:
@@ -833,8 +809,6 @@ class MPIRuntime:
         self._recv_post_seq = 0
         self._send_post_seq = 0
         self._send_complete_seq = 0
-        self.send_post_order = []
-        self.send_complete_order = []
         self.world.network.attach(self.rank, self._on_packet)
 
     def cancel_pending_rvz_to(self, peer: int, comm_id: int) -> int:

@@ -284,7 +284,7 @@ class WarpController:
             now=now,
             current_rank=runtime.rank,
             current_sleep_ns=sleep_ns,
-            trace_len=len(world.trace.events),
+            trace_len=len(world.trace),
             wake_offsets=wake_offsets,
             per_rank=per_rank,
             net_pairs={
@@ -388,15 +388,11 @@ class WarpController:
                 d["log_chans"] = log_d
             out["rank"][rank] = d
         # Traced per-pair send bytes over the window.
-        if self.world.trace.enabled:
-            pair_bytes: Dict[Tuple[int, int], int] = {}
-            events = self.world.trace.events
-            for e in events[old.trace_len:new.trace_len]:
-                if e.kind == "send":
-                    src, dst, _cid = e.channel
-                    key = (src, dst)
-                    pair_bytes[key] = pair_bytes.get(key, 0) + e.nbytes
-            out["trace_pairs"] = pair_bytes
+        trace = self.world.trace
+        if trace.enabled:
+            out["trace_pairs"] = trace.send_pair_bytes(
+                old.trace_len, new.trace_len
+            )
         return out
 
     def _maybe_warp(self, snaps: List[_Snapshot]) -> None:

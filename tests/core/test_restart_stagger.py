@@ -7,6 +7,13 @@ affected cluster's restart by ``i * stagger``, so the *measured* read
 flow timeline (``shared_read_flow_windows``) shows fewer concurrent
 readers — the restart-side analogue of ``pfs_stagger_ns`` on the write
 side.
+
+Every test runs traced and untraced.  The staggered, untraced run is the
+smallest known reproducer of the lost wake-up behind ROADMAP item 1's
+``DeadlockError`` (docs/failure_model.md, "The lost wake-up"): rank 1's
+restarted incarnation blocks in ``sendrecv`` on a send that is still
+deferred (``LS`` unknown), and the late ``release_deferred`` used to
+park the completion where nobody looked again.
 """
 
 import pytest
@@ -14,7 +21,7 @@ import pytest
 from repro.apps.synthetic import ring_app
 from repro.core.clusters import ClusterMap
 from repro.core.protocol import SPBCConfig
-from repro.harness.runner import run_failure_schedule, run_spbc
+from repro.harness.runner import run_failure_schedule, run_native, run_spbc
 from repro.util.units import MB, MS
 
 NRANKS = 8
@@ -49,13 +56,18 @@ def _fail_after_round2_drain():
     return max(ends) + 100_000
 
 
-def run_with_stagger(stagger_ns, fail_at):
+def run_with_stagger(stagger_ns, fail_at, trace):
     cm, cfg = _config()
     return run_failure_schedule(
         app(), NRANKS, cm, [(fail_at, 0, "node")],
         config=cfg, storage=PLAN, ranks_per_node=RPN,
-        restart_stagger_ns=stagger_ns,
+        restart_stagger_ns=stagger_ns, trace=trace,
     )
+
+
+@pytest.fixture(params=[True, False], ids=["traced", "untraced"])
+def trace(request):
+    return request.param
 
 
 def peak_concurrent_readers(backend):
@@ -71,10 +83,10 @@ def peak_concurrent_readers(backend):
     return peak
 
 
-def test_restart_stagger_drops_peak_concurrent_readers():
+def test_restart_stagger_drops_peak_concurrent_readers(trace):
     fail_at = _fail_after_round2_drain()
-    flat = run_with_stagger(0, fail_at)
-    spread = run_with_stagger(20 * MS, fail_at)
+    flat = run_with_stagger(0, fail_at, trace)
+    spread = run_with_stagger(20 * MS, fail_at, trace)
     # The node loss rolls back both of node 0's clusters.
     assert flat.restarted_ranks == spread.restarted_ranks == {0, 1, 2, 3}
     pk_flat = peak_concurrent_readers(flat.world.hooks.storage)
@@ -94,12 +106,12 @@ def test_restart_stagger_drops_peak_concurrent_readers():
         assert spread_ev[c].restarted_from_round == 2
 
 
-def test_restart_stagger_offsets_scale_with_blast_index():
+def test_restart_stagger_offsets_scale_with_blast_index(trace):
     """Cluster i's read pipeline opens ~i * stagger after the first;
     measured, not assumed."""
     fail_at = _fail_after_round2_drain()
     stagger = 20 * MS
-    spread = run_with_stagger(stagger, fail_at)
+    spread = run_with_stagger(stagger, fail_at, trace)
     windows = spread.world.hooks.storage.shared_read_flow_windows()
     cm = ClusterMap.block(NRANKS, K)
     first_read = {}
@@ -112,13 +124,26 @@ def test_restart_stagger_offsets_scale_with_blast_index():
     assert gap < stagger + 5 * MS
 
 
-def test_restart_stagger_zero_is_the_default_and_free():
+def test_restart_stagger_zero_is_the_default_and_free(trace):
     fail_at = _fail_after_round2_drain()
     cm, cfg = _config()
     default = run_failure_schedule(
         app(), NRANKS, cm, [(fail_at, 0, "node")],
-        config=cfg, storage=PLAN, ranks_per_node=RPN,
+        config=cfg, storage=PLAN, ranks_per_node=RPN, trace=trace,
     )
-    flat = run_with_stagger(0, fail_at)
+    flat = run_with_stagger(0, fail_at, trace)
     assert default.makespan_ns == flat.makespan_ns
     assert default.results == flat.results
+
+
+@pytest.mark.parametrize("stagger_ns", [0, 20 * MS])
+def test_staggered_restart_is_the_same_run_traced_and_untraced(stagger_ns):
+    """The untraced 20 ms case deadlocked at t = 50 476 565 ns while the
+    traced one finished: both must finish, at the same instant, with the
+    native results."""
+    fail_at = _fail_after_round2_drain()
+    traced = run_with_stagger(stagger_ns, fail_at, True)
+    untraced = run_with_stagger(stagger_ns, fail_at, False)
+    assert untraced.makespan_ns == traced.makespan_ns
+    native = run_native(app(), NRANKS, ranks_per_node=RPN)
+    assert untraced.results == traced.results == native.results

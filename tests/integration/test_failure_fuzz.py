@@ -29,7 +29,7 @@ from repro.ckptdata.plane import CkptDataPlane
 from repro.ckptdata.regions import TEST_PROFILE
 from repro.core.clusters import ClusterMap
 from repro.core.protocol import SPBCConfig
-from repro.harness.runner import run_failure_schedule, run_native
+from repro.harness.runner import run_failure_schedule, run_native, run_spbc
 from repro.apps.synthetic import halo2d_app, ring_app
 
 NRANKS = 8
@@ -279,6 +279,94 @@ def test_fuzz_halo_app_with_auto_interval(seed):
     )
     assert out.results == ref.results
     assert_no_time_travel(out, schedule)
+
+
+# ----------------------------------------------------------------------
+# Wrapped schedules: twelve crashes round eight clusters, so four
+# clusters fail a second time during or after their own recovery — the
+# path SPBC is about.  PR 11 found that some victim orders (seeds 21,
+# 29, 39) ended in DeadlockError with trace=False and never with
+# trace=True; the cause was a lost send-completion wake-up
+# (docs/failure_model.md, "The lost wake-up").
+# ----------------------------------------------------------------------
+
+WRAP_NRANKS, WRAP_K, WRAP_CRASHES = 64, 8, 12
+_WRAP_REF = {}
+
+
+def _wrap_app():
+    return halo2d_app(iters=24, msg_bytes=8192, compute_ns=400_000)
+
+
+def _wrapped_run(schedule, trace):
+    """The e2e ``failure_recovery`` configuration at 64 ranks;
+    ``schedule=None`` is its failure-free run."""
+    factory = _wrap_app()
+    cm = ClusterMap.block(WRAP_NRANKS, WRAP_K)
+    kw = dict(
+        config=SPBCConfig(clusters=cm, checkpoint_every=2),
+        storage="partner:ram@1,partner@1,pfs@4:async",
+        ckpt_data="incr:4:zlib-like", trace=trace,
+    )
+    if schedule is None:
+        return run_spbc(factory, WRAP_NRANKS, cm, **kw)
+    return run_failure_schedule(factory, WRAP_NRANKS, cm, schedule, **kw)
+
+
+def wrapped_schedule(seed):
+    """The e2e benchmark's crash lattice (one crash at 3 % of the
+    protected failure-free makespan, the rest spread over 15-95 %, kinds
+    alternating from node) with the victim order wrapped round the
+    clusters instead of hitting each at most once."""
+    if not _WRAP_REF:
+        _WRAP_REF["results"] = run_native(
+            _wrap_app(), WRAP_NRANKS, trace=False
+        ).results
+        _WRAP_REF["makespan"] = _wrapped_run(None, False).makespan_ns
+    cm = ClusterMap.block(WRAP_NRANKS, WRAP_K)
+    rng = random.Random(seed)
+    order = rng.sample(range(WRAP_K), WRAP_K)
+    victims = (order * 2)[:WRAP_CRASHES]
+    step = 0.8 / (WRAP_CRASHES - 1)
+    fractions = [0.03] + [0.15 + (i + 0.5) * step for i in range(WRAP_CRASHES - 1)]
+    return [
+        (
+            int(frac * _WRAP_REF["makespan"]),
+            rng.choice(cm.members(victim)),
+            ("node", "process")[i % 2],
+        )
+        for i, (frac, victim) in enumerate(zip(fractions, victims))
+    ]
+
+
+def run_wrapped(seed, trace):
+    schedule = wrapped_schedule(seed)
+    out = _wrapped_run(schedule, trace)
+    assert out.results == _WRAP_REF["results"], (
+        f"seed {seed} trace={trace}: recovery diverged under {schedule}"
+    )
+    assert_no_time_travel(out, schedule)
+    return out
+
+
+@pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
+@pytest.mark.parametrize("seed", [21, 29, 39])
+def test_fuzz_wrapped_schedule_known_deadlock_seeds(seed, trace):
+    """PR-gate slice: the three victim orders that used to deadlock."""
+    run_wrapped(seed, trace)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(40))
+def test_fuzz_wrapped_schedule_deep(seed):
+    """Nightly slice: forty victim orders, traced and untraced — native
+    results both ways, and the same run both ways."""
+    traced, untraced = run_wrapped(seed, True), run_wrapped(seed, False)
+    assert traced.makespan_ns == untraced.makespan_ns
+    assert (
+        traced.world.engine.events_executed
+        == untraced.world.engine.events_executed
+    )
 
 
 # ----------------------------------------------------------------------

@@ -10,18 +10,25 @@ bookkeeping.  The fuzz matrix varies seeds, cluster counts, shard
 counts, and random process/node failure schedules, so the conservative
 windows are exercised across different partition shapes and crash
 timings.
+
+The last section holds the same kind of contract for the other switch
+that must not change a simulation: ``trace=True`` against
+``trace=False``, down to the number of engine events executed.
 """
 
 import random
 
 import pytest
 
+from repro.apps.amg import amg_app
+from repro.apps.milc import milc_app
 from repro.apps.minife import minife_app
 from repro.apps.synthetic import halo2d_app, ring_app
 from repro.core.clusters import ClusterMap
 from repro.core.protocol import SPBCConfig
 from repro.harness.parallel import partition_shards, run_spbc_sharded
 from repro.harness.runner import run_failure_schedule, run_spbc
+from repro.journal.recorder import commit_history_of, log_counters_of
 from repro.sim.network import NetworkParams
 
 NRANKS = 16
@@ -457,3 +464,86 @@ def test_crashing_app_surfaces_cleanly_without_hanging():
     cm = ClusterMap.block(16, 4)
     with pytest.raises(RuntimeError, match="boom|rank 5"):
         run_spbc_sharded(broken_factory, 16, cm, shards=4, ranks_per_node=4)
+
+
+# ----------------------------------------------------------------------
+# Trace is an observer: traced == untraced, engine events included
+# ----------------------------------------------------------------------
+
+#: Above DEFAULT_EAGER_THRESHOLD (64 KiB): every message is a rendezvous.
+RVZ_BYTES = 96 * 1024
+
+#: name -> (app, its message-size parameter, the other parameters).  amg
+#: is the ANY_SOURCE + pattern-identifier app, milc the declared-pattern
+#: one.
+OBSERVER_APPS = {
+    "ring": (ring_app, "msg_bytes",
+             dict(iters=8, msg_bytes=2048, compute_ns=200_000)),
+    "halo2d": (halo2d_app, "msg_bytes",
+               dict(iters=8, msg_bytes=8192, compute_ns=400_000)),
+    "amg": (amg_app, "fine_bytes", dict(cycles=3, compute_l0_ns=700_000)),
+    "milc": (milc_app, "face_bytes", dict(iters=6, compute_ns=2_000_000)),
+}
+
+#: name -> (message bytes or None for the app's own, failure kind or
+#: None, restart stagger).  The
+#: crash lands at 55 % of the failure-free makespan on rank 0; 2-rank
+#: clusters on 4-rank nodes make a node loss roll back two clusters, so
+#: the stagger has something to spread.
+OBSERVER_SCENARIOS = {
+    "failure-free": (None, None, 0),
+    "one-failure": (None, "process", 0),
+    "staggered-restart": (None, "node", 5_000_000),
+    "rendezvous": (RVZ_BYTES, "process", 0),
+}
+
+
+def _observed(res):
+    hooks = res.world.hooks
+    return {
+        "makespan_ns": res.makespan_ns,
+        "finish_ns": {r: p.finish_time for r, p in res.world.processes.items()},
+        "results": res.results,
+        "log": log_counters_of(hooks),
+        "commits": commit_history_of(hooks),
+        "events_executed": res.world.engine.events_executed,
+    }
+
+
+@pytest.mark.parametrize("scenario", OBSERVER_SCENARIOS)
+@pytest.mark.parametrize("app_name", OBSERVER_APPS)
+def test_trace_is_an_observer(app_name, scenario):
+    """Recording the trace changes nothing the simulation does: same
+    observables and the *same engine events* — the exact,
+    host-independent gate that keeps a traced/untraced fork from
+    growing back into the send path (docs/performance.md, "Why tracing
+    cost a third of a paper run")."""
+    nbytes, kind, stagger = OBSERVER_SCENARIOS[scenario]
+    make_app, size_param, params = OBSERVER_APPS[app_name]
+    factory = make_app(**{**params, **({size_param: nbytes} if nbytes else {})})
+    cm = ClusterMap.block(NRANKS, 8)
+
+    def run(trace, schedule=None):
+        kw = dict(
+            config=SPBCConfig(
+                clusters=cm, checkpoint_every=2, state_nbytes=1 << 20
+            ),
+            storage="tiered:ram@1,pfs@2:async", ranks_per_node=RPN, trace=trace,
+        )
+        if schedule is None:
+            return run_spbc(factory, NRANKS, cm, **kw)
+        return run_failure_schedule(
+            factory, NRANKS, cm, schedule, restart_stagger_ns=stagger, **kw
+        )
+
+    free = run(True)
+    schedule = (
+        None if kind is None else [(int(0.55 * free.makespan_ns), 0, kind)]
+    )
+    traced = free if schedule is None else run(True, schedule)
+    untraced = run(False, schedule)
+    assert len(traced.world.trace) > 0 and len(untraced.world.trace) == 0
+    assert _observed(traced) == _observed(untraced)
+    if schedule is not None:
+        assert traced.results == free.results
+        assert traced.restarted_ranks == untraced.restarted_ranks != set()

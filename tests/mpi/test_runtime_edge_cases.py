@@ -4,6 +4,7 @@ deferred sends, raw replay sends."""
 import pytest
 
 from repro.mpi.constants import ANY_SOURCE
+from repro.mpi.hooks import ProtocolHooks
 from repro.mpi.message import Envelope
 from repro.mpi.runtime import World
 from repro.mpi.context import RankContext
@@ -53,17 +54,19 @@ def test_isend_raw_preserves_seqnum_and_ident():
     assert e.seqnum == 42 and e.ident == (7, 9) and e.replayed
 
 
+class DeferAll(ProtocolHooks):
+    """Defers every send until told otherwise (a restarted rank whose
+    peer's lastMessage has not arrived yet)."""
+
+    def __init__(self):
+        self.deferring = True
+
+    def on_send(self, runtime, env):
+        return "defer" if self.deferring else True
+
+
 def test_release_deferred_flushes_in_order():
     """Deferred sends released after LS arrives keep their order."""
-    from repro.mpi.hooks import ProtocolHooks
-
-    class DeferAll(ProtocolHooks):
-        def __init__(self):
-            self.deferring = True
-
-        def on_send(self, runtime, env):
-            return "defer" if self.deferring else True
-
     hooks = DeferAll()
     world = World(2, ranks_per_node=2, hooks=hooks)
     rt = world.runtimes[0]
@@ -76,7 +79,36 @@ def test_release_deferred_flushes_in_order():
     world.engine.run(detect_deadlock=False)
     got = [e.payload for e in world.runtimes[1].matching.unexpected]
     assert got == ["m0", "m1", "m2"]
-    assert all(r.done for r in reqs)
+    # Eager sends complete lazily: observe them the way MPI code does.
+    assert rt.testall(reqs)[0]
+
+
+@pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
+def test_release_deferred_wakes_an_owner_already_waiting(trace):
+    """A send transmitted after its owner blocked on it completes by an
+    event: parking the completion time for the next observation point
+    would lose the wake-up, because the owner is already past it."""
+    hooks = DeferAll()
+    world = World(2, ranks_per_node=2, hooks=hooks, trace=trace)
+    rt = world.runtimes[0]
+    resumed_at = []
+
+    def owner():
+        sreq = rt.isend(1, "late", nbytes=4096, tag=1)
+        yield from rt.wait(sreq)
+        resumed_at.append(world.engine.now)
+
+    def release():
+        hooks.deferring = False
+        rt.release_deferred(world.comm_world.comm_id, 1)
+
+    world.launch(0, owner())
+    world.engine.schedule(1_000, release)
+    world.run()  # DeadlockError here when the wake-up is lost
+    # Rank 0's only packet: its NIC went idle at the inject-done instant.
+    inject_done_at = world.network._nic_free[0]
+    assert inject_done_at > 1_000
+    assert resumed_at == [inject_done_at]
 
 
 def test_status_carries_comm_local_source():

@@ -9,6 +9,8 @@ measurement is reproducible::
     PYTHONPATH=src python tools/profile_hotpath.py sync --sort cumulative
     PYTHONPATH=src python tools/profile_hotpath.py logging --ranks 4096 --gc
     PYTHONPATH=src python tools/profile_hotpath.py storm --ranks 2048
+    PYTHONPATH=src python tools/profile_hotpath.py paper --trace --gc
+    PYTHONPATH=src python tools/profile_hotpath.py paper --no-trace --gc
 
 Workloads (the shapes the simperf matrix and docs/performance.md talk
 about):
@@ -23,6 +25,13 @@ about):
   pfs@2:async`` with ``incr:4:zlib-like`` payloads, so thousands of
   PFS flushes are in flight at once (the measurement behind "Why
   checkpoint cost grew with in-flight flows" in docs/performance.md);
+* ``paper``   — the ``make_logging_run("amg")`` shape, 57 % of a
+  ``paper_tables_128`` repetition of ``benchmarks/e2e``: the AMG
+  skeleton (``ANY_SOURCE`` + pattern identifiers) under SPBC with
+  singleton clusters on ``PAPER_NET``.  The paper pipeline runs it
+  traced; ``--trace``/``--no-trace`` toggles that on any workload (the
+  measurement behind "Why tracing cost a third of a paper run" in
+  docs/performance.md);
 * ``eventq``  — not a simulation: the hold-model event-queue
   microbenchmark head-to-head on both queue backends
   (``repro.harness.simperf.queue_microbench``), then a cProfile of the
@@ -54,17 +63,24 @@ from repro.apps.synthetic import halo2d_app, ring_app
 from repro.ckptdata.regions import TEST_PROFILE
 from repro.core.clusters import ClusterMap
 from repro.core.protocol import SPBCConfig
+from repro.harness.experiments import PAPER_NET, app_factory
 from repro.harness.runner import run_spbc
 from repro.sim.resources import BandwidthResource
 
-WORKLOADS = ("logging", "sync", "halo", "storm", "eventq")
+WORKLOADS = ("logging", "sync", "halo", "storm", "paper", "eventq")
 
 
-def build(workload: str, nranks: int):
+def build(workload: str, nranks: int, trace: bool = False):
     if workload == "logging":
         factory = ring_app(iters=20, msg_bytes=4096, compute_ns=200_000)
         cm = ClusterMap.singletons(nranks)
-        return lambda: run_spbc(factory, nranks, cm, trace=False)
+        return lambda: run_spbc(factory, nranks, cm, trace=trace)
+    if workload == "paper":
+        factory = app_factory("amg")
+        cm = ClusterMap.singletons(nranks)
+        return lambda: run_spbc(
+            factory, nranks, cm, net_params=PAPER_NET, trace=trace
+        )
     if workload in ("sync", "storm"):
         factory = ring_app(iters=20, msg_bytes=4096, compute_ns=200_000)
         cm = ClusterMap.block(nranks, max(2, nranks // 8))
@@ -81,13 +97,13 @@ def build(workload: str, nranks: int):
             clusters=cm, checkpoint_every=every, state_nbytes=1 << 20
         )
         return lambda: run_spbc(
-            factory, nranks, cm, config=cfg(), storage=storage, trace=False,
+            factory, nranks, cm, config=cfg(), storage=storage, trace=trace,
             **data_plane,
         )
     if workload == "halo":
         factory = halo2d_app(iters=10, msg_bytes=8192, compute_ns=400_000)
         cm = ClusterMap.block(nranks, max(2, nranks // 8))
-        return lambda: run_spbc(factory, nranks, cm, trace=False)
+        return lambda: run_spbc(factory, nranks, cm, trace=trace)
     raise SystemExit(f"unknown workload {workload!r} (pick from {WORKLOADS})")
 
 
@@ -175,18 +191,19 @@ class LaneWatch:
 
 
 def profile_one(
-    workload: str, nranks: int, sort: str, top: int, gc_report: bool = False
+    workload: str, nranks: int, sort: str, top: int, gc_report: bool = False,
+    trace: bool = False,
 ) -> None:
     if workload == "eventq":
         profile_eventq(sort, top)
         return
-    run = build(workload, nranks)
+    run = build(workload, nranks, trace)
     # Raw wall first (profiler overhead excluded), best of 3.
     wall = min(_timed(run) for _ in range(3))
     with LaneWatch() as lanes:
         res = run()
     events = res.world.engine.events_executed
-    print(f"== {workload} @ {nranks} ranks ==")
+    print(f"== {workload} @ {nranks} ranks, trace {'on' if trace else 'off'} ==")
     print(
         f"wall {wall:.3f}s   events {events}   "
         f"{events / wall / 1e3:.0f} kev/s   {wall / events * 1e6:.2f} us/event"
@@ -245,9 +262,17 @@ def main() -> int:
         help="report collections per generation and total collector pause "
         "(gc.callbacks) instead of the cProfile table",
     )
+    ap.add_argument(
+        "--trace", action=argparse.BooleanOptionalAction, default=False,
+        help="record the communication trace during the run (the paper "
+        "pipeline's setting; every other benchmark runs with it off)",
+    )
     args = ap.parse_args()
     for w in [args.workload] if args.workload else WORKLOADS:
-        profile_one(w, args.ranks, args.sort, args.top, gc_report=args.gc)
+        profile_one(
+            w, args.ranks, args.sort, args.top, gc_report=args.gc,
+            trace=args.trace,
+        )
     return 0
 
 
