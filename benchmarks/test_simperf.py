@@ -1,10 +1,12 @@
 """simperf: wall-clock performance of the simulator itself.
 
-Tier-1 holds no wall-clock assertion against a committed number: the
-normalised-cost regression gate over the quick scenario subset runs in
-the CI ``perf-smoke`` job only (``python -m repro simperf --quick``),
-because its calibration loop does not co-vary with the simulator across
-hosts (ROADMAP item 0).  What stays here:
+Tier-1 holds no wall-clock assertion against a committed number or a
+core count: the normalised-cost regression gate over the quick scenario
+subset and the shard-pair speed-up gate (``check_shard_speedup``) run in
+the CI ``perf-smoke`` job only (``python -m repro simperf --quick
+--shards 4``, 4-vcpu runners) — the first because its calibration loop
+does not co-vary with the simulator across hosts, the second because it
+asks a 2-core host for the 2-core ceiling.  What stays here:
 
 * the **telemetry-off guard** — a paired in-process ratio, stable on
   any host;
@@ -25,7 +27,6 @@ hosts (ROADMAP item 0).  What stays here:
 
 import gc
 import json
-import os
 import pathlib
 import statistics
 import time
@@ -41,11 +42,8 @@ from repro.harness.runner import run_spbc
 from repro.harness.simperf import (
     SHARD_NSHARDS,
     SHARD_RANKS,
-    check_shard_speedup,
     check_telemetry_overhead,
-    format_shard_pair,
     format_telemetry_overhead,
-    shard_pair,
     telemetry_overhead,
 )
 
@@ -166,24 +164,6 @@ def test_committed_baseline_documents_the_eventq_swap():
         "reference in full simulation — the queue swap regressed the "
         "whole run"
     )
-
-
-@pytest.mark.slow
-@pytest.mark.benchmark(group="simperf")
-def test_shard_pair_speedup_live(benchmark):
-    """Nightly: measure the 4096-rank shard pair on this host and gate
-    the speedup when the host has the cores (single-core hosts report
-    only)."""
-    pair = benchmark.pedantic(
-        lambda: shard_pair(nranks=SHARD_RANKS, nshards=SHARD_NSHARDS),
-        rounds=1, iterations=1,
-    )
-    print()
-    print(format_shard_pair(pair))
-    problems = check_shard_speedup(pair)
-    assert not problems, "\n".join(problems)
-    if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("single-core host: speedup informational only")
 
 
 def _storm_us_per_event(nranks: int) -> float:

@@ -17,7 +17,7 @@ Quickstart::
     from repro import ClusterMap, run_spbc
     from repro.apps import get_app
 
-    app = get_app("minighost").factory(nx=64, iters=10)
+    app = get_app("minighost").factory(nvars=8, iters=10)
     clusters = ClusterMap.block(32, 4)
     result = run_spbc(app, nranks=32, clusters=clusters)
     print(result.makespan_ns, result.hooks.total_bytes_logged())
@@ -33,10 +33,13 @@ from repro.core import (
     StableStorage,
 )
 from repro.harness import (
+    RunSpec,
+    execute,
     run_app,
     run_native,
     run_spbc,
     run_emulated_recovery,
+    run_failure_schedule,
     run_online_failure,
 )
 from repro.mpi import ANY_SOURCE, ANY_TAG, RankContext, World
@@ -58,10 +61,13 @@ __all__ = [
     "RecoveryManager",
     "ReplayPlan",
     "StableStorage",
+    "RunSpec",
+    "execute",
     "run_app",
     "run_native",
     "run_spbc",
     "run_emulated_recovery",
+    "run_failure_schedule",
     "run_online_failure",
     "ANY_SOURCE",
     "ANY_TAG",

@@ -27,7 +27,6 @@ quick sweeps at custom scales.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 
@@ -201,11 +200,6 @@ def main(argv=None) -> int:
     ):
         parser.error(f"{args.experiment} takes no journal path argument")
 
-    if args.ranks:
-        os.environ["REPRO_BENCH_RANKS"] = str(args.ranks)
-    if args.rpn:
-        os.environ["REPRO_BENCH_RPN"] = str(args.rpn)
-
     if args.experiment == "apps":
         from repro.apps.base import list_apps
 
@@ -227,17 +221,21 @@ def main(argv=None) -> int:
     from repro.harness import experiments as ex
 
     subset = args.apps.split(",") if args.apps else None
+    # None falls through to the drivers' own default scale.
+    scale = dict(nranks=args.ranks, ranks_per_node=args.rpn)
     if args.experiment == "table1":
-        rows = ex.table1_log_growth(apps=subset or ex.PAPER_APPS)
+        rows = ex.table1_log_growth(apps=subset or ex.PAPER_APPS, **scale)
         print(ex.format_table1(rows))
     elif args.experiment == "table2":
-        rows = ex.table2_failure_free_overhead(apps=subset or ex.PAPER_APPS)
+        rows = ex.table2_failure_free_overhead(
+            apps=subset or ex.PAPER_APPS, **scale
+        )
         print(ex.format_table2(rows))
     elif args.experiment == "fig5":
-        rows = ex.fig5_recovery(apps=subset or ex.PAPER_APPS)
+        rows = ex.fig5_recovery(apps=subset or ex.PAPER_APPS, **scale)
         print(ex.format_fig5(rows))
     elif args.experiment == "fig6":
-        rows = ex.fig6_hydee_vs_spbc(apps=subset or ex.NAS_APPS)
+        rows = ex.fig6_hydee_vs_spbc(apps=subset or ex.NAS_APPS, **scale)
         print(ex.format_fig6(rows))
     elif args.experiment == "ckptcost":
         plans = None
@@ -250,7 +248,9 @@ def main(argv=None) -> int:
                 print(f"error: --storage {args.storage!r}: {e}", file=sys.stderr)
                 return 2
             plans = {"memory": "memory", args.storage: args.storage}
-        rows = ex.checkpoint_cost(apps=subset or ("minighost",), plans=plans)
+        rows = ex.checkpoint_cost(
+            apps=subset or ("minighost",), plans=plans, **scale
+        )
         print(ex.format_checkpoint_cost(rows))
     elif args.experiment == "deltachain":
         from repro.ckptdata.plane import parse_ckpt_data
@@ -264,7 +264,7 @@ def main(argv=None) -> int:
                 print(f"error: --ckpt-data {args.ckpt_data!r}: {e}", file=sys.stderr)
                 return 2
             modes = {"full": "full", args.ckpt_data: args.ckpt_data}
-        kwargs = {}
+        kwargs = dict(scale)
         if args.storage:
             try:
                 make_backend(args.storage)
@@ -362,7 +362,7 @@ def main(argv=None) -> int:
         if rc:
             return rc
     elif args.experiment == "ioverlap":
-        kwargs = {}
+        kwargs = dict(scale)
         if args.storage:
             from repro.storage.backend import make_backend
 
@@ -425,6 +425,7 @@ def main(argv=None) -> int:
                 plans=plans,
                 checkpoint_every=every,
                 mtbf_ns=int(args.mtbf * SEC),
+                **scale,
             )
         except ValueError as e:
             # e.g. --storage memory with --checkpoint-every auto
@@ -442,6 +443,7 @@ def main(argv=None) -> int:
                 apps=subset or ("minighost",),
                 plan=auto_plan,
                 mtbf_ns=int(args.mtbf * SEC),
+                **scale,
             )
         except ValueError as e:
             # e.g. --storage memory: the free store has no write cost for
@@ -457,7 +459,8 @@ def main(argv=None) -> int:
 
 
 def _parse_schedule(spec):
-    """Parse ``MS:RANK:KIND[,...]`` into (time_ns, rank, kind) triples."""
+    """Parse ``MS:RANK:KIND[,...]`` into (time_ns, rank, kind) triples
+    (``RunSpec`` checks what they say)."""
     from repro.util.units import MS
 
     out = []
@@ -468,11 +471,6 @@ def _parse_schedule(spec):
                 f"bad schedule entry {part!r}: expected MS:RANK:KIND"
             )
         t_ms, rank, kind = fields
-        if kind not in ("process", "node"):
-            raise ValueError(
-                f"bad failure kind {kind!r} in {part!r}: "
-                "expected 'process' or 'node'"
-            )
         out.append((int(float(t_ms) * MS), int(rank), kind))
     return out
 
@@ -498,28 +496,27 @@ def _journal_command(args) -> int:
     if args.experiment == "journal" and args.record:
         from repro.core.clusters import ClusterMap
         from repro.core.protocol import SPBCConfig
-        from repro.harness.runner import run_failure_schedule, run_spbc
+        from repro.harness.runner import RunSpec, execute
         from repro.journal.recorder import journaled_app
 
         nranks = args.ranks or 32
-        rpn = args.rpn or 8
+        clusters = ClusterMap.block(nranks, args.clusters)
         try:
-            app = journaled_app(args.app, iters=args.iters)
-            schedule = _parse_schedule(args.schedule) if args.schedule else []
+            spec = RunSpec(
+                journaled_app(args.app, iters=args.iters),
+                nranks,
+                clusters,
+                SPBCConfig(clusters=clusters, checkpoint_every=3,
+                           state_nbytes=1 << 12),
+                schedule=_parse_schedule(args.schedule) if args.schedule else (),
+                ranks_per_node=args.rpn or 8,
+                storage=args.storage or "tiered:ram@1,pfs@4",
+            )
         except (KeyError, ValueError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
-        clusters = ClusterMap.block(nranks, args.clusters)
-        cfg = SPBCConfig(clusters=clusters, checkpoint_every=3,
-                         state_nbytes=1 << 12)
-        storage = args.storage or "tiered:ram@1,pfs@4"
         tele = _make_telemetry(args)
-        common = dict(ranks_per_node=rpn, storage=storage, config=cfg,
-                      shards=args.shards, journal=args.path, telemetry=tele)
-        if schedule:
-            run_failure_schedule(app, nranks, clusters, schedule, **common)
-        else:
-            run_spbc(app, nranks, clusters, **common)
+        execute(spec, shards=args.shards, journal=args.path, telemetry=tele)
         jr = Journal.load(args.path)
         print(f"recorded {len(jr.events)} events to {args.path}")
         print(_json.dumps(summary(jr), indent=1, default=str))

@@ -83,6 +83,22 @@ class LogCostModel:
         return self.ident_fixed_ns
 
 
+def peak_overlap(*window_lists) -> int:
+    """Maximum number of simultaneously open ``(start_ns, end_ns, ...)``
+    windows over all the given lists (touching windows do not overlap)."""
+    events: List[Tuple[int, int]] = []
+    for windows in window_lists:
+        for start, end, *_ in windows:
+            events.append((start, 1))
+            events.append((end, -1))
+    events.sort()  # (t, -1) sorts before (t, +1): touching != overlap
+    peak = current = 0
+    for _t, delta in events:
+        current += delta
+        peak = max(peak, current)
+    return peak
+
+
 @dataclass
 class SPBCConfig:
     """Protocol parameters."""
@@ -1249,19 +1265,7 @@ class SPBC(ProtocolHooks):
         bursts are the backend's *measured* flow windows (start/finish
         of the actual background transfers), so under async flush the
         stagger's effect is observed, not assumed."""
-        events: List[Tuple[int, int]] = []
-        for start, end, _cluster in self.pfs_write_windows:
-            events.append((start, 1))
-            events.append((end, -1))
-        for start, end, _rank, _round in self.storage.shared_flow_windows():
-            events.append((start, 1))
-            events.append((end, -1))
-        events.sort()  # (t, -1) sorts before (t, +1): touching != overlap
-        peak = current = 0
-        for _t, delta in events:
-            current += delta
-            peak = max(peak, current)
-        return peak
+        return peak_overlap(self.pfs_write_windows, self.storage.shared_flow_windows())
 
     def total_checkpoint_stall_ns(self) -> int:
         """Time ranks spent stalled inside coordinated checkpoints,

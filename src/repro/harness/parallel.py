@@ -49,7 +49,9 @@ decomposes exactly with no flow traffic at all.
 
 Sharding still refuses configurations it cannot reproduce exactly:
 network jitter (seeded per-packet draws diverge across event orders)
-and warp mode (the detector needs the global event stream).
+and warp mode (the detector needs the global event stream).  Like every
+other check on a run, these are made in
+:func:`repro.harness.runner.execute`, this module's only caller.
 """
 
 from __future__ import annotations
@@ -60,18 +62,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ckptdata.regions import WriteLocalityProfile
 from repro.core.clusters import ClusterMap
-from repro.core.protocol import SPBCConfig
-from repro.core.recovery import FAILURE_KINDS, FailureEvent
-from repro.harness.runner import (
-    AppFactory,
-    CkptDataSpec,
-    FailureSpec,
-    StorageSpec,
-    _resolve_ckpt_data,
-    _resolve_storage,
-)
+from repro.core.protocol import SPBCConfig, peak_overlap
+from repro.core.recovery import FailureEvent
+from repro.harness.runner import RunSpec
+from repro.journal.recorder import log_counters_of
 from repro.obs import NULL_TELEMETRY, Telemetry, resolve_telemetry
 from repro.sim.network import NetworkParams, Topology
 from repro.sim.shard import lookahead_ns, shard_worker_main
@@ -80,26 +75,17 @@ from repro.util.units import mb_per_s
 
 @dataclass
 class ShardPlan:
-    """Everything one worker needs to build and run its shard.
+    """Everything one worker needs to build and run its shard: the run's
+    spec plus what this shard owns.
 
     Workers are forked, so the (unpicklable) application factory and the
     shared config object travel by address-space inheritance; only the
     window-protocol messages cross the pipes."""
 
+    spec: RunSpec
     shard_id: int
-    nshards: int
     owned_clusters: frozenset
     owned_ranks: frozenset
-    nranks: int
-    ranks_per_node: int
-    seed: int
-    net_params: Optional[NetworkParams]
-    trace: bool
-    config: SPBCConfig
-    app_factory: AppFactory
-    schedule: Tuple[FailureSpec, ...] = ()
-    restart_delay_ns: int = 2_000_000
-    restart_stagger_ns: int = 0
     # Collect owned-rank journal events (commits, gc, restarts) into a
     # ListSink and ship them back in the worker summary.
     journal: bool = False
@@ -108,33 +94,18 @@ class ShardPlan:
     telemetry: bool = False
 
 
-def partition_shards(
-    clusters: ClusterMap,
-    nshards: int,
-    weights: Optional[np.ndarray] = None,
-) -> List[List[int]]:
+def partition_shards(clusters: ClusterMap, nshards: int) -> List[List[int]]:
     """Assign whole clusters to shards (clusters never span shards — the
-    protocol's barriers, drains, and restarts are cluster-collective).
-
-    Default: contiguous cluster ranges balanced by rank count, which
-    preserves any node alignment of the cluster map.  With a rank-level
-    communication-weight matrix (e.g. from a traced run), clusters are
-    instead placed to keep heavy traffic shard-internal: a greedy k-way
-    seed when shard count divides cluster count (balanced refinement
-    otherwise) followed by Kernighan-Lin swaps on the cluster-contracted
-    matrix."""
+    protocol's barriers, drains, and restarts are cluster-collective):
+    contiguous cluster ranges balanced by rank count, which preserves
+    any node alignment of the cluster map."""
     ncl = clusters.nclusters
     if not 1 <= nshards <= ncl:
         raise ValueError(
             f"need 1 <= shards <= {ncl} clusters, got {nshards}"
         )
-    sizes = clusters.sizes()
-    if weights is None:
-        assignment = _contiguous_assignment(sizes, nshards)
-    else:
-        assignment = _weighted_assignment(clusters, sizes, nshards, weights)
     out: List[List[int]] = [[] for _ in range(nshards)]
-    for c, s in enumerate(assignment):
+    for c, s in enumerate(_contiguous_assignment(clusters.sizes(), nshards)):
         out[s].append(c)
     if any(not part for part in out):
         raise ValueError("partition left an empty shard")
@@ -166,37 +137,6 @@ def _contiguous_assignment(sizes: Sequence[int], nshards: int) -> List[int]:
         assignment.append(shard)
         acc += size
     return assignment
-
-
-def _weighted_assignment(
-    clusters: ClusterMap,
-    sizes: Sequence[int],
-    nshards: int,
-    weights: np.ndarray,
-) -> List[int]:
-    from repro.clustering.partition import greedy_kway, refine_kl
-
-    ncl = clusters.nclusters
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (clusters.nranks, clusters.nranks):
-        raise ValueError(
-            f"weights must be a {clusters.nranks}x{clusters.nranks} "
-            f"rank matrix, got {w.shape}"
-        )
-    # Contract the rank matrix to clusters (symmetrized: the cut does
-    # not care about direction).
-    cw = np.zeros((ncl, ncl))
-    for a in range(clusters.nranks):
-        ca = clusters.cluster(a)
-        for b in range(clusters.nranks):
-            cb = clusters.cluster(b)
-            if ca != cb:
-                cw[ca, cb] += w[a, b] + w[b, a]
-    if ncl % nshards == 0:
-        seed = greedy_kway(cw, nshards)
-    else:
-        seed = _contiguous_assignment(sizes, nshards)
-    return refine_kl(cw, seed)
 
 
 class _LogShim:
@@ -247,19 +187,7 @@ class _HooksShim:
         ]
 
     def peak_concurrent_pfs_writers(self) -> int:
-        events: List[Tuple[int, int]] = []
-        for start, end, _cluster in self.pfs_write_windows:
-            events.append((start, 1))
-            events.append((end, -1))
-        for start, end, _rank, _round in self._shared_flow_windows:
-            events.append((start, 1))
-            events.append((end, -1))
-        events.sort()
-        peak = current = 0
-        for _t, delta in events:
-            current += delta
-            peak = max(peak, current)
-        return peak
+        return peak_overlap(self.pfs_write_windows, self._shared_flow_windows)
 
     def total_checkpoint_stall_ns(self) -> int:
         return self._ckpt_stall_ns
@@ -319,18 +247,10 @@ class ShardedRunResult:
     def restarted_ranks(self) -> set:
         return set(self.restarts)
 
-
-def _validate(cfg: SPBCConfig, params: NetworkParams, warp) -> None:
-    if warp is not None:
-        raise ValueError(
-            "warp and shards are mutually exclusive: the steady-state "
-            "detector needs the globally ordered event stream"
-        )
-    if params.jitter_max_ns > 0:
-        raise ValueError(
-            "sharded runs require jitter_max_ns=0: per-packet jitter "
-            "draws depend on global event order and would diverge"
-        )
+    @property
+    def log(self) -> Dict[int, Tuple[int, int]]:
+        """rank -> (bytes_logged, records_logged)."""
+        return log_counters_of(self.hooks)
 
 
 def _flow_lookahead_cap_ns(cfg: SPBCConfig) -> Optional[int]:
@@ -354,81 +274,20 @@ def _flow_lookahead_cap_ns(cfg: SPBCConfig) -> Optional[int]:
     return max(1, min(shared))
 
 
-def run_spbc_sharded(
-    app_factory: AppFactory,
-    nranks: int,
-    clusters: ClusterMap,
-    shards: int,
-    config: Optional[SPBCConfig] = None,
-    storage: StorageSpec = None,
-    ckpt_data: CkptDataSpec = None,
-    profile: Optional[WriteLocalityProfile] = None,
-    schedule: Sequence[FailureSpec] = (),
-    restart_delay_ns: int = 2_000_000,
-    restart_stagger_ns: int = 0,
-    ranks_per_node: int = 8,
-    seed: int = 0,
-    net_params: Optional[NetworkParams] = None,
-    trace: bool = True,
-    warp=None,
-    shard_weights: Optional[np.ndarray] = None,
-    journal=None,
-    telemetry=None,
-) -> ShardedRunResult:
-    """Run an SPBC simulation split across ``shards`` worker processes.
-
-    Accepts the union of :func:`~repro.harness.runner.run_spbc` and
-    :func:`~repro.harness.runner.run_failure_schedule` arguments (an
-    empty ``schedule`` is a failure-free run) and produces bit-identical
-    observables.  Requires a platform with ``fork`` (the application
-    factory is inherited, not pickled).
-
-    ``journal`` records the run (see :mod:`repro.journal`): workers
-    stream their owned ranks' events back in the summaries and the
-    coordinator writes one journal whose canonical event stream is
-    identical to the sequential recording's."""
-    cfg = config or SPBCConfig(clusters=clusters)
-    if cfg.clusters is not clusters and cfg.clusters != clusters:
-        raise ValueError("config.clusters disagrees with the clusters argument")
-    writer = None
-    if journal is not None:
-        from repro.journal.recorder import prepare_writer
-
-        # Before the spec strings are resolved into live objects: the
-        # header records the specs themselves.
-        writer = prepare_writer(
-            journal,
-            app_factory=app_factory,
-            nranks=nranks,
-            clusters=clusters,
-            config=cfg,
-            schedule=schedule,
-            storage=storage,
-            ckpt_data=ckpt_data,
-            profile=profile,
-            warp=warp,
-            restart_delay_ns=restart_delay_ns,
-            restart_stagger_ns=restart_stagger_ns,
-            ranks_per_node=ranks_per_node,
-            seed=seed,
-            net_params=net_params,
-            trace=trace,
-            recorded_shards=shards,
-        )
-    _resolve_storage(cfg, storage)
-    _resolve_ckpt_data(cfg, ckpt_data, profile)
-    params = net_params or NetworkParams()
-    _validate(cfg, params, warp)
+def run_sharded(spec: RunSpec, parts: List[List[int]], journaled: bool, telemetry):
+    """Run an already validated ``spec`` with the clusters of
+    ``parts[i]`` (see :func:`partition_shards`) simulated by worker
+    process ``i``.  Returns the merged :class:`ShardedRunResult` and the
+    journal events the workers collected for their owned ranks (empty
+    unless ``journaled``; the caller owns the journal).  Requires a
+    platform with ``fork`` (the application factory is inherited, not
+    pickled)."""
+    nranks, clusters, cfg = spec.nranks, spec.clusters, spec.config
     # The coordinator's sink: workers record shard-locally and ship
     # snapshots back; the coordinator adds its own window/barrier lanes
     # and merges everything here.  Its queue sampler never runs (no
     # engine on the coordinator side).
     tele = resolve_telemetry(telemetry)
-    for _at, _rank, kind in schedule:
-        if kind not in FAILURE_KINDS:
-            raise ValueError(f"unknown failure kind {kind!r}")
-
-    parts = partition_shards(clusters, shards, weights=shard_weights)
     shard_of_cluster: Dict[int, int] = {}
     shard_of_rank = [0] * nranks
     for sid, part in enumerate(parts):
@@ -436,8 +295,10 @@ def run_spbc_sharded(
             shard_of_cluster[c] = sid
             for r in clusters.members(c):
                 shard_of_rank[r] = sid
-    topology = Topology(nranks=nranks, ranks_per_node=ranks_per_node)
-    lookahead = lookahead_ns(params, topology, shard_of_rank)
+    topology = Topology(nranks=nranks, ranks_per_node=spec.ranks_per_node)
+    lookahead = lookahead_ns(
+        spec.net_params or NetworkParams(), topology, shard_of_rank
+    )
     flow_cap = _flow_lookahead_cap_ns(cfg)
     if flow_cap is not None:
         # Mirrored shared-lane flows: a start record must reach the
@@ -446,30 +307,6 @@ def run_spbc_sharded(
         # dwarfs the network lookahead (microseconds), so in practice
         # this never bites.
         lookahead = min(lookahead, flow_cap)
-
-    plans = [
-        ShardPlan(
-            shard_id=sid,
-            nshards=shards,
-            owned_clusters=frozenset(part),
-            owned_ranks=frozenset(
-                r for c in part for r in clusters.members(c)
-            ),
-            nranks=nranks,
-            ranks_per_node=ranks_per_node,
-            seed=seed,
-            net_params=params,
-            trace=trace,
-            config=cfg,
-            app_factory=app_factory,
-            schedule=tuple(schedule),
-            restart_delay_ns=restart_delay_ns,
-            restart_stagger_ns=restart_stagger_ns,
-            journal=writer is not None,
-            telemetry=tele.enabled,
-        )
-        for sid, part in enumerate(parts)
-    ]
 
     try:
         ctx = multiprocessing.get_context("fork")
@@ -482,13 +319,23 @@ def run_spbc_sharded(
     conns = []
     workers = []
     try:
-        for plan in plans:
+        for sid, part in enumerate(parts):
+            plan = ShardPlan(
+                spec=spec,
+                shard_id=sid,
+                owned_clusters=frozenset(part),
+                owned_ranks=frozenset(
+                    r for c in part for r in clusters.members(c)
+                ),
+                journal=journaled,
+                telemetry=tele.enabled,
+            )
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=shard_worker_main,
                 args=(child, plan),
                 daemon=True,
-                name=f"shard-{plan.shard_id}",
+                name=f"shard-{sid}",
             )
             proc.start()
             child.close()
@@ -499,8 +346,8 @@ def run_spbc_sharded(
             shard_of_rank,
             shard_of_cluster,
             lookahead,
-            restart_delay_ns,
-            sorted(at for at, _r, _k in schedule),
+            spec.restart_delay_ns,
+            sorted(at for at, _r, _k in spec.schedule),
             tele,
             flows_mirrored=flow_cap is not None,
         )
@@ -516,33 +363,10 @@ def run_spbc_sharded(
                 proc.terminate()
                 proc.join()
 
-    result = _merge(
-        summaries,
-        shard_of_cluster,
-        nranks,
-        shards,
-        trace,
-        windows,
-        lookahead,
-        tele,
-    )
-    if writer is not None:
-        from repro.journal.recorder import finalize_run, log_counters_of
-
-        finalize_run(
-            writer,
-            failures=result.failures,
-            finish_ns=result.finish_ns,
-            makespan_ns=result.makespan_ns,
-            results=result.results,
-            log=log_counters_of(result.hooks),
-            restarts=result.restarts,
-            commit_history=result.commit_history,
-            worker_events=[
-                ev for summ in summaries for ev in summ.get("journal_events", ())
-            ],
-        )
-    return result
+    result = _merge(summaries, shard_of_cluster, spec, windows, lookahead, tele)
+    return result, [
+        ev for summ in summaries for ev in summ.get("journal_events", ())
+    ]
 
 
 def _recv(conn, sid: int):
@@ -671,13 +495,12 @@ def _coordinate(
 def _merge(
     summaries,
     shard_of_cluster: Dict[int, int],
-    nranks: int,
-    nshards: int,
-    trace: bool,
+    spec: RunSpec,
     windows: int,
     lookahead: int,
     tele=NULL_TELEMETRY,
 ) -> ShardedRunResult:
+    nranks = spec.nranks
     finish: Dict[int, int] = {}
     results: Dict[int, object] = {}
     log: Dict[int, Tuple[int, int]] = {}
@@ -685,7 +508,7 @@ def _merge(
     restarts: Dict[int, int] = {}
     pfs_windows: List[Tuple[int, int, int]] = []
     flow_windows: List[Tuple[int, int, int, int]] = []
-    matrix = np.zeros((nranks, nranks), dtype=np.int64) if trace else None
+    matrix = np.zeros((nranks, nranks), dtype=np.int64) if spec.trace else None
     stall = overhead = compute = packets = nbytes = events = 0
     # Failure events: every shard logs every injection (the crash side
     # runs everywhere), but only the owner of a cluster knows its actual
@@ -741,7 +564,7 @@ def _merge(
         failures.append(FailureEvent(**ev))
     return ShardedRunResult(
         nranks=nranks,
-        nshards=nshards,
+        nshards=len(summaries),
         makespan_ns=max(finish.values()),
         finish_ns=finish,
         results=results,

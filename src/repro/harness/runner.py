@@ -1,5 +1,13 @@
-"""Run orchestration: failure-free runs, emulated recovery (paper §6.4),
-and online failure injection.
+"""Run orchestration: one path for protected runs, plus the reference
+and emulated-recovery (paper §6.4) runners.
+
+An SPBC execution is a function of its description — application, rank
+count, cluster map, failure schedule (§3.4) — so there is one
+description, :class:`RunSpec`, validated once in its constructor, and one
+:func:`execute` that runs it on either engine and records it.  A
+failure-free run is a failure schedule of length zero: ``run_spbc`` and
+``run_online_failure`` are sugar over :func:`run_failure_schedule`, which
+builds the spec.
 
 Application factories have the uniform signature
 
@@ -11,17 +19,22 @@ state to resume from (online recovery path).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Set, Tuple
-
-from typing import Union
+from dataclasses import dataclass
+from typing import Callable, Dict, Generator, Optional, Sequence, Set, Tuple, Union
 
 from repro.ckptdata.plane import CkptDataPlane, parse_ckpt_data
 from repro.ckptdata.regions import WriteLocalityProfile
 from repro.core.clusters import ClusterMap
 from repro.core.emulated import ReplayPlan, replayer_process, DEFAULT_PREPOST_WINDOW
 from repro.core.protocol import SPBC, SPBCConfig
-from repro.core.recovery import RecoveryManager
+from repro.core.recovery import FAILURE_KINDS, RecoveryManager
+from repro.journal.recorder import (
+    build_header,
+    commit_history_of,
+    finalize_run,
+    log_counters_of,
+    prepare_writer,
+)
 from repro.mpi.context import RankContext
 from repro.mpi.hooks import NativeHooks, ProtocolHooks
 from repro.mpi.runtime import World
@@ -61,50 +74,21 @@ def _resolve_run_telemetry(telemetry, warp: WarpSpec):
     return tele
 
 
-def _resolve_storage(cfg: SPBCConfig, storage: StorageSpec) -> None:
-    """Install a storage backend into ``cfg`` (spec strings go through
-    the registry)."""
-    if storage is None:
-        return
-    if cfg.storage is not None:
-        raise ValueError(
-            "storage backend supplied both via config.storage and the "
-            "storage argument"
-        )
-    cfg.storage = make_backend(storage) if isinstance(storage, str) else storage
-
-
-def _resolve_ckpt_data(
-    cfg: SPBCConfig,
-    ckpt_data: CkptDataSpec,
-    profile: Optional[WriteLocalityProfile] = None,
-) -> None:
-    """Install a checkpoint data plane into ``cfg`` (spec strings like
-    ``"incr:4:zlib-like"`` go through :func:`parse_ckpt_data`;
-    ``profile`` supplies the app's write-locality regions)."""
-    if ckpt_data is None:
-        return
-    if cfg.ckpt_data is not None:
-        raise ValueError(
-            "checkpoint data plane supplied both via config.ckpt_data and "
-            "the ckpt_data argument"
-        )
-    cfg.ckpt_data = (
-        parse_ckpt_data(ckpt_data, profile=profile)
-        if isinstance(ckpt_data, str)
-        else ckpt_data
-    )
-
-
 @dataclass
 class RunResult:
-    """Outcome of a (failure-free) run."""
+    """Outcome of a sequential run.  The observables carry the names
+    :class:`~repro.harness.parallel.ShardedRunResult` and
+    :class:`~repro.journal.ReplayResult` use, so consumers (the journal's
+    ``end`` record first) read a result without asking which engine
+    produced it.  ``manager`` is None only for unprotected runs
+    (:func:`run_app`)."""
 
     world: World
     hooks: ProtocolHooks
     makespan_ns: int
     finish_ns: Dict[int, int]
     results: Dict[int, object]
+    manager: Optional[RecoveryManager] = None
 
     @property
     def trace(self):
@@ -116,6 +100,33 @@ class RunResult:
         shape as ``ShardedRunResult.telemetry``."""
         tele = self.world.telemetry
         return tele if tele.enabled else None
+
+    @property
+    def failures(self) -> list:
+        return self.manager.failures if self.manager is not None else []
+
+    @property
+    def restarts(self) -> Dict[int, int]:
+        """rank -> number of restarts."""
+        return dict(self.manager.restarts) if self.manager is not None else {}
+
+    @property
+    def restarted_ranks(self) -> Set[int]:
+        return set(self.restarts)
+
+    @property
+    def log(self) -> Dict[int, Tuple[int, int]]:
+        """rank -> (bytes_logged, records_logged)."""
+        return log_counters_of(self.hooks)
+
+    @property
+    def commit_history(self) -> Dict[int, list]:
+        """rank -> [(round_no, taken_at_ns)] for every committed round."""
+        return commit_history_of(self.hooks)
+
+
+#: A failure run returns the same type as a failure-free one.
+OnlineResult = RunResult
 
 
 @dataclass
@@ -194,106 +205,6 @@ def run_native(app_factory: AppFactory, nranks: int, **kw) -> RunResult:
     return run_app(app_factory, nranks, hooks=NativeHooks(), **kw)
 
 
-def run_spbc(
-    app_factory: AppFactory,
-    nranks: int,
-    clusters: ClusterMap,
-    config: Optional[SPBCConfig] = None,
-    storage: StorageSpec = None,
-    ckpt_data: CkptDataSpec = None,
-    profile: Optional[WriteLocalityProfile] = None,
-    warp: WarpSpec = None,
-    shards: Optional[int] = None,
-    journal=None,
-    telemetry=None,
-    **kw,
-):
-    """Failure-free run under SPBC (logging + identifiers active).
-
-    ``storage`` selects the checkpoint backend (a spec string like
-    ``"tiered:ram@1,pfs@4"`` or a ``StorageBackend``); ``ckpt_data``
-    selects the incremental data plane (``"full"``/``"incr:4:zlib-like"``
-    or a ``CkptDataPlane``) with ``profile`` as the app's write-locality
-    regions.  Both only matter when ``config.checkpoint_every`` is set.
-
-    ``shards=N`` (N > 1) splits the run over N conservative PDES worker
-    processes (see :mod:`repro.harness.parallel`) and returns the merged
-    :class:`~repro.harness.parallel.ShardedRunResult` — observables are
-    bit-identical to the single-process run.
-
-    ``journal`` (a path, or a :class:`repro.journal.JournalWriter`)
-    records the run as an LSN-stamped event journal for strict replay,
-    crash-resume, and metric projection (see :mod:`repro.journal`);
-    it requires spec-string ``storage``/``ckpt_data`` (live backend
-    objects are not serializable into the header)."""
-    cfg = config or SPBCConfig(clusters=clusters)
-    # Validate *before* the shard dispatch: a mismatched config must
-    # fail identically whichever engine runs it.
-    if cfg.clusters is not clusters and cfg.clusters != clusters:
-        raise ValueError("config.clusters disagrees with the clusters argument")
-    if shards is not None and shards > 1:
-        from repro.harness.parallel import run_spbc_sharded
-
-        return run_spbc_sharded(
-            app_factory,
-            nranks,
-            clusters,
-            shards,
-            config=cfg,
-            storage=storage,
-            ckpt_data=ckpt_data,
-            profile=profile,
-            warp=warp,
-            journal=journal,
-            telemetry=telemetry,
-            **kw,
-        )
-    writer = None
-    if journal is not None:
-        from repro.journal.recorder import prepare_writer
-
-        writer = prepare_writer(
-            journal,
-            app_factory=app_factory,
-            nranks=nranks,
-            clusters=clusters,
-            config=cfg,
-            storage=storage,
-            ckpt_data=ckpt_data,
-            profile=profile,
-            warp=warp,
-            ranks_per_node=kw.get("ranks_per_node", 8),
-            seed=kw.get("seed", 0),
-            net_params=kw.get("net_params"),
-            trace=kw.get("trace", True),
-        )
-    _resolve_storage(cfg, storage)
-    _resolve_ckpt_data(cfg, ckpt_data, profile)
-    hooks = SPBC(cfg)
-    hooks.journal = writer
-    result = run_app(
-        app_factory, nranks, hooks=hooks, warp=warp, telemetry=telemetry, **kw
-    )
-    if writer is not None:
-        from repro.journal.recorder import (
-            commit_history_of,
-            finalize_run,
-            log_counters_of,
-        )
-
-        finalize_run(
-            writer,
-            failures=(),
-            finish_ns=result.finish_ns,
-            makespan_ns=result.makespan_ns,
-            results=result.results,
-            log=log_counters_of(hooks),
-            restarts={},
-            commit_history=commit_history_of(hooks),
-        )
-    return result
-
-
 def run_emulated_recovery(
     app_factory: AppFactory,
     nranks: int,
@@ -348,25 +259,213 @@ def run_emulated_recovery(
     )
 
 
-@dataclass
-class OnlineResult:
-    """Outcome of an online failure-injection run."""
 
-    world: World
-    manager: RecoveryManager
-    makespan_ns: int
-    results: Dict[int, object]
-    restarted_ranks: Set[int]
 
-    @property
-    def telemetry(self):
-        """The run's telemetry sink (None when not requested)."""
-        tele = self.world.telemetry
-        return tele if tele.enabled else None
-
+# ----------------------------------------------------------------------
+# Protected runs: one description, one path
+# ----------------------------------------------------------------------
 
 #: One scheduled crash: (time_ns, target rank, failure kind).
 FailureSpec = Tuple[int, int, str]
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """What a protected execution is a function of.  Every field and its
+    default is declared here and nowhere else, and the constructor
+    validates them: a malformed description fails before any engine,
+    worker process or journal file exists.  The journal header is this
+    object serialised (``build_header`` / ``spec_from_header``).
+
+    ``schedule`` is a sequence of ``(at_ns, rank, kind)`` crashes, each
+    followed by full online recovery (Algorithm 1 lines 16-26); empty
+    means failure-free.  ``kind="node"`` kills the physical node hosting
+    ``rank`` (see :class:`~repro.core.recovery.RecoveryManager`).
+
+    ``storage`` selects the checkpoint backend (a spec string like
+    ``"tiered:ram@1,pfs@4"`` or a ``StorageBackend``); ``ckpt_data``
+    selects the incremental data plane (``"full"``/``"incr:4:zlib-like"``
+    or a ``CkptDataPlane``) with ``profile`` as the app's write-locality
+    regions.  Both only matter when ``config.checkpoint_every`` is set.
+
+    ``warp`` opts into steady-state fast-forward (an iteration count or
+    a :class:`WarpConfig`, see :mod:`repro.sim.warp`).  Pending failure
+    events veto the detector, so under a schedule it can only engage
+    after the last crash has been fully recovered."""
+
+    app_factory: AppFactory
+    nranks: int
+    clusters: ClusterMap
+    config: Optional[SPBCConfig] = None  # None = SPBCConfig(clusters=clusters)
+    schedule: Sequence[FailureSpec] = ()
+    restart_delay_ns: int = 2_000_000
+    restart_stagger_ns: int = 0
+    ranks_per_node: int = 8
+    seed: int = 0
+    net_params: Optional[NetworkParams] = None
+    trace: bool = True
+    storage: StorageSpec = None
+    ckpt_data: CkptDataSpec = None
+    profile: Optional[WriteLocalityProfile] = None
+    warp: WarpSpec = None
+
+    def __post_init__(self) -> None:
+        if self.clusters.nranks != self.nranks:
+            raise ValueError(
+                f"clusters: the map covers {self.clusters.nranks} ranks, "
+                f"nranks is {self.nranks}"
+            )
+        if self.config is None:
+            object.__setattr__(self, "config", SPBCConfig(clusters=self.clusters))
+        elif self.config.clusters != self.clusters:
+            # The config's map is the one the protocol simulates; a
+            # disagreeing one would silently override the argument.
+            raise ValueError("config.clusters disagrees with the clusters argument")
+        for name in ("restart_delay_ns", "restart_stagger_ns"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        object.__setattr__(self, "schedule", tuple(tuple(e) for e in self.schedule))
+        for i, (at_ns, rank, kind) in enumerate(self.schedule):
+            if not 0 <= rank < self.nranks:
+                raise ValueError(
+                    f"schedule[{i}]: rank {rank} is outside [0, {self.nranks})"
+                )
+            if at_ns < 0:
+                raise ValueError(f"schedule[{i}]: negative instant {at_ns}")
+            if kind not in FAILURE_KINDS:
+                raise ValueError(
+                    f"schedule[{i}]: unknown failure kind {kind!r} "
+                    f"(valid kinds: {', '.join(FAILURE_KINDS)})"
+                )
+
+
+def _resolve_specs(spec: RunSpec) -> None:
+    """Install ``spec.storage`` and ``spec.ckpt_data`` into
+    ``spec.config``, in place.  Spec strings go through the registries
+    (:func:`make_backend`, :func:`parse_ckpt_data` with ``spec.profile``
+    as the app's write-locality regions); live objects are used as-is."""
+    cfg, storage, ckpt_data = spec.config, spec.storage, spec.ckpt_data
+    if storage is not None:
+        if cfg.storage is not None:
+            raise ValueError(
+                "storage backend supplied both via config.storage and the "
+                "storage argument"
+            )
+        cfg.storage = make_backend(storage) if isinstance(storage, str) else storage
+    if ckpt_data is not None:
+        if cfg.ckpt_data is not None:
+            raise ValueError(
+                "checkpoint data plane supplied both via config.ckpt_data and "
+                "the ckpt_data argument"
+            )
+        if isinstance(ckpt_data, str):
+            ckpt_data = parse_ckpt_data(ckpt_data, profile=spec.profile)
+        cfg.ckpt_data = ckpt_data
+
+
+def build_world(
+    spec: RunSpec,
+    sink,
+    telemetry,
+    ranks=None,
+    world_cls=World,
+    manager_cls=RecoveryManager,
+) -> Tuple[World, RecoveryManager]:
+    """Construct, launch and arm the world ``spec`` describes — the one
+    place either engine builds a protected run.  The recovery manager is
+    always installed (it is passive until a scheduled crash fires).
+    ``sink`` receives the journal events (None = not recording); a shard
+    passes the ``ranks`` it executes and its ``World``/``RecoveryManager``
+    subclasses (see :mod:`repro.sim.shard`)."""
+    hooks = SPBC(spec.config)
+    hooks.journal = sink
+    world = world_cls(
+        spec.nranks,
+        ranks_per_node=spec.ranks_per_node,
+        hooks=hooks,
+        seed=spec.seed,
+        net_params=spec.net_params,
+        trace=spec.trace,
+        telemetry=telemetry,
+    )
+    _install_warp(world, spec.warp)
+    manager = manager_cls(
+        world,
+        hooks,
+        spec.app_factory,
+        restart_delay_ns=spec.restart_delay_ns,
+        restart_stagger_ns=spec.restart_stagger_ns,
+    )
+    manager.journal = sink
+    for r in range(spec.nranks) if ranks is None else ranks:
+        world.launch(r, spec.app_factory(RankContext(world, r), None))
+    for at_ns, rank, kind in spec.schedule:
+        manager.inject_failure(at_ns, rank, kind=kind)
+    return world, manager
+
+
+def execute(spec: RunSpec, shards: Optional[int] = None, journal=None, telemetry=None):
+    """Run ``spec`` and return its result — the single site that picks
+    the engine, states what the engines exclude, and records the run;
+    every rejection happens before a journal file or a worker exists.
+
+    ``shards=N`` (N > 1) splits the run over N conservative PDES worker
+    processes and returns the merged
+    :class:`~repro.harness.parallel.ShardedRunResult`, bit-identical in
+    its observables to the single-process :class:`RunResult`.
+
+    ``journal`` (a path, or a :class:`repro.journal.JournalWriter`)
+    records the run for strict replay, crash-resume and metric
+    projection (see :mod:`repro.journal`); both engines journal the same
+    canonical event stream.  It requires spec-string
+    ``storage``/``ckpt_data`` (a live backend cannot be serialised).
+
+    ``telemetry`` opts into metrics/timeline recording (see
+    :mod:`repro.obs`); the default None costs nothing."""
+    sharded = shards is not None and shards != 1
+    if sharded:
+        from repro.harness.parallel import partition_shards, run_sharded
+
+        parts = partition_shards(spec.clusters, shards)  # 1 <= shards <= nclusters
+        if spec.warp is not None:
+            raise ValueError(
+                "warp and shards are mutually exclusive: the steady-state "
+                "detector needs the globally ordered event stream"
+            )
+        if spec.net_params is not None and spec.net_params.jitter_max_ns > 0:
+            raise ValueError(
+                "sharded runs require jitter_max_ns=0: per-packet jitter "
+                "draws depend on global event order and would diverge"
+            )
+    # The header records the spec strings themselves, so it is built
+    # before they are resolved into live objects — and the file is only
+    # opened once nothing can reject the run any more.
+    header = None
+    if journal is not None:
+        header = build_header(spec, recorded_shards=shards if sharded else None)
+    _resolve_specs(spec)
+    writer = None if journal is None else prepare_writer(journal, header)
+    if sharded:
+        result, worker_events = run_sharded(spec, parts, writer is not None, telemetry)
+    else:
+        world, manager = build_world(
+            spec, writer, _resolve_run_telemetry(telemetry, spec.warp)
+        )
+        world.run()
+        _check_world(world)
+        finish = {r: p.finish_time for r, p in world.processes.items()}
+        result = RunResult(
+            world=world,
+            hooks=world.hooks,
+            makespan_ns=max(finish.values()),
+            finish_ns=finish,
+            results={r: p.result for r, p in world.processes.items()},
+            manager=manager,
+        )
+        worker_events = ()
+    if writer is not None:
+        finalize_run(writer, result, worker_events)
+    return result
 
 
 def run_failure_schedule(
@@ -374,197 +473,30 @@ def run_failure_schedule(
     nranks: int,
     clusters: ClusterMap,
     schedule: Sequence[FailureSpec],
-    config: Optional[SPBCConfig] = None,
-    restart_delay_ns: int = 2_000_000,
-    restart_stagger_ns: int = 0,
-    ranks_per_node: int = 8,
-    seed: int = 0,
-    net_params: Optional[NetworkParams] = None,
-    trace: bool = True,
-    storage: StorageSpec = None,
-    ckpt_data: CkptDataSpec = None,
-    profile: Optional[WriteLocalityProfile] = None,
-    warp: WarpSpec = None,
+    *,
     shards: Optional[int] = None,
     journal=None,
     telemetry=None,
+    **spec_fields,
 ):
-    """Run with an arbitrary schedule of process/node crashes and full
-    online recovery after each (the fuzz harness's entry point).
+    """Run under SPBC with an arbitrary schedule of process/node crashes
+    and full online recovery after each: ``spec_fields`` are the
+    remaining :class:`RunSpec` fields, the rest goes to :func:`execute`."""
+    spec = RunSpec(app_factory, nranks, clusters, schedule=schedule, **spec_fields)
+    return execute(spec, shards=shards, journal=journal, telemetry=telemetry)
 
-    ``schedule`` is a sequence of ``(at_ns, rank, kind)`` triples; kinds
-    are validated up front so a malformed schedule fails before the run
-    starts rather than mid-simulation.
 
-    ``warp`` composes with failure schedules conservatively: pending
-    failure events veto the steady-state detector, so fast-forward can
-    only engage in the failure-free phase after the last injected crash
-    has been fully recovered (and in practice re-executed ranks push the
-    iteration horizon down, keeping post-failure warps rare and safe).
-
-    ``shards=N`` (N > 1) runs the schedule under the conservative
-    sharded engine (failures mirrored on every shard, restarts driven by
-    the owning shard) and returns a
-    :class:`~repro.harness.parallel.ShardedRunResult`.
-
-    ``journal`` records the run (path or writer; see
-    :mod:`repro.journal`) — sharded and unsharded recordings of the
-    same config journal identical canonical event streams."""
-    cfg = config or SPBCConfig(clusters=clusters)
-    # Same guard as run_spbc, and before the shard dispatch: a config
-    # whose cluster map disagrees with the ``clusters`` argument would
-    # otherwise silently simulate the config's clustering.
-    if cfg.clusters is not clusters and cfg.clusters != clusters:
-        raise ValueError("config.clusters disagrees with the clusters argument")
-    if shards is not None and shards > 1:
-        from repro.harness.parallel import run_spbc_sharded
-
-        return run_spbc_sharded(
-            app_factory,
-            nranks,
-            clusters,
-            shards,
-            config=cfg,
-            storage=storage,
-            ckpt_data=ckpt_data,
-            profile=profile,
-            schedule=schedule,
-            restart_delay_ns=restart_delay_ns,
-            restart_stagger_ns=restart_stagger_ns,
-            ranks_per_node=ranks_per_node,
-            seed=seed,
-            net_params=net_params,
-            trace=trace,
-            warp=warp,
-            journal=journal,
-            telemetry=telemetry,
-        )
-    writer = None
-    if journal is not None:
-        from repro.journal.recorder import prepare_writer
-
-        writer = prepare_writer(
-            journal,
-            app_factory=app_factory,
-            nranks=nranks,
-            clusters=clusters,
-            config=cfg,
-            schedule=schedule,
-            storage=storage,
-            ckpt_data=ckpt_data,
-            profile=profile,
-            warp=warp,
-            restart_delay_ns=restart_delay_ns,
-            restart_stagger_ns=restart_stagger_ns,
-            ranks_per_node=ranks_per_node,
-            seed=seed,
-            net_params=net_params,
-            trace=trace,
-        )
-    _resolve_storage(cfg, storage)
-    _resolve_ckpt_data(cfg, ckpt_data, profile)
-    hooks = SPBC(cfg)
-    hooks.journal = writer
-    world = World(
-        nranks,
-        ranks_per_node=ranks_per_node,
-        hooks=hooks,
-        seed=seed,
-        net_params=net_params,
-        trace=trace,
-        telemetry=_resolve_run_telemetry(telemetry, warp),
-    )
-    _install_warp(world, warp)
-    manager = RecoveryManager(
-        world,
-        hooks,
-        app_factory,
-        restart_delay_ns=restart_delay_ns,
-        restart_stagger_ns=restart_stagger_ns,
-    )
-    manager.journal = writer
-    for r in range(nranks):
-        world.launch(r, app_factory(RankContext(world, r), None))
-    for at_ns, rank, kind in schedule:
-        manager.inject_failure(at_ns, rank, kind=kind)
-    world.run()
-    _check_world(world)
-    finish = {r: p.finish_time for r, p in world.processes.items()}
-    results = {r: p.result for r, p in world.processes.items()}
-    if writer is not None:
-        from repro.journal.recorder import (
-            commit_history_of,
-            finalize_run,
-            log_counters_of,
-        )
-
-        finalize_run(
-            writer,
-            failures=manager.failures,
-            finish_ns=finish,
-            makespan_ns=max(finish.values()),
-            results=results,
-            log=log_counters_of(hooks),
-            restarts=dict(manager.restarts),
-            commit_history=commit_history_of(hooks),
-        )
-    return OnlineResult(
-        world=world,
-        manager=manager,
-        makespan_ns=max(finish.values()),
-        results=results,
-        restarted_ranks=set(manager.restarts),
-    )
+def run_spbc(app_factory: AppFactory, nranks: int, clusters: ClusterMap, **kw):
+    """Failure-free run under SPBC (logging + identifiers active): the
+    empty failure schedule."""
+    return run_failure_schedule(app_factory, nranks, clusters, (), **kw)
 
 
 def run_online_failure(
-    app_factory: AppFactory,
-    nranks: int,
-    clusters: ClusterMap,
-    fail_at_ns: int,
-    fail_rank: int = 0,
-    config: Optional[SPBCConfig] = None,
-    restart_delay_ns: int = 2_000_000,
-    restart_stagger_ns: int = 0,
-    ranks_per_node: int = 8,
-    seed: int = 0,
-    net_params: Optional[NetworkParams] = None,
-    trace: bool = True,
-    failure_kind: str = "process",
-    storage: StorageSpec = None,
-    ckpt_data: CkptDataSpec = None,
-    profile: Optional[WriteLocalityProfile] = None,
-    warp: WarpSpec = None,
-    shards: Optional[int] = None,
-    journal=None,
-    telemetry=None,
+    app_factory: AppFactory, nranks: int, clusters: ClusterMap, fail_at_ns: int,
+    fail_rank: int = 0, failure_kind: str = "process", **kw,
 ):
-    """Run with a single crash at ``fail_at_ns`` and full online recovery
-    (Algorithm 1 lines 16-26) — sugar over :func:`run_failure_schedule`,
-    forwarding every knob the schedule path has (stagger, warp, shards,
-    journal), so single-failure callers are not a feature island.
-
-    ``failure_kind="node"`` kills the physical node hosting
-    ``fail_rank``: checkpoint copies hosted there in non-surviving tiers
-    are invalidated and the restart falls back to the deepest surviving
-    tier (see :class:`~repro.core.recovery.RecoveryManager`)."""
-    return run_failure_schedule(
-        app_factory,
-        nranks,
-        clusters,
-        [(fail_at_ns, fail_rank, failure_kind)],
-        config=config,
-        restart_delay_ns=restart_delay_ns,
-        restart_stagger_ns=restart_stagger_ns,
-        ranks_per_node=ranks_per_node,
-        seed=seed,
-        net_params=net_params,
-        trace=trace,
-        storage=storage,
-        ckpt_data=ckpt_data,
-        profile=profile,
-        warp=warp,
-        shards=shards,
-        journal=journal,
-        telemetry=telemetry,
-    )
+    """Run with a single crash at ``fail_at_ns`` and full online
+    recovery: a one-entry failure schedule."""
+    entry = (fail_at_ns, fail_rank, failure_kind)
+    return run_failure_schedule(app_factory, nranks, clusters, [entry], **kw)

@@ -28,7 +28,7 @@ from repro.journal.format import (
 )
 from repro.journal.project import project
 from repro.journal.recorder import JournalWriter, ListSink, journaled_app
-from repro.journal.replay import ReplayResult, rebuild_kwargs, replay_strict, resume
+from repro.journal.replay import ReplayResult, replay_strict, resume, spec_from_header
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -41,7 +41,7 @@ __all__ = [
     "canonical_key",
     "journaled_app",
     "project",
-    "rebuild_kwargs",
     "replay_strict",
     "resume",
+    "spec_from_header",
 ]

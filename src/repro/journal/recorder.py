@@ -1,9 +1,9 @@
 """Recording side: journal writers, event sinks, and header building.
 
-The runners (:mod:`repro.harness.runner`, :mod:`repro.harness.parallel`)
-own the recording lifecycle: they build the header from the exact
-arguments a replay will need, hand the writer to the protocol/recovery
-emission points as a *sink* (anything with ``emit``), and stamp the
+:func:`repro.harness.runner.execute` owns the recording lifecycle: it
+serialises the :class:`~repro.harness.runner.RunSpec` into the header
+(exactly what a replay needs), hands the writer to the protocol/recovery
+emission points as a *sink* (anything with ``emit``), and stamps the
 final observables into the ``end`` record.  Inside shard workers the
 sink is a :class:`ListSink` — events ride back to the coordinator in the
 worker summary and the coordinator appends them, so a sharded run's
@@ -201,64 +201,40 @@ def _spec_string(arg: Any, cfg_value: Any, what: str) -> Optional[str]:
     )
 
 
-def build_header(
-    *,
-    app_factory,
-    nranks: int,
-    clusters,
-    config,
-    schedule: Sequence[Tuple[int, int, str]] = (),
-    storage: Any = None,
-    ckpt_data: Any = None,
-    profile=None,
-    warp=None,
-    restart_delay_ns: int = 0,
-    restart_stagger_ns: int = 0,
-    ranks_per_node: int = 8,
-    seed: int = 0,
-    net_params=None,
-    trace: bool = True,
-    recorded_shards: Optional[int] = None,
-) -> Dict[str, Any]:
-    """Serialize a run's full configuration into the header record.
+def build_header(spec, recorded_shards: Optional[int] = None) -> Dict[str, Any]:
+    """Serialize a :class:`~repro.harness.runner.RunSpec` into the
+    header record (``spec_from_header`` is the inverse).
 
-    Must run *before* ``_resolve_storage``/``_resolve_ckpt_data`` mutate
-    the config: the raw spec strings are what replay rebuilds from."""
+    Must run *before* the spec strings are resolved into the config:
+    the raw strings are what replay rebuilds from."""
+    config = spec.config
     if config.emulated_recovering is not None:
         raise JournalError(
             "emulated-recovery runs are not journalable (they are a "
             "measurement scaffold, not a replayable execution)"
         )
-    ckpt_spec = _spec_string(ckpt_data, config.ckpt_data, "ckpt_data")
-    storage_spec = _spec_string(storage, config.storage, "storage")
-    warp_field: Any = None
+    ckpt_spec = _spec_string(spec.ckpt_data, config.ckpt_data, "ckpt_data")
+    storage_spec = _spec_string(spec.storage, config.storage, "storage")
+    warp, profile, net_params = spec.warp, spec.profile, spec.net_params
     if warp is not None:
-        warp_field = asdict(warp) if not isinstance(warp, int) else int(warp)
-    profile_field = None
+        warp = int(warp) if isinstance(warp, int) else asdict(warp)
     if profile is not None:
-        profile_field = [
-            {
-                "name": r.name,
-                "nbytes": r.nbytes,
-                "dirty_fraction": r.dirty_fraction,
-            }
-            for r in profile.regions
-        ]
+        profile = [asdict(region) for region in profile.regions]
     return {
-        "app": getattr(app_factory, "_journal_app", None),
-        "nranks": int(nranks),
-        "ranks_per_node": int(ranks_per_node),
-        "seed": int(seed),
-        "clusters": list(clusters.cluster_of),
-        "schedule": [[int(t), int(r), str(k)] for t, r, k in schedule],
-        "restart_delay_ns": int(restart_delay_ns),
-        "restart_stagger_ns": int(restart_stagger_ns),
+        "app": getattr(spec.app_factory, "_journal_app", None),
+        "nranks": int(spec.nranks),
+        "ranks_per_node": int(spec.ranks_per_node),
+        "seed": int(spec.seed),
+        "clusters": list(spec.clusters.cluster_of),
+        "schedule": [[int(t), int(r), str(k)] for t, r, k in spec.schedule],
+        "restart_delay_ns": int(spec.restart_delay_ns),
+        "restart_stagger_ns": int(spec.restart_stagger_ns),
         "net_params": None if net_params is None else asdict(net_params),
-        "trace": bool(trace),
+        "trace": bool(spec.trace),
         "storage": storage_spec,
         "ckpt_data": ckpt_spec,
-        "profile": profile_field,
-        "warp": warp_field,
+        "profile": profile,
+        "warp": warp,
         "config": {
             "ident_matching": bool(config.ident_matching),
             "cost": asdict(config.cost),
@@ -273,11 +249,11 @@ def build_header(
     }
 
 
-def prepare_writer(journal: Any, **header_kwargs: Any) -> JournalWriter:
+def prepare_writer(journal: Any, header: Dict[str, Any]) -> JournalWriter:
     """Resolve the runners' ``journal=`` argument: a path string opens a
     streaming file writer, an existing :class:`JournalWriter` (replay's
-    in-memory recorder) is used as-is; either way the header is built
-    from the run's arguments and written first."""
+    in-memory recorder) is used as-is; either way ``header`` is written
+    first."""
     if isinstance(journal, JournalWriter):
         writer = journal
     elif isinstance(journal, (str, os.PathLike)):
@@ -286,7 +262,7 @@ def prepare_writer(journal: Any, **header_kwargs: Any) -> JournalWriter:
         raise TypeError(
             f"journal= accepts a path or a JournalWriter, got {journal!r}"
         )
-    writer.write_header(build_header(**header_kwargs))
+    writer.write_header(header)
     return writer
 
 
@@ -312,12 +288,13 @@ def failure_fields(ev) -> Dict[str, Any]:
     }
 
 
-def commit_history_of(hooks) -> Dict[int, List[Tuple[int, int]]]:
+def commit_history_of(hooks, ranks=None) -> Dict[int, List[Tuple[int, int]]]:
     """rank -> [(round, taken_at_ns)] from the storage backend's final
-    state (the shard-equivalence invariant's shape)."""
+    state (the shard-equivalence invariant's shape), for ``ranks``
+    (default: every rank — a shard worker passes the ones it owns)."""
     storage = hooks.storage
     out: Dict[int, List[Tuple[int, int]]] = {}
-    for r in sorted(hooks.state):
+    for r in sorted(hooks.state if ranks is None else ranks):
         history = []
         for rnd in storage.rounds_of(r):
             rec = storage.retrieve(r, rnd)
@@ -353,44 +330,38 @@ def end_record(
     }
 
 
-def log_counters_of(hooks) -> Dict[int, Tuple[int, int]]:
+def log_counters_of(hooks, ranks=None) -> Dict[int, Tuple[int, int]]:
     """Per-rank (bytes_logged, records_logged) — works on both the live
-    SPBC hooks and the sharded result's hooks shim."""
+    SPBC hooks and the sharded result's hooks shim; ``ranks`` as in
+    :func:`commit_history_of`."""
+    state = hooks.state
     return {
-        r: (st.log.bytes_logged, st.log.records_logged)
-        for r, st in hooks.state.items()
+        r: (state[r].log.bytes_logged, state[r].log.records_logged)
+        for r in (state if ranks is None else ranks)
     }
 
 
 def finalize_run(
-    writer: JournalWriter,
-    *,
-    failures,
-    finish_ns: Dict[int, int],
-    makespan_ns: int,
-    results: Dict[int, Any],
-    log: Dict[int, Tuple[int, int]],
-    restarts: Dict[int, int],
-    commit_history: Dict[int, List[Tuple[int, int]]],
-    worker_events: Sequence[Dict[str, Any]] = (),
+    writer: JournalWriter, result, worker_events: Sequence[Dict[str, Any]] = ()
 ) -> None:
     """Stamp a finished run into the journal: worker-collected events
-    (sharded runs), the failure events (derived from the manager's final
-    event list — identical across engines by the equivalence contract),
-    per-rank finish events, then the ``end`` observables."""
+    (sharded runs), the failure events (derived from the final event
+    list — identical across engines by the equivalence contract),
+    per-rank finish events, then the ``end`` observables.  ``result`` is
+    either engine's: both spell the observables the same way."""
     for ev in worker_events:
         writer.emit_event(ev)
-    for ev in failures:
+    for ev in result.failures:
         writer.emit("failure", t=ev.time_ns, **failure_fields(ev))
-    for r, t in sorted(finish_ns.items()):
+    for r, t in sorted(result.finish_ns.items()):
         writer.emit("finish", t=t, rank=r)
     writer.finish(
         end_record(
-            makespan_ns=makespan_ns,
-            finish_ns=finish_ns,
-            results=results,
-            log=log,
-            restarts=restarts,
-            commit_history=commit_history,
+            makespan_ns=result.makespan_ns,
+            finish_ns=result.finish_ns,
+            results=result.results,
+            log=result.log,
+            restarts=result.restarts,
+            commit_history=result.commit_history,
         )
     )

@@ -1,7 +1,7 @@
 """Journal consumers: strict replay and crash-resume.
 
-``replay_strict`` is the determinism oracle: rebuild the run's exact
-configuration from the header, re-execute it (sequential or sharded —
+``replay_strict`` is the determinism oracle: rebuild the run's
+``RunSpec`` from the header, re-execute it (sequential or sharded —
 the engine is a replay choice, not part of the recorded config), and
 fail loudly at the first canonical position where the re-execution's
 event stream or final observables differ from the recording.
@@ -57,13 +57,13 @@ def _load(journal) -> Journal:
     return Journal.load(journal)
 
 
-def rebuild_kwargs(
-    journal: Journal, app_factory=None
-) -> Dict[str, Any]:
-    """Reconstruct the runner keyword arguments the header describes."""
+def spec_from_header(journal: Journal, app_factory=None):
+    """The :class:`~repro.harness.runner.RunSpec` the header describes
+    (the inverse of :func:`~repro.journal.recorder.build_header`)."""
     from repro.ckptdata.regions import MemoryRegion, WriteLocalityProfile
     from repro.core.clusters import ClusterMap
     from repro.core.protocol import LogCostModel, SPBCConfig
+    from repro.harness.runner import RunSpec
     from repro.sim.network import NetworkParams
     from repro.sim.warp import WarpConfig
 
@@ -77,17 +77,9 @@ def rebuild_kwargs(
             )
         app_factory = journaled_app(h["app"]["name"], **h["app"]["params"])
     clusters = ClusterMap(list(h["clusters"]))
-    cfg_h = h["config"]
+    cfg_h = dict(h["config"])
     config = SPBCConfig(
-        clusters=clusters,
-        ident_matching=cfg_h["ident_matching"],
-        cost=LogCostModel(**cfg_h["cost"]),
-        checkpoint_every=cfg_h["checkpoint_every"],
-        mtbf_ns=cfg_h["mtbf_ns"],
-        mtbf_prior_ns=cfg_h["mtbf_prior_ns"],
-        state_nbytes=cfg_h["state_nbytes"],
-        pfs_stagger_ns=cfg_h["pfs_stagger_ns"],
-        rollback_scope=cfg_h["rollback_scope"],
+        clusters=clusters, cost=LogCostModel(**cfg_h.pop("cost")), **cfg_h
     )
     warp = h.get("warp")
     if isinstance(warp, dict):
@@ -98,23 +90,23 @@ def rebuild_kwargs(
             regions=tuple(MemoryRegion(**r) for r in h["profile"])
         )
     net = h.get("net_params")
-    return {
-        "app_factory": app_factory,
-        "nranks": h["nranks"],
-        "clusters": clusters,
-        "config": config,
-        "schedule": [tuple(s) for s in h["schedule"]],
-        "restart_delay_ns": h["restart_delay_ns"],
-        "restart_stagger_ns": h["restart_stagger_ns"],
-        "ranks_per_node": h["ranks_per_node"],
-        "seed": h["seed"],
-        "net_params": None if net is None else NetworkParams(**net),
-        "trace": h["trace"],
-        "storage": h.get("storage"),
-        "ckpt_data": h.get("ckpt_data"),
-        "profile": profile,
-        "warp": warp,
-    }
+    return RunSpec(
+        app_factory=app_factory,
+        nranks=h["nranks"],
+        clusters=clusters,
+        config=config,
+        schedule=h["schedule"],
+        restart_delay_ns=h["restart_delay_ns"],
+        restart_stagger_ns=h["restart_stagger_ns"],
+        ranks_per_node=h["ranks_per_node"],
+        seed=h["seed"],
+        net_params=None if net is None else NetworkParams(**net),
+        trace=h["trace"],
+        storage=h.get("storage"),
+        ckpt_data=h.get("ckpt_data"),
+        profile=profile,
+        warp=warp,
+    )
 
 
 def _rerun(
@@ -124,36 +116,17 @@ def _rerun(
     crash_at_lsn: Optional[int] = None,
     telemetry=None,
 ) -> JournalWriter:
-    """Re-execute the journal's config, recording into a fresh in-memory
+    """Re-execute the journal's spec, recording into a fresh in-memory
     writer; returns the writer (its ``to_journal()`` is the re-run)."""
-    from repro.harness import runner
+    from repro.harness.runner import execute
 
-    kw = rebuild_kwargs(journal, app_factory=app_factory)
     writer = JournalWriter(path=None, crash_at_lsn=crash_at_lsn)
-    schedule = kw.pop("schedule")
-    if schedule:
-        runner.run_failure_schedule(
-            kw.pop("app_factory"),
-            kw.pop("nranks"),
-            kw.pop("clusters"),
-            schedule,
-            journal=writer,
-            shards=shards,
-            telemetry=telemetry,
-            **kw,
-        )
-    else:
-        kw.pop("restart_delay_ns")
-        kw.pop("restart_stagger_ns")
-        runner.run_spbc(
-            kw.pop("app_factory"),
-            kw.pop("nranks"),
-            kw.pop("clusters"),
-            journal=writer,
-            shards=shards,
-            telemetry=telemetry,
-            **kw,
-        )
+    execute(
+        spec_from_header(journal, app_factory),
+        shards=shards,
+        journal=writer,
+        telemetry=telemetry,
+    )
     return writer
 
 

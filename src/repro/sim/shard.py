@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import asdict
+from functools import partial
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.recovery import RecoveryManager, _FlowRestore
-from repro.mpi.context import RankContext
+from repro.journal.recorder import ListSink, commit_history_of, log_counters_of
 from repro.mpi.runtime import World
 from repro.sim.engine import sim_gc
 from repro.sim.network import Network, NetworkParams, Packet
@@ -251,84 +252,58 @@ class _ShardWorld(World):
         )
 
 
-def build_shard_world(plan) -> Tuple[World, "SPBC", Optional[ShardRecoveryManager]]:
+def build_shard_world(plan) -> Tuple[World, ShardRecoveryManager]:
     """Construct one shard's world from a :class:`ShardPlan`
-    (see :mod:`repro.harness.parallel`); launches the owned ranks and
-    installs the recovery mirror when a failure schedule exists."""
-    from repro.core.protocol import SPBC
+    (see :mod:`repro.harness.parallel`): the run's one world builder,
+    restricted to the owned ranks, with the exporting network and the
+    mirroring recovery manager swapped in."""
+    from repro.harness.runner import build_world
 
-    hooks = SPBC(plan.config)
+    sink = telemetry = None
     if plan.journal:
         # Owned-rank journal events (commits, gc, restarts) accumulate
         # in-process; the summary ships them to the coordinator, which
         # owns the actual journal file.
-        from repro.journal.recorder import ListSink
-
-        hooks.journal = ListSink()
-    telemetry = None
+        sink = ListSink()
     if plan.telemetry:
         # Shard-local recorder: the `shard` id keys the engine lane so
         # the coordinator's merge keeps per-shard queue-depth rows apart.
         from repro.obs import Telemetry
 
         telemetry = Telemetry(shard=plan.shard_id)
-    world = _ShardWorld(
-        plan.owned_ranks,
-        plan.nranks,
-        ranks_per_node=plan.ranks_per_node,
-        hooks=hooks,
-        seed=plan.seed,
-        net_params=plan.net_params,
-        trace=plan.trace,
-        telemetry=telemetry,
-    )
-    for r in sorted(plan.owned_ranks):
-        world.launch(r, plan.app_factory(RankContext(world, r), None))
-    manager: Optional[ShardRecoveryManager] = None
-    if plan.schedule:
-        manager = ShardRecoveryManager(
-            world,
-            hooks,
-            plan.app_factory,
-            restart_delay_ns=plan.restart_delay_ns,
-            restart_stagger_ns=plan.restart_stagger_ns,
+    world, manager = build_world(
+        plan.spec,
+        sink,
+        telemetry,
+        ranks=sorted(plan.owned_ranks),
+        world_cls=partial(_ShardWorld, plan.owned_ranks),
+        manager_cls=partial(
+            ShardRecoveryManager,
             owned_clusters=plan.owned_clusters,
             owned_ranks=plan.owned_ranks,
-        )
-        manager.journal = hooks.journal
-        for at_ns, rank, kind in plan.schedule:
-            manager.inject_failure(at_ns, rank, kind=kind)
-    storage = hooks.storage
+        ),
+    )
+    storage = world.hooks.storage
     if storage is not None and getattr(storage, "flows_active", False):
         # Async tiered storage: this shard's flows on shared lanes are
         # exported to (and mirrored from) the other shards, so every
         # shard computes the same piecewise-constant bandwidth shares.
         storage.iosched.enable_shard_mirroring(plan.shard_id)
-    return world, hooks, manager
+    return world, manager
 
 
-def _summarize(world, spbc, manager, owned_ranks: FrozenSet[int]) -> Dict[str, Any]:
+def _summarize(world, manager, owned_ranks: FrozenSet[int]) -> Dict[str, Any]:
     """Everything the coordinator needs to merge this shard into a
     sequential-shaped result (all plain picklable data)."""
     owned = sorted(owned_ranks)
     procs = {r: world.processes[r] for r in owned}
+    spbc = world.hooks
     storage = spbc.storage
-    commits: Dict[int, List[Tuple[int, int]]] = {}
-    for r in owned:
-        history = []
-        for rnd in storage.rounds_of(r):
-            rec = storage.retrieve(r, rnd)
-            if rec is not None and rec.ckpt is not None:
-                history.append((rnd, rec.ckpt.taken_at_ns))
-        commits[r] = history
     return {
         "finish_ns": {r: p.finish_time for r, p in procs.items()},
         "results": {r: p.result for r, p in procs.items()},
-        "log": {
-            r: (spbc.state[r].log.bytes_logged, spbc.state[r].log.records_logged)
-            for r in owned
-        },
-        "commits": commits,
+        "log": log_counters_of(spbc, owned),
+        "commits": commit_history_of(spbc, owned),
         "comm_matrix": (
             world.trace.comm_bytes_matrix(world.nranks)
             if world.trace.enabled
@@ -359,8 +334,8 @@ def _summarize(world, spbc, manager, owned_ranks: FrozenSet[int]) -> Dict[str, A
         "packets_sent": world.network.packets_sent,
         "bytes_sent": world.network.bytes_sent,
         "events_executed": world.engine.events_executed,
-        "failures": [asdict(e) for e in manager.failures] if manager else [],
-        "restarts": dict(manager.restarts) if manager else {},
+        "failures": [asdict(e) for e in manager.failures],
+        "restarts": dict(manager.restarts),
         "journal_events": (
             list(spbc.journal.events) if spbc.journal is not None else []
         ),
@@ -404,11 +379,11 @@ def shard_worker_main(conn, plan) -> None:
 
 def _shard_worker_loop(conn, plan) -> None:
     try:
-        world, spbc, manager = build_shard_world(plan)
+        world, manager = build_shard_world(plan)
         engine = world.engine
         net: ShardNetwork = world.network
         owned = plan.owned_ranks
-        iosched = getattr(spbc.storage, "iosched", None)
+        iosched = getattr(world.hooks.storage, "iosched", None)
         mirroring = iosched is not None and iosched.flow_outbox is not None
 
         def report() -> Dict[str, Any]:
@@ -427,9 +402,9 @@ def _shard_worker_loop(conn, plan) -> None:
             exports, net.outbox = net.outbox, []
             return {
                 "next_ns": engine.next_event_time(),
-                "hold_ns": manager.hold_ns() if manager else None,
+                "hold_ns": manager.hold_ns(),
                 "exports": exports,
-                "milestones": manager.drain_milestones() if manager else [],
+                "milestones": manager.drain_milestones(),
                 "flows": iosched.drain_flow_records() if mirroring else [],
                 "done": done,
                 "blocked": blocked,
@@ -440,7 +415,7 @@ def _shard_worker_loop(conn, plan) -> None:
         while True:
             msg = conn.recv()
             if msg[0] == "finalize":
-                conn.send(("summary", _summarize(world, spbc, manager, owned)))
+                conn.send(("summary", _summarize(world, manager, owned)))
                 return
             _kind, horizon, imports, actions, flow_records = msg
             for rec in flow_records:

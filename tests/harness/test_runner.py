@@ -1,16 +1,21 @@
 """Harness runner behaviour: world checks, references, result plumbing."""
 
+import multiprocessing
+
 import pytest
 
 from repro.core.clusters import ClusterMap
 from repro.core.emulated import ReplayPlan
+from repro.core.protocol import SPBCConfig
 from repro.harness.runner import (
     run_app,
     run_emulated_recovery,
+    run_failure_schedule,
     run_native,
     run_spbc,
 )
 from repro.apps.synthetic import ring_app
+from repro.sim.network import NetworkParams
 
 
 def test_run_native_returns_results_and_times():
@@ -84,6 +89,108 @@ def test_run_failure_schedule_mismatched_config_rejected(shards):
             app, 4, ClusterMap.block(4, 2), [(1000, 0, "process")],
             config=cfg, ranks_per_node=2, shards=shards,
         )
+
+
+# ----------------------------------------------------------------------
+# Validation: once, in RunSpec / execute, before anything exists
+# ----------------------------------------------------------------------
+
+N = 16
+CM = ClusterMap.block(N, 4)
+
+#: name -> (run_failure_schedule overrides, a fragment of the message).
+MALFORMED_SPECS = {
+    "rank-too-large": (dict(schedule=[(1000, 99, "process")]),
+                       "schedule[0]: rank 99"),
+    "rank-negative": (dict(schedule=[(1000, 3, "node"), (2000, -1, "node")]),
+                      "schedule[1]: rank -1"),
+    "negative-instant": (dict(schedule=[(-5, 0, "process")]),
+                         "schedule[0]: negative instant -5"),
+    "unknown-kind": (dict(schedule=[(1000, 0, "meteor")]),
+                     "schedule[0]: unknown failure kind 'meteor' "
+                     "(valid kinds: process, node)"),
+    "negative-delay": (dict(restart_delay_ns=-1), "restart_delay_ns"),
+    "negative-stagger": (dict(restart_stagger_ns=-1), "restart_stagger_ns"),
+    "map-for-other-nranks": (dict(clusters=ClusterMap.block(8, 4)),
+                             "clusters: the map covers 8 ranks"),
+    "config-map-disagrees": (
+        dict(config=SPBCConfig(clusters=ClusterMap.block(N, 2))),
+        "config.clusters disagrees with the clusters argument",
+    ),
+    "bogus-storage": (dict(storage="bogus:ram@1"), "bogus"),
+    "bogus-ckpt-data": (dict(ckpt_data="incr:x"), "incr:x"),
+}
+
+
+def _run_malformed(over, shards, journal):
+    kw = dict(schedule=(), clusters=CM, ranks_per_node=4)
+    kw.update(over)
+    return run_failure_schedule(
+        ring_app(iters=2), N, kw.pop("clusters"), kw.pop("schedule"),
+        shards=shards, journal=journal, **kw,
+    )
+
+
+@pytest.mark.parametrize("case", MALFORMED_SPECS)
+def test_malformed_spec_fails_fast_and_identically_on_both_engines(
+    case, tmp_path
+):
+    """Every rejection is a ValueError naming the field (and the
+    schedule entry), the same from either engine, raised before a
+    journal file exists or a worker is forked."""
+    over, fragment = MALFORMED_SPECS[case]
+    raised = []
+    for shards in (None, 2):
+        with pytest.raises(ValueError) as e:
+            _run_malformed(over, shards, str(tmp_path / "run.journal"))
+        raised.append((type(e.value), str(e.value)))
+        assert fragment in str(e.value)
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+    assert raised[0] == raised[1]
+
+
+@pytest.mark.parametrize(
+    "over, fragment",
+    [
+        (dict(shards=0), "shards"),
+        (dict(shards=-3), "shards"),
+        (dict(shards=5), "need 1 <= shards <= 4 clusters, got 5"),
+        (dict(shards=2, warp=2), "warp and shards are mutually exclusive"),
+        (dict(shards=2, net_params=NetworkParams(jitter_max_ns=1_000)),
+         "jitter_max_ns=0"),
+    ],
+)
+def test_engine_exclusions_are_rejected_before_the_journal_opens(
+    over, fragment, tmp_path
+):
+    """shards=0 used to run sequentially without a word, and a
+    sharded+jitter run was refused only after its header was on disk —
+    a header-only file resume() takes for a killed campaign."""
+    with pytest.raises(ValueError) as e:
+        run_spbc(ring_app(iters=2), N, CM, ranks_per_node=4,
+                 journal=str(tmp_path / "run.journal"), **over)
+    assert fragment in str(e.value)
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_headers_of_both_engines_differ_only_in_recorded_shards(tmp_path):
+    """One spec, one header: the failure-free sequential header used to
+    record restart_delay_ns 0 where the sharded one recorded the real
+    default."""
+    from repro.journal import Journal, journaled_app
+
+    headers = []
+    for shards in (None, 2):
+        path = tmp_path / f"shards-{shards}.journal"
+        run_spbc(journaled_app("ring", iters=2), N, CM, ranks_per_node=4,
+                 storage="memory", shards=shards, journal=str(path))
+        headers.append(Journal.load(path).header)
+    seq, sh = headers
+    assert (seq["recorded_shards"], sh["recorded_shards"]) == (None, 2)
+    differing = {k for k in seq if seq[k] != sh[k]}
+    assert differing == {"recorded_shards", "fingerprint"}
 
 
 def test_run_online_failure_forwards_every_knob(monkeypatch):

@@ -11,9 +11,11 @@ counts, and random process/node failure schedules, so the conservative
 windows are exercised across different partition shapes and crash
 timings.
 
-The last section holds the same kind of contract for the other switch
-that must not change a simulation: ``trace=True`` against
-``trace=False``, down to the number of engine events executed.
+The last section holds the same kind of contract for the other two
+things that must not change a simulation, down to the number of engine
+events executed: ``trace=True`` against ``trace=False``, and the always
+installed (passive) recovery manager of the one run path against a bare
+world that has none.
 """
 
 import random
@@ -24,12 +26,15 @@ from repro.apps.amg import amg_app
 from repro.apps.milc import milc_app
 from repro.apps.minife import minife_app
 from repro.apps.synthetic import halo2d_app, ring_app
+from repro.ckptdata.plane import parse_ckpt_data
+from repro.ckptdata.regions import TEST_PROFILE
 from repro.core.clusters import ClusterMap
-from repro.core.protocol import SPBCConfig
-from repro.harness.parallel import partition_shards, run_spbc_sharded
-from repro.harness.runner import run_failure_schedule, run_spbc
+from repro.core.protocol import SPBC, SPBCConfig
+from repro.harness.parallel import partition_shards
+from repro.harness.runner import run_app, run_failure_schedule, run_spbc
 from repro.journal.recorder import commit_history_of, log_counters_of
 from repro.sim.network import NetworkParams
+from repro.storage.backend import make_backend
 
 NRANKS = 16
 RPN = 4
@@ -48,7 +53,7 @@ def commit_history(backend, nranks):
 
 
 def assert_matches_sequential(sh, seq, nranks, note=""):
-    """``sh`` is a ShardedRunResult, ``seq`` a RunResult/OnlineResult."""
+    """``sh`` is a ShardedRunResult, ``seq`` a RunResult."""
     seq_world = seq.world
     seq_hooks = seq_world.hooks
     assert sh.makespan_ns == seq.makespan_ns, note
@@ -377,23 +382,6 @@ def test_partition_uneven_sizes_never_leaves_empty_shards():
     assert all(p for p in parts)
 
 
-def test_partition_weighted_keeps_heavy_pairs_together():
-    import numpy as np
-
-    cm = ClusterMap.block(8, 4)  # clusters {0,1},{2,3},{4,5},{6,7}
-    w = np.zeros((8, 8))
-    # Heavy traffic between clusters 0 and 3, and between 1 and 2.
-    w[0, 7] = w[7, 0] = 100.0
-    w[2, 4] = w[4, 2] = 100.0
-    parts = partition_shards(cm, 2, weights=w)
-    shard_of = {}
-    for sid, p in enumerate(parts):
-        for c in p:
-            shard_of[c] = sid
-    assert shard_of[0] == shard_of[3]
-    assert shard_of[1] == shard_of[2]
-
-
 def test_partition_rejects_more_shards_than_clusters():
     with pytest.raises(ValueError, match="clusters"):
         partition_shards(ClusterMap.block(16, 4), 5)
@@ -463,7 +451,7 @@ def test_crashing_app_surfaces_cleanly_without_hanging():
 
     cm = ClusterMap.block(16, 4)
     with pytest.raises(RuntimeError, match="boom|rank 5"):
-        run_spbc_sharded(broken_factory, 16, cm, shards=4, ranks_per_node=4)
+        run_spbc(broken_factory, 16, cm, shards=4, ranks_per_node=4)
 
 
 # ----------------------------------------------------------------------
@@ -506,6 +494,7 @@ def _observed(res):
         "results": res.results,
         "log": log_counters_of(hooks),
         "commits": commit_history_of(hooks),
+        "packets_sent": res.world.network.packets_sent,
         "events_executed": res.world.engine.events_executed,
     }
 
@@ -547,3 +536,73 @@ def test_trace_is_an_observer(app_name, scenario):
     if schedule is not None:
         assert traced.results == free.results
         assert traced.restarted_ranks == untraced.restarted_ranks != set()
+
+
+# ----------------------------------------------------------------------
+# One run path: failure-free == the empty failure schedule == a bare world
+# ----------------------------------------------------------------------
+
+_RING = dict(msg_bytes=2048, compute_ns=200_000)
+
+#: name -> (app, ranks, cluster map, SPBCConfig fields, run keywords).
+ONE_PATH_SHAPES = {
+    "ring64-traced": (
+        ring_app(iters=8, **_RING), 64, ClusterMap.block(64, 8), {},
+        dict(trace=True),
+    ),
+    "ring64-untraced": (
+        ring_app(iters=8, **_RING), 64, ClusterMap.block(64, 8), {},
+        dict(trace=False),
+    ),
+    "ckpt-storm": (
+        ring_app(iters=6, **_RING), 64, ClusterMap.block(64, 8),
+        dict(checkpoint_every=1, state_nbytes=1 << 20),
+        dict(storage="partner:ram@1,partner@1,pfs@2:async",
+             ckpt_data="incr:4:zlib-like", profile=TEST_PROFILE, trace=False),
+    ),
+    "minife-tiered": (
+        minife_app(iters=12, face_bytes=2048, compute_ns=300_000),
+        NRANKS, ClusterMap.block(NRANKS, 4),
+        dict(checkpoint_every=4, state_nbytes=1 << 18),
+        dict(storage="tiered:ram@1,pfs@2"),
+    ),
+    "amg-singletons": (
+        amg_app(cycles=3, compute_l0_ns=700_000),
+        NRANKS, ClusterMap.singletons(NRANKS), {}, {},
+    ),
+    "ring-warp": (
+        ring_app(iters=200, **_RING), NRANKS, ClusterMap.block(NRANKS, 4), {},
+        dict(warp=200),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", ONE_PATH_SHAPES)
+def test_failure_free_is_the_empty_failure_schedule(shape):
+    """``run_spbc`` is ``run_failure_schedule`` with no entries, and the
+    recovery manager that path always installs is free: same observables
+    and the same engine events as a world built without one."""
+    factory, nranks, cm, cfg_fields, kw = ONE_PATH_SHAPES[shape]
+    kw = dict(kw, ranks_per_node=RPN)
+
+    def cfg():
+        return SPBCConfig(clusters=cm, **cfg_fields)
+
+    free = run_spbc(factory, nranks, cm, config=cfg(), **kw)
+    empty = run_failure_schedule(factory, nranks, cm, [], config=cfg(), **kw)
+    assert free.manager is not None and free.failures == [] == empty.failures
+    assert free.restarts == {} and free.restarted_ranks == set()
+
+    # The bare world: the same config resolved by hand, no manager.
+    bare_kw = dict(kw)
+    bare_cfg, profile = cfg(), bare_kw.pop("profile", None)
+    if "storage" in bare_kw:
+        bare_cfg.storage = make_backend(bare_kw.pop("storage"))
+    if "ckpt_data" in bare_kw:
+        bare_cfg.ckpt_data = parse_ckpt_data(
+            bare_kw.pop("ckpt_data"), profile=profile
+        )
+    bare = run_app(factory, nranks, hooks=SPBC(bare_cfg), **bare_kw)
+    assert bare.manager is None
+
+    assert _observed(free) == _observed(empty) == _observed(bare)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.clusters import ClusterMap
 from repro.core.protocol import SPBCConfig
+from repro.harness.runner import RunSpec
 from repro.journal.format import Journal, JournalError
 from repro.journal.recorder import (
     JournalWriter,
@@ -41,7 +42,7 @@ def test_list_sink_normalizes_events():
     ]
 
 
-def _header_kwargs(**over):
+def _spec(**over):
     clusters = ClusterMap.block(4, 2)
     kw = dict(
         app_factory=journaled_app("ring", iters=2),
@@ -52,7 +53,7 @@ def _header_kwargs(**over):
         storage="memory",
     )
     kw.update(over)
-    return kw
+    return RunSpec(**kw)
 
 
 def test_writer_lifecycle_guards(tmp_path):
@@ -61,9 +62,9 @@ def test_writer_lifecycle_guards(tmp_path):
         w.emit("finish", t=1, rank=0)
     with pytest.raises(JournalError, match="no header"):
         w.to_journal()
-    w.write_header(build_header(**_header_kwargs()))
+    w.write_header(build_header(_spec()))
     with pytest.raises(JournalError, match="twice"):
-        w.write_header(build_header(**_header_kwargs()))
+        w.write_header(build_header(_spec()))
     w.emit("finish", t=1, rank=0)
     w.finish({"makespan_ns": 1})
     with pytest.raises(JournalError, match="after finish"):
@@ -75,7 +76,7 @@ def test_writer_lifecycle_guards(tmp_path):
 def test_writer_stamps_dense_lsns_and_streams(tmp_path):
     p = tmp_path / "j.journal"
     w = JournalWriter(str(p))
-    w.write_header(build_header(**_header_kwargs()))
+    w.write_header(build_header(_spec()))
     for i in range(3):
         w.emit("finish", t=i + 1, rank=i)
     w.finish({"makespan_ns": 3})
@@ -91,7 +92,7 @@ def test_writer_stamps_dense_lsns_and_streams(tmp_path):
 def test_writer_crash_injection_tears_the_file_not_the_memory(tmp_path):
     p = tmp_path / "j.journal"
     w = JournalWriter(str(p), crash_at_lsn=2)
-    w.write_header(build_header(**_header_kwargs()))
+    w.write_header(build_header(_spec()))
     for i in range(5):
         w.emit("finish", t=i + 1, rank=i)
     w.finish({"makespan_ns": 5})
@@ -105,7 +106,7 @@ def test_writer_crash_injection_tears_the_file_not_the_memory(tmp_path):
 def test_rewrite_complete_refuses_incomplete_and_roundtrips(tmp_path):
     p = tmp_path / "j.journal"
     w = JournalWriter(None)
-    w.write_header(build_header(**_header_kwargs()))
+    w.write_header(build_header(_spec()))
     w.emit("finish", t=1, rank=0)
     with pytest.raises(JournalError, match="incomplete"):
         rewrite_complete(str(p), w.to_journal())
@@ -123,7 +124,7 @@ def test_journaled_app_annotates_identity():
 
 
 def test_build_header_serializes_the_run(tmp_path):
-    h = build_header(**_header_kwargs())
+    h = build_header(_spec())
     # must be losslessly JSON-serializable with stable content
     assert json.loads(json.dumps(h)) == h
     assert h["app"] == {"name": "ring", "params": {"iters": 2}}
@@ -137,22 +138,22 @@ def test_build_header_rejects_live_storage_objects():
     from repro.storage.backend import make_backend
 
     with pytest.raises(JournalError, match="spec-string"):
-        build_header(**_header_kwargs(storage=make_backend("memory")))
+        build_header(_spec(storage=make_backend("memory")))
 
 
 def test_build_header_rejects_emulated_recovery():
     clusters = ClusterMap.block(4, 2)
     cfg = SPBCConfig(clusters=clusters, emulated_recovering={1})
     with pytest.raises(JournalError, match="not journalable"):
-        build_header(**_header_kwargs(config=cfg))
+        build_header(_spec(config=cfg))
 
 
 def test_prepare_writer_accepts_path_or_writer_only(tmp_path):
     with pytest.raises(TypeError, match="journal="):
-        prepare_writer(42, **_header_kwargs())
-    w = prepare_writer(str(tmp_path / "j.journal"), **_header_kwargs())
+        prepare_writer(42, build_header(_spec()))
+    w = prepare_writer(str(tmp_path / "j.journal"), build_header(_spec()))
     assert w.header["fingerprint"]
-    w2 = prepare_writer(JournalWriter(None), **_header_kwargs())
+    w2 = prepare_writer(JournalWriter(None), build_header(_spec()))
     assert w2.path is None and w2.header is not None
 
 

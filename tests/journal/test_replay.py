@@ -1,22 +1,30 @@
 """Strict replay, cross-engine equivalence, and crash-resume."""
 
+import dataclasses
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.synthetic import ring_app
+from repro.ckptdata.regions import MemoryRegion, WriteLocalityProfile
 from repro.core.clusters import ClusterMap
-from repro.core.protocol import SPBCConfig
-from repro.harness.runner import run_spbc
+from repro.core.protocol import LogCostModel, SPBCConfig
+from repro.harness.runner import RunSpec, run_spbc
 from repro.journal import (
     DivergenceError,
     Journal,
     JournalError,
     replay_strict,
     resume,
+    spec_from_header,
 )
 from repro.journal.format import canonical_json, strip_lsn
-from repro.journal.recorder import JournalWriter, journaled_app
+from repro.journal.recorder import JournalWriter, build_header, journaled_app
+from repro.sim.network import NetworkParams
+from repro.sim.warp import WarpConfig
 
 
 def _tamper(path, predicate, mutate):
@@ -221,3 +229,106 @@ def test_replay_strict_128_ranks_both_engines(tmp_path):
     for path in (p_seq, p_sh):
         assert replay_strict(str(path)).makespan_ns == a.makespan_ns
         assert replay_strict(str(path), shards=4).makespan_ns == a.makespan_ns
+
+
+# ----------------------------------------------------------------------
+# The header is the serialised RunSpec
+# ----------------------------------------------------------------------
+
+def _journal_with(header):
+    """What a reader gets back: the header after the writer stamped it
+    and a trip through its canonical JSON line."""
+    writer = JournalWriter(None)
+    writer.write_header(header)
+    return Journal(path=None, header=json.loads(canonical_json(writer.header)))
+
+
+@st.composite
+def run_specs(draw):
+    """RunSpecs over every JSON-able field (registered apps, spec
+    strings — what a journal can describe)."""
+    nranks = draw(st.sampled_from([8, 16]))
+    clusters = draw(st.sampled_from([
+        ClusterMap.block(nranks, 2),
+        ClusterMap.block(nranks, 4),
+        ClusterMap.singletons(nranks),
+    ]))
+    app = draw(st.sampled_from(["ring", "halo2d", "minife", "milc"]))
+    entry = st.tuples(
+        st.integers(0, 10**10),
+        st.integers(0, nranks - 1),
+        st.sampled_from(["process", "node"]),
+    )
+    config = SPBCConfig(
+        clusters=clusters,
+        ident_matching=draw(st.booleans()),
+        cost=LogCostModel(log_ns_per_byte=draw(st.floats(0, 8))),
+        checkpoint_every=draw(st.sampled_from([None, 1, 3, "auto"])),
+        mtbf_ns=draw(st.sampled_from([10**9, "observed"])),
+        state_nbytes=draw(st.integers(0, 1 << 20)),
+        pfs_stagger_ns=draw(st.integers(0, 10**6)),
+        rollback_scope=draw(st.sampled_from(["known", "all"])),
+    )
+    profile = WriteLocalityProfile(regions=tuple(
+        MemoryRegion(f"r{i}", nbytes, frac)
+        for i, (nbytes, frac) in enumerate(draw(st.lists(
+            st.tuples(st.integers(0, 1 << 16), st.floats(0, 1)),
+            min_size=1, max_size=3,
+        )))
+    ))
+    # A repeated entry is a legal schedule (a second hit while down).
+    schedule = draw(st.lists(entry, max_size=4))
+    return RunSpec(
+        journaled_app(app, iters=draw(st.integers(1, 40))),
+        nranks,
+        clusters,
+        config,
+        schedule=schedule + schedule[:1],
+        restart_delay_ns=draw(st.integers(0, 10**7)),
+        restart_stagger_ns=draw(st.integers(0, 10**7)),
+        ranks_per_node=draw(st.sampled_from([2, 4, 8])),
+        seed=draw(st.integers(0, 2**31)),
+        net_params=draw(st.sampled_from([
+            None,
+            NetworkParams(alpha_inter_ns=5_000, jitter_max_ns=100),
+            NetworkParams(beta_inter_ns_per_byte=0.3),
+        ])),
+        trace=draw(st.booleans()),
+        storage=draw(st.sampled_from([
+            None, "memory", "tiered:ram@1,pfs@4",
+            "partner:ram@1,partner@1,pfs@2:async",
+        ])),
+        ckpt_data=draw(st.sampled_from([None, "full", "incr:4:zlib-like"])),
+        profile=draw(st.sampled_from([None, profile])),
+        warp=draw(st.sampled_from([
+            None, 40, WarpConfig(total_iters=40, confirm=3, max_chunk=8),
+        ])),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=run_specs())
+def test_header_round_trips_the_run_spec(spec):
+    header = build_header(spec)
+    back = spec_from_header(_journal_with(header))
+    for f in dataclasses.fields(RunSpec):
+        was, now = getattr(spec, f.name), getattr(back, f.name)
+        if f.name == "app_factory":  # a fresh closure of the same app
+            was, now = was._journal_app, now._journal_app
+        assert was == now, f.name
+    assert build_header(back) == header
+
+
+def test_golden_header_is_reproduced_byte_for_byte(tmp_path):
+    """The version-1 layout is unchanged: the committed first line,
+    fingerprint included, is what its own RunSpec serialises to."""
+    golden = os.path.join(
+        os.path.dirname(__file__), os.pardir, "data", "golden.journal"
+    )
+    spec = spec_from_header(Journal.load(golden))
+    rewritten = tmp_path / "header.journal"
+    writer = JournalWriter(str(rewritten))
+    writer.write_header(build_header(spec))
+    writer.close()
+    with open(golden) as fh:
+        assert rewritten.read_text() == fh.readline()
