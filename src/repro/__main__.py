@@ -12,6 +12,7 @@ Usage::
     python -m repro deltachain [--ckpt-data incr:4:zlib-like]
                                [--storage tiered:ram@1,pfs@4]
     python -m repro ioverlap [--storage tiered:ram@1,pfs@4]
+    python -m repro simperf [--shards N]   # gates on the simulator's own speed
     python -m repro apps            # list registered workloads
     python -m repro journal out.journal --record [--app ring] [--ranks 32]
                                     [--schedule 3:2:process,9:9:node]
@@ -89,50 +90,13 @@ def main(argv=None) -> int:
         "'auto' cadence (default 0.5)",
     )
     parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="simperf: run the CI perf-smoke subset instead of the full "
-        "matrix (and gate against the committed baseline if present)",
-    )
-    parser.add_argument(
-        "--warp",
-        action="store_true",
-        help="simperf: include the steady-state warp pair at the largest "
-        "scale (on by default for the full matrix; this flag forces it "
-        "for reduced --ranks runs too)",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         default=None,
         metavar="N",
-        help="simperf: run the sharded pair (single-process vs N "
-        "conservative PDES worker shards at --ranks or 4096 ranks) and "
-        "gate the wall-clock speedup on multi-core hosts; for the full "
-        "matrix this overrides the default shard count (8)",
-    )
-    parser.add_argument(
-        "--samples",
-        type=int,
-        default=1,
-        metavar="N",
-        help="simperf: run the full matrix N times and report per-"
-        "scenario medians (the baseline-recording protocol as one "
-        "invocation; rows carry a 'samples' field)",
-    )
-    parser.add_argument(
-        "--json",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="simperf: also dump the results as JSON to PATH",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=str,
-        default="benchmarks/results/simperf.json",
-        metavar="PATH",
-        help="simperf: committed baseline to compare/gate against",
+        help="journal --record / replay / trace --run: run on N conservative "
+        "PDES worker shards; simperf: add the two sequential-over-N-shards "
+        "gates (4096-rank ring, sync and async flush)",
     )
     parser.add_argument(
         "--record",
@@ -277,90 +241,9 @@ def main(argv=None) -> int:
         )
         print(ex.format_deltachain(rows))
     elif args.experiment == "simperf":
-        import json as _json
+        from repro.harness import simperf
 
-        from repro.harness import simperf as sp
-
-        baseline = sp.load_baseline(args.baseline)
-        if args.quick:
-            result = sp.simperf_quick()
-        else:
-            ranks = (args.ranks,) if args.ranks else sp.SIMPERF_RANKS
-            result = sp.simperf(
-                ranks=ranks,
-                include_warp_pair=not args.ranks or args.warp,
-                include_shard_pair=not args.ranks or bool(args.shards),
-                shard_ranks=args.ranks or sp.SHARD_RANKS,
-                shard_nshards=args.shards or sp.SHARD_NSHARDS,
-                samples=args.samples,
-            )
-        print(sp.format_simperf(result, baseline))
-        # The event-queue microbenchmark rides along on every simperf
-        # run: both backends adjacent in this process, so the recorded
-        # wheel-vs-heap events/s ratios are host-independent evidence.
-        micro = sp.queue_microbench()
-        result["queue_microbench"] = micro
-        print()
-        print(sp.format_queue_microbench(micro))
-        if args.json:
-            with open(args.json, "w") as fh:
-                _json.dump(result, fh, indent=1)
-            print(f"(wrote {args.json})")
-        rc = 0
-        if args.quick:
-            # Event-queue crossover gate: the wheel must keep its
-            # deep-queue events/s lead over the heap reference.
-            problems = sp.check_queue_microbench(micro)
-            if problems:
-                for p in problems:
-                    print(f"PERF REGRESSION: {p}", file=sys.stderr)
-                rc = 1
-            else:
-                print("eventq microbenchmark: crossover gate passed")
-        if args.quick and baseline is not None:
-            problems = sp.check_regression(result, baseline)
-            if problems:
-                for p in problems:
-                    print(f"PERF REGRESSION: {p}", file=sys.stderr)
-                rc = 1
-            else:
-                print("perf-smoke: no regression vs committed baseline")
-        if args.quick:
-            # Telemetry-off fast path: a run with telemetry wired but
-            # disabled must cost the same as the default entry path.
-            pair = sp.telemetry_overhead()
-            print(sp.format_telemetry_overhead(pair))
-            problems = sp.check_telemetry_overhead(pair)
-            if problems:
-                for p in problems:
-                    print(f"PERF REGRESSION: {p}", file=sys.stderr)
-                rc = 1
-        if args.quick and args.shards:
-            # The sharded 4096-rank smoke: one calibrated pair per flush
-            # mode (sync, then async with mirrored flows), wall-clock
-            # speedup gated on hosts that have the cores.
-            for flush_mode in ("sync", "async"):
-                pair = sp.shard_pair(
-                    nranks=args.ranks or sp.SHARD_RANKS,
-                    nshards=args.shards,
-                    flush_mode=flush_mode,
-                )
-                print()
-                print(sp.format_shard_pair(pair))
-                problems = sp.check_shard_speedup(pair)
-                if problems:
-                    for p in problems:
-                        print(f"PERF REGRESSION: {p}", file=sys.stderr)
-                    rc = 1
-                elif pair["host_cpus"] < 2:
-                    print(
-                        f"shard pair ({flush_mode}): single-core host, "
-                        "speedup gate skipped"
-                    )
-                else:
-                    print(f"shard pair ({flush_mode}): speedup gate passed")
-        if rc:
-            return rc
+        return simperf.main(shards=args.shards)
     elif args.experiment == "ioverlap":
         kwargs = dict(scale)
         if args.storage:

@@ -95,6 +95,12 @@ class RunResult:
         return self.world.trace
 
     @property
+    def events_executed(self) -> int:
+        """Engine events the run executed — the name
+        ``ShardedRunResult.events_executed`` carries."""
+        return self.world.engine.events_executed
+
+    @property
     def telemetry(self):
         """The run's telemetry sink (None when not requested) — same
         shape as ``ShardedRunResult.telemetry``."""
@@ -156,6 +162,20 @@ def _check_world(world: World, allow_killed: bool = False) -> None:
             raise RuntimeError(f"rank {r} ended as {proc.status}")
 
 
+def _collect(world: World, manager: Optional[RecoveryManager] = None) -> RunResult:
+    """The result of a world that ran to completion."""
+    _check_world(world)
+    finish = {r: p.finish_time for r, p in world.processes.items()}
+    return RunResult(
+        world=world,
+        hooks=world.hooks,
+        makespan_ns=max(finish.values()),
+        finish_ns=finish,
+        results={r: p.result for r, p in world.processes.items()},
+        manager=manager,
+    )
+
+
 def run_app(
     app_factory: AppFactory,
     nranks: int,
@@ -189,15 +209,7 @@ def run_app(
     for r in range(nranks):
         world.launch(r, app_factory(RankContext(world, r), None))
     world.run(until_ns=until_ns)
-    _check_world(world)
-    finish = {r: p.finish_time for r, p in world.processes.items()}
-    return RunResult(
-        world=world,
-        hooks=world.hooks,
-        makespan_ns=max(finish.values()),
-        finish_ns=finish,
-        results={r: p.result for r, p in world.processes.items()},
-    )
+    return _collect(world)
 
 
 def run_native(app_factory: AppFactory, nranks: int, **kw) -> RunResult:
@@ -257,8 +269,6 @@ def run_emulated_recovery(
         reference_ns=reference_ns or plan.failure_free_ns,
         results={r: p.result for r, p in world.processes.items()},
     )
-
-
 
 
 # ----------------------------------------------------------------------
@@ -452,16 +462,7 @@ def execute(spec: RunSpec, shards: Optional[int] = None, journal=None, telemetry
             spec, writer, _resolve_run_telemetry(telemetry, spec.warp)
         )
         world.run()
-        _check_world(world)
-        finish = {r: p.finish_time for r, p in world.processes.items()}
-        result = RunResult(
-            world=world,
-            hooks=world.hooks,
-            makespan_ns=max(finish.values()),
-            finish_ns=finish,
-            results={r: p.result for r, p in world.processes.items()},
-            manager=manager,
-        )
+        result = _collect(world, manager)
         worker_events = ()
     if writer is not None:
         finalize_run(writer, result, worker_events)

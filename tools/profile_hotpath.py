@@ -12,8 +12,7 @@ measurement is reproducible::
     PYTHONPATH=src python tools/profile_hotpath.py paper --trace --gc
     PYTHONPATH=src python tools/profile_hotpath.py paper --no-trace --gc
 
-Workloads (the shapes the simperf matrix and docs/performance.md talk
-about):
+Workloads (the shapes docs/performance.md talks about):
 
 * ``logging`` — the Table 1 shape: ring under SPBC with singleton
   clusters (every message logged), no checkpointing;
@@ -34,7 +33,7 @@ about):
   docs/performance.md);
 * ``eventq``  — not a simulation: the hold-model event-queue
   microbenchmark head-to-head on both queue backends
-  (``repro.harness.simperf.queue_microbench``), then a cProfile of the
+  (``repro.harness.simperf.hold_pair``), then a cProfile of the
   calendar queue at the deepest depth — where the bucket hot path's
   time actually goes.
 
@@ -108,23 +107,24 @@ def build(workload: str, nranks: int, trace: bool = False):
 
 
 def profile_eventq(sort: str, top: int) -> None:
-    from repro.harness.simperf import (
-        QUEUE_BENCH_DEPTHS,
-        QUEUE_BENCH_OPS,
-        _hold_once,
-        format_queue_microbench,
-        queue_microbench,
-    )
+    from repro.harness.simperf import hold_once, hold_pair
     from repro.sim.eventq import CalendarEventQueue
 
-    print("== eventq: hold-model microbenchmark (both backends) ==")
-    print(format_queue_microbench(queue_microbench()))
-    depth = max(QUEUE_BENCH_DEPTHS)
+    # Brackets the Tier-1 workloads (hundreds of pending events), the
+    # 4096-rank scenarios (~5k), and the depth simperf gates, where the
+    # heap's O(log n) sift separates from the wheel's O(1) buckets.
+    depths = (1_000, 16_000, 260_000)
+    print("== eventq: hold model, pop+reschedule (+Exp mean 1000 ns) ==")
+    print(f"{'depth':>8} {'heap kev/s':>11} {'wheel kev/s':>12} {'wheel/heap':>11}")
+    for depth in depths:
+        pair = hold_pair(depth)  # wheel over heap
+        print(f"{depth:>8} {pair.b / 1e3:>11.0f} {pair.a / 1e3:>12.0f} "
+              f"{pair.ratio:>10.2f}x")
     pr = cProfile.Profile()
     pr.enable()
-    _hold_once(CalendarEventQueue(), depth, QUEUE_BENCH_OPS, seed=42)
+    hold_once(CalendarEventQueue(), depths[-1])
     pr.disable()
-    print(f"-- cProfile of the calendar queue at depth {depth} --")
+    print(f"-- cProfile of the calendar queue at depth {depths[-1]} --")
     buf = io.StringIO()
     pstats.Stats(pr, stream=buf).sort_stats(sort).print_stats(top)
     print(buf.getvalue())
