@@ -9,15 +9,14 @@ import pytest
 
 from repro.clustering.partition import cut_bytes
 from repro.core.clusters import ClusterMap
-from repro.harness.experiments import bench_nranks, bench_ranks_per_node, make_logging_run
+from repro.harness.experiments import make_logging_run
 from repro.sim.network import Topology
 from repro.util.table import format_table
 from repro.util.units import mb_per_s
 
 
-def clustering_comparison(appname="minighost", k=8):
-    n = bench_nranks()
-    rpn = bench_ranks_per_node()
+def clustering_comparison(nranks, ranks_per_node, appname="minighost", k=8):
+    n, rpn = nranks, ranks_per_node
     run = make_logging_run(appname, n, rpn)
     sym = run.bytes_matrix + run.bytes_matrix.T
     topo = Topology(n, rpn)
@@ -43,8 +42,10 @@ def clustering_comparison(appname="minighost", k=8):
 
 
 @pytest.mark.benchmark(group="ablation")
-def test_clustering_strategy_ablation(benchmark, record_rows):
-    rows = benchmark.pedantic(clustering_comparison, rounds=1, iterations=1)
+def test_clustering_strategy_ablation(benchmark, record_rows, scale):
+    rows = benchmark.pedantic(
+        clustering_comparison, kwargs=scale, rounds=1, iterations=1
+    )
     rendered = format_table(
         ["strategy", "cut (MiB)", "avg MB/s", "max MB/s"],
         [list(r) for r in rows],
@@ -65,13 +66,13 @@ def test_clustering_strategy_ablation(benchmark, record_rows):
 
 
 @pytest.mark.benchmark(group="ablation")
-def test_containment_tradeoff(benchmark, record_rows):
+def test_containment_tradeoff(benchmark, record_rows, scale):
     """Smaller clusters = fewer ranks roll back but more bytes logged
     (the hybrid design's core trade-off, paper sections 2.2 and 6.6)."""
 
     def sweep():
-        n = bench_nranks()
-        run = make_logging_run("milc", n, bench_ranks_per_node())
+        n = scale["nranks"]
+        run = make_logging_run("milc", n, scale["ranks_per_node"])
         rows = []
         for k in (2, 4, 8, 16):
             if k > n:

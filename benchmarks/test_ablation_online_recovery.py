@@ -12,7 +12,6 @@ from repro.apps.base import get_app
 from repro.apps.calibration import PAPER_NET
 from repro.core.clusters import ClusterMap
 from repro.core.protocol import SPBCConfig
-from repro.harness.experiments import bench_nranks, bench_ranks_per_node
 from repro.harness.runner import run_native, run_online_failure
 from repro.util.table import format_table
 
@@ -20,9 +19,9 @@ APP_PARAMS = dict(iters=6, compute_ns=2_000_000)
 NRANKS_CAP = 32  # online recovery re-executes everything; keep it modest
 
 
-def online_comparison():
-    n = min(bench_nranks(), NRANKS_CAP)
-    rpn = min(bench_ranks_per_node(), n)
+def online_comparison(nranks, ranks_per_node):
+    n = min(nranks, NRANKS_CAP)
+    rpn = min(ranks_per_node, n)
     app = get_app("milc").factory(**APP_PARAMS)
     native = run_native(app, n, ranks_per_node=rpn, net_params=PAPER_NET, trace=False)
     rows = []
@@ -49,8 +48,10 @@ def online_comparison():
 
 
 @pytest.mark.benchmark(group="ablation")
-def test_online_containment_vs_coordinated(benchmark, record_rows):
-    rows = benchmark.pedantic(online_comparison, rounds=1, iterations=1)
+def test_online_containment_vs_coordinated(benchmark, record_rows, scale):
+    rows = benchmark.pedantic(
+        online_comparison, kwargs=scale, rounds=1, iterations=1
+    )
     rendered = format_table(
         ["clusters", "ranks restarted", "makespan / failure-free"],
         [list(r) for r in rows],
@@ -63,7 +64,7 @@ def test_online_containment_vs_coordinated(benchmark, record_rows):
         rendered,
     )
     by = {r[0]: r for r in rows}
-    n = min(bench_nranks(), NRANKS_CAP)
+    n = min(scale["nranks"], NRANKS_CAP)
     # k=1 is pure coordinated checkpointing: everyone restarts.
     assert by[1][1] == n
     # Hybrid clusters restart only their share.

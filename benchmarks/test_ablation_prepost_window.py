@@ -18,12 +18,7 @@ Two measurements:
 
 import pytest
 
-from repro.harness.experiments import (
-    app_factory,
-    bench_nranks,
-    bench_ranks_per_node,
-    make_logging_run,
-)
+from repro.harness.experiments import app_factory, make_logging_run
 from repro.apps.calibration import PAPER_NET
 from repro.apps.synthetic import window_stress_app
 from repro.core.clusters import ClusterMap
@@ -35,9 +30,8 @@ from repro.util.table import format_table
 WINDOWS = (1, 5, 50, 200)
 
 
-def window_sweep(appname="minighost", k=8):
-    n = bench_nranks()
-    rpn = bench_ranks_per_node()
+def window_sweep(nranks, ranks_per_node, appname="minighost", k=8):
+    n, rpn = nranks, ranks_per_node
     app = app_factory(appname)
     native = run_native(app, n, ranks_per_node=rpn, net_params=PAPER_NET, trace=False)
     run = make_logging_run(appname, n, rpn)
@@ -75,8 +69,8 @@ def stress_sweep(nsmall=8):
 
 
 @pytest.mark.benchmark(group="ablation")
-def test_prepost_window_ablation(benchmark, record_rows):
-    sweep = benchmark.pedantic(window_sweep, rounds=1, iterations=1)
+def test_prepost_window_ablation(benchmark, record_rows, scale):
+    sweep = benchmark.pedantic(window_sweep, kwargs=scale, rounds=1, iterations=1)
     stress = stress_sweep()
     rendered = format_table(
         ["window", "normalized rework"],

@@ -18,36 +18,19 @@ Shape targets:
 
 import pytest
 
-from repro.harness.experiments import (
-    auto_interval,
-    blastradius,
-    format_auto_interval,
-    format_blastradius,
-)
-
 
 @pytest.mark.benchmark(group="blastradius")
-def test_blastradius_partner_vs_no_partner(benchmark, record_rows):
-    rows = benchmark.pedantic(
-        lambda: blastradius(apps=("minighost",), checkpoint_every=2),
-        rounds=1,
-        iterations=1,
-    )
-    rendered = format_blastradius(rows)
-    record_rows(
+def test_blastradius_partner_vs_no_partner(regenerate):
+    rows = regenerate(
         "blastradius",
-        [
-            dict(app=r.app, plan=r.plan, kind=r.kind, nranks=r.nranks,
-                 nnodes=r.nnodes, failed_node=r.failed_node,
-                 restarted_ranks=r.restarted_ranks,
-                 rounds_at_failure=r.rounds_at_failure,
-                 restarted_from_round=r.restarted_from_round,
-                 lost_rounds=r.lost_rounds, restored_tier=r.restored_tier,
-                 invalidated_copies=r.invalidated_copies,
-                 recovery_overhead_pct=r.recovery_overhead_pct)
-            for r in rows
-        ],
-        rendered,
+        lambda r: dict(app=r.app, plan=r.plan, kind=r.kind, nranks=r.nranks,
+                       nnodes=r.nnodes, failed_node=r.failed_node,
+                       restarted_ranks=r.restarted_ranks,
+                       rounds_at_failure=r.rounds_at_failure,
+                       restarted_from_round=r.restarted_from_round,
+                       lost_rounds=r.lost_rounds, restored_tier=r.restored_tier,
+                       invalidated_copies=r.invalidated_copies,
+                       recovery_overhead_pct=r.recovery_overhead_pct),
     )
     by = {(r.plan, r.kind): r for r in rows}
     assert by[("no-partner", "process")].lost_rounds == 0
@@ -58,23 +41,13 @@ def test_blastradius_partner_vs_no_partner(benchmark, record_rows):
 
 
 @pytest.mark.benchmark(group="blastradius")
-def test_auto_interval_tracks_young_daly(benchmark, record_rows):
-    rows = benchmark.pedantic(
-        lambda: auto_interval(apps=("minighost",)),
-        rounds=1,
-        iterations=1,
-    )
-    rendered = format_auto_interval(rows)
-    record_rows(
+def test_auto_interval_tracks_young_daly(regenerate):
+    rows = regenerate(
         "auto_interval",
-        [
-            dict(app=r.app, plan=r.plan, cluster=r.cluster, every=r.every,
-                 predicted_every=r.predicted_every, iter_ns=r.iter_ns,
-                 ckpt_cost_ns=r.ckpt_cost_ns, t_opt_ns=r.t_opt_ns,
-                 commits=r.commits)
-            for r in rows
-        ],
-        rendered,
+        lambda r: dict(app=r.app, plan=r.plan, cluster=r.cluster, every=r.every,
+                       predicted_every=r.predicted_every, iter_ns=r.iter_ns,
+                       ckpt_cost_ns=r.ckpt_cost_ns, t_opt_ns=r.t_opt_ns,
+                       commits=r.commits),
     )
     for r in rows:
         assert abs(r.every - r.predicted_every) <= 1

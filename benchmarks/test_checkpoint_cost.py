@@ -18,33 +18,16 @@ Shape targets:
 
 import pytest
 
-from repro.harness.experiments import (
-    checkpoint_cost,
-    format_checkpoint_cost,
-)
-
 
 @pytest.mark.benchmark(group="ckptcost")
-def test_checkpoint_cost_tier_sweep(benchmark, record_rows):
-    rows = benchmark.pedantic(
-        lambda: checkpoint_cost(
-            apps=("minighost",), ks=(4, 16), checkpoint_every=1
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    rendered = format_checkpoint_cost(rows)
-    record_rows(
-        "checkpoint_cost",
-        [
-            dict(app=r.app, clusters=r.k, plan=r.plan, nranks=r.nranks,
-                 rounds=r.rounds, ckpt_mb_avg=r.ckpt_mb_avg,
-                 write_ms_per_rank=r.write_ms_per_rank,
-                 makespan_ms=r.makespan_ns / 1e6,
-                 slowdown_pct=r.slowdown_pct)
-            for r in rows
-        ],
-        rendered,
+def test_checkpoint_cost_tier_sweep(regenerate):
+    rows = regenerate(
+        "ckptcost",
+        lambda r: dict(app=r.app, clusters=r.k, plan=r.plan, nranks=r.nranks,
+                       rounds=r.rounds, ckpt_mb_avg=r.ckpt_mb_avg,
+                       write_ms_per_rank=r.write_ms_per_rank,
+                       makespan_ms=r.makespan_ns / 1e6,
+                       slowdown_pct=r.slowdown_pct),
     )
     by = {(r.k, r.plan): r for r in rows}
     for k in (4, 16):

@@ -17,38 +17,24 @@ Shape targets:
 
 import pytest
 
-from repro.harness.experiments import (
-    DELTACHAIN_APPS,
-    deltachain,
-    format_deltachain,
-)
+from repro.harness.experiments import DELTACHAIN_APPS
 
 
 @pytest.mark.benchmark(group="deltachain")
-def test_deltachain_incremental_writes_fewer_bytes(benchmark, record_rows):
-    rows = benchmark.pedantic(
-        lambda: deltachain(apps=DELTACHAIN_APPS),
-        rounds=1,
-        iterations=1,
-    )
-    rendered = format_deltachain(rows)
-    record_rows(
+def test_deltachain_incremental_writes_fewer_bytes(regenerate):
+    rows = regenerate(
         "deltachain",
-        [
-            dict(app=r.app, mode=r.mode, nranks=r.nranks, rounds=r.rounds,
-                 full_payloads=r.full_payloads,
-                 delta_payloads=r.delta_payloads, raw_mb=r.raw_mb,
-                 written_mb=r.written_mb,
-                 compress_ms_per_rank=r.compress_ms_per_rank,
-                 write_ms_per_rank=r.write_ms_per_rank,
-                 makespan_ms=r.makespan_ns / 1e6,
-                 fail_makespan_ms=r.fail_makespan_ns / 1e6,
-                 restarted_from_round=r.restarted_from_round,
-                 restored_tier=r.restored_tier,
-                 restore_read_ms=r.restore_read_ns / 1e6)
-            for r in rows
-        ],
-        rendered,
+        lambda r: dict(app=r.app, mode=r.mode, nranks=r.nranks, rounds=r.rounds,
+                       full_payloads=r.full_payloads,
+                       delta_payloads=r.delta_payloads, raw_mb=r.raw_mb,
+                       written_mb=r.written_mb,
+                       compress_ms_per_rank=r.compress_ms_per_rank,
+                       write_ms_per_rank=r.write_ms_per_rank,
+                       makespan_ms=r.makespan_ns / 1e6,
+                       fail_makespan_ms=r.fail_makespan_ns / 1e6,
+                       restarted_from_round=r.restarted_from_round,
+                       restored_tier=r.restored_tier,
+                       restore_read_ms=r.restore_read_ns / 1e6),
     )
     by = {(r.app, r.mode): r for r in rows}
     for name in DELTACHAIN_APPS:

@@ -10,30 +10,16 @@ more/smaller clusters recover faster (more messages come from logs).
 
 import pytest
 
-from repro.harness.experiments import (
-    PAPER_APPS,
-    fig5_recovery,
-    format_fig5,
-)
+from repro.harness.experiments import PAPER_APPS
 
 
 @pytest.mark.benchmark(group="fig5")
-def test_fig5_recovery_normalized(benchmark, record_rows):
-    rows = benchmark.pedantic(
-        lambda: fig5_recovery(),
-        rounds=1,
-        iterations=1,
-    )
-    rendered = format_fig5(rows)
-    record_rows(
+def test_fig5_recovery_normalized(regenerate):
+    rows = regenerate(
         "fig5",
-        [
-            dict(app=r.app, clusters=r.k, normalized=r.normalized,
-                 rework_ms=r.rework_ns / 1e6, native_ms=r.native_ns / 1e6,
-                 replayed=r.replayed_records)
-            for r in rows
-        ],
-        rendered,
+        lambda r: dict(app=r.app, clusters=r.k, normalized=r.normalized,
+                       rework_ms=r.rework_ns / 1e6, native_ms=r.native_ns / 1e6,
+                       replayed=r.replayed_records),
     )
     by = {(r.app, r.k): r for r in rows}
     ks = sorted({r.k for r in rows})

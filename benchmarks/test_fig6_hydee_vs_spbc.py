@@ -9,25 +9,13 @@ to ~2x faster.
 
 import pytest
 
-from repro.harness.experiments import NAS_APPS, fig6_hydee_vs_spbc, format_fig6
-
 
 @pytest.mark.benchmark(group="fig6")
-def test_fig6_hydee_vs_spbc(benchmark, record_rows):
-    rows = benchmark.pedantic(
-        lambda: fig6_hydee_vs_spbc(k=8),
-        rounds=1,
-        iterations=1,
-    )
-    rendered = format_fig6(rows)
-    record_rows(
+def test_fig6_hydee_vs_spbc(regenerate):
+    rows = regenerate(
         "fig6",
-        [
-            dict(app=r.app, spbc=r.spbc_normalized, hydee=r.hydee_normalized,
-                 grants=r.hydee_grants, records=r.records)
-            for r in rows
-        ],
-        rendered,
+        lambda r: dict(app=r.app, spbc=r.spbc_normalized, hydee=r.hydee_normalized,
+                       grants=r.hydee_grants, records=r.records),
     )
     for r in rows:
         # SPBC never slower than failure-free.

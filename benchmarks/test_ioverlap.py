@@ -19,40 +19,26 @@ Shape targets:
 
 import pytest
 
-from repro.harness.experiments import (
-    IOVERLAP_APPS,
-    format_ioverlap,
-    ioverlap,
-)
+from repro.harness.experiments import IOVERLAP_APPS
 
 
 @pytest.mark.benchmark(group="ioverlap")
-def test_ioverlap_async_flush_reduces_stall(benchmark, record_rows):
-    rows = benchmark.pedantic(
-        lambda: ioverlap(apps=IOVERLAP_APPS),
-        rounds=1,
-        iterations=1,
-    )
-    rendered = format_ioverlap(rows)
-    record_rows(
+def test_ioverlap_async_flush_reduces_stall(regenerate):
+    rows = regenerate(
         "ioverlap",
-        [
-            dict(app=r.app, mode=r.mode, nranks=r.nranks, rounds=r.rounds,
-                 stall_ms_per_rank=r.stall_ms_per_rank,
-                 write_ms_per_rank=r.write_ms_per_rank,
-                 bg_write_ms_per_rank=r.bg_write_ms_per_rank,
-                 peak_pfs_writers=r.peak_pfs_writers,
-                 makespan_ms=r.makespan_ns / 1e6,
-                 fail_at_ms=r.fail_at_ns / 1e6,
-                 inflight_round=r.inflight_round,
-                 last_drained_round=r.last_drained_round,
-                 restarted_from_round=r.restarted_from_round,
-                 cancelled_flushes=r.cancelled_flushes,
-                 restored_tier=r.restored_tier,
-                 fail_makespan_ms=r.fail_makespan_ns / 1e6)
-            for r in rows
-        ],
-        rendered,
+        lambda r: dict(app=r.app, mode=r.mode, nranks=r.nranks, rounds=r.rounds,
+                       stall_ms_per_rank=r.stall_ms_per_rank,
+                       write_ms_per_rank=r.write_ms_per_rank,
+                       bg_write_ms_per_rank=r.bg_write_ms_per_rank,
+                       peak_pfs_writers=r.peak_pfs_writers,
+                       makespan_ms=r.makespan_ns / 1e6,
+                       fail_at_ms=r.fail_at_ns / 1e6,
+                       inflight_round=r.inflight_round,
+                       last_drained_round=r.last_drained_round,
+                       restarted_from_round=r.restarted_from_round,
+                       cancelled_flushes=r.cancelled_flushes,
+                       restored_tier=r.restored_tier,
+                       fail_makespan_ms=r.fail_makespan_ns / 1e6),
     )
     by = {(r.app, r.mode): r for r in rows}
     for name in IOVERLAP_APPS:

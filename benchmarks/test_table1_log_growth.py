@@ -17,32 +17,17 @@ pure message logging.
 
 import pytest
 
-from repro.harness.experiments import (
-    PAPER_APPS,
-    bench_nranks,
-    bench_ranks_per_node,
-    format_table1,
-    table1_log_growth,
-)
+from repro.harness.experiments import PAPER_APPS
 
 
 @pytest.mark.benchmark(group="table1")
-def test_table1_log_growth(benchmark, record_rows):
-    rows = benchmark.pedantic(
-        lambda: table1_log_growth(),
-        rounds=1,
-        iterations=1,
-    )
-    rendered = format_table1(rows)
-    record_rows(
+def test_table1_log_growth(regenerate, scale):
+    rows = regenerate(
         "table1",
-        [
-            dict(app=r.app, clusters=r.k, avg=r.avg_mb_s, max=r.max_mb_s, min=r.min_mb_s)
-            for r in rows
-        ],
-        rendered,
+        lambda r: dict(app=r.app, clusters=r.k, avg=r.avg_mb_s, max=r.max_mb_s,
+                       min=r.min_mb_s),
     )
-    nranks = bench_nranks()
+    nranks = scale["nranks"]
     by = {(r.app, r.k): r for r in rows}
     ks = sorted({r.k for r in rows})
 
@@ -74,7 +59,7 @@ def test_table1_log_growth(benchmark, record_rows):
 
     # GTC: the max rate is roughly constant over the small cluster
     # counts (the arc-boundary ranks' shift traffic), unlike the avg.
-    small = [k for k in ks if k <= max(2, bench_nranks() // bench_ranks_per_node() // 2)]
+    small = [k for k in ks if k <= max(2, nranks // scale["ranks_per_node"] // 2)]
     gtc_max = [by[("gtc", k)].max_mb_s for k in small]
     if len(gtc_max) >= 2 and gtc_max[0] > 0:
         assert max(gtc_max) / min(gtc_max) < 1.5

@@ -13,29 +13,13 @@ even smaller overhead").
 
 import pytest
 
-from repro.harness.experiments import (
-    PAPER_APPS,
-    format_table2,
-    table2_failure_free_overhead,
-)
-
 
 @pytest.mark.benchmark(group="table2")
-def test_table2_failure_free_overhead(benchmark, record_rows):
-    rows = benchmark.pedantic(
-        lambda: table2_failure_free_overhead(ks=(16,)),
-        rounds=1,
-        iterations=1,
-    )
-    rendered = format_table2(rows)
-    record_rows(
+def test_table2_failure_free_overhead(regenerate):
+    rows = regenerate(
         "table2",
-        [
-            dict(app=r.app, clusters=r.k, native_ms=r.native_ns / 1e6,
-                 spbc_ms=r.spbc_ns / 1e6, overhead_pct=r.overhead_pct)
-            for r in rows
-        ],
-        rendered,
+        lambda r: dict(app=r.app, clusters=r.k, native_ms=r.native_ns / 1e6,
+                       spbc_ms=r.spbc_ns / 1e6, overhead_pct=r.overhead_pct),
     )
     for r in rows:
         assert r.overhead_pct >= -0.01, f"{r.app}: SPBC faster than native?"
@@ -45,19 +29,12 @@ def test_table2_failure_free_overhead(benchmark, record_rows):
 
 
 @pytest.mark.benchmark(group="table2")
-def test_overhead_vs_clusters(benchmark, record_rows):
+def test_overhead_vs_clusters(regenerate):
     """Section 6.3's sweep: overhead at 2/4/8/16 clusters (one app is
     enough for the trend; MiniGhost logs the most)."""
-    rows = benchmark.pedantic(
-        lambda: table2_failure_free_overhead(apps=["minighost"], ks=(2, 4, 8, 16)),
-        rounds=1,
-        iterations=1,
-    )
-    rendered = format_table2(rows)
-    record_rows(
+    rows = regenerate(
         "table2_sweep",
-        [dict(app=r.app, clusters=r.k, overhead_pct=r.overhead_pct) for r in rows],
-        rendered,
+        lambda r: dict(app=r.app, clusters=r.k, overhead_pct=r.overhead_pct),
     )
     by_k = {r.k: r.overhead_pct for r in rows}
     assert by_k[2] <= by_k[16] + 0.1  # fewer clusters, no more overhead

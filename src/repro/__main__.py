@@ -2,13 +2,12 @@
 
 Usage::
 
-    python -m repro table1 [--ranks 128] [--apps amg,milc]
-    python -m repro table2
-    python -m repro fig5
-    python -m repro fig6
+    python -m repro table1 [--ranks 128] [--rpn 8] [--apps amg,milc]
+    python -m repro table2            # also: table2_sweep, fig5, fig6
     python -m repro ckptcost [--storage tiered:ram@1,pfs@4]
     python -m repro blastradius [--storage partner:ram@1,partner@1,pfs@4]
                                 [--checkpoint-every 2|auto] [--mtbf 0.5]
+    python -m repro auto_interval [--storage tiered:ram@1,pfs@4] [--mtbf 0.5]
     python -m repro deltachain [--ckpt-data incr:4:zlib-like]
                                [--storage tiered:ram@1,pfs@4]
     python -m repro ioverlap [--storage tiered:ram@1,pfs@4]
@@ -21,8 +20,11 @@ Usage::
                                        [--metrics] [--trace-out t.json]
     python -m repro trace out.journal [--trace-out t.json] [--run]
 
-Equivalent to the pytest benchmarks but without the harness — handy for
-quick sweeps at custom scales.
+Each experiment is one row of ``repro.harness.experiments.EXPERIMENTS``
+and prints one table: without flags, the ``rendered`` string of its
+committed ``benchmarks/results/*.json`` (``pytest benchmarks/`` runs the
+same row).  ``--ranks``/``--rpn``/``--apps`` rescale any row; a driver
+flag the row does not accept is an error.
 """
 
 from __future__ import annotations
@@ -31,18 +33,61 @@ import argparse
 import sys
 
 
+def _spec(parse):
+    """An argparse type: the spec string itself, once ``parse`` accepts
+    it (the message names the token and ``parse``'s reason)."""
+
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(f"{text!r}: {e}") from None
+        return text
+
+    return check
+
+
+def positive_int_or_auto(text: str):
+    """``--checkpoint-every``: iterations between checkpoints, or 'auto'."""
+    if text == "auto":
+        return text
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: must be an integer >= 1 or 'auto'"
+        )
+    return int(text)
+
+
+def positive_seconds(text: str) -> int:
+    """``--mtbf``: positive (simulated) seconds, as nanoseconds."""
+    from repro.util.units import SEC
+
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = float("nan")
+    if not 0 < seconds < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: MTBF must be positive, finite seconds"
+        )
+    return int(seconds * SEC)
+
+
 def main(argv=None) -> int:
+    from repro.ckptdata.plane import parse_ckpt_data
+    from repro.harness.experiments import EXPERIMENTS
+    from repro.storage.backend import make_backend
+
+    def takers(dest: str) -> str:
+        return "/".join(n for n, e in EXPERIMENTS.items() if dest in e.flags)
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the SPBC paper's tables and figures.",
     )
     parser.add_argument(
         "experiment",
-        choices=[
-            "table1", "table2", "fig5", "fig6", "ckptcost", "blastradius",
-            "deltachain", "ioverlap", "simperf", "apps", "journal", "replay",
-            "trace",
-        ],
+        choices=[*EXPERIMENTS, "simperf", "apps", "journal", "replay", "trace"],
         help="which artifact to regenerate",
     )
     parser.add_argument(
@@ -57,38 +102,40 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--apps", type=str, default=None, help="comma-separated app subset"
     )
-    parser.add_argument(
-        "--storage",
-        type=str,
-        default=None,
-        help="storage backend spec for ckptcost/blastradius/ioverlap: "
-        "memory, tiered, partner, or tiered:ram@1,ssd@4,pfs@16; append "
-        ":async for the background-flush mode (ioverlap takes the base "
-        "plan and derives the async variant itself) "
-        "(default: the built-in plan sweep)",
-    )
-    parser.add_argument(
-        "--ckpt-data",
-        type=str,
-        default=None,
-        help="deltachain: checkpoint data-plane spec for the incremental "
-        "mode — full | incr[:period][:compression], e.g. "
-        "incr:4:zlib-like (default: the built-in full-vs-incr pair)",
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=str,
-        default=None,
-        help="blastradius: iterations between coordinated checkpoints "
-        "(a positive integer, or 'auto' for the Young/Daly cadence)",
-    )
-    parser.add_argument(
-        "--mtbf",
-        type=float,
-        default=0.5,
-        help="blastradius: node MTBF in (simulated) seconds driving the "
-        "'auto' cadence (default 0.5)",
-    )
+    # Each driver flag's dest is the driver keyword it sets.
+    driver_flags = [
+        parser.add_argument(
+            "--storage",
+            type=_spec(make_backend),
+            help=f"{takers('storage')}, journal --record: storage backend "
+            "spec — memory, tiered, partner, or tiered:ram@1,ssd@4,pfs@16; "
+            "append :async for the background-flush mode (ioverlap takes "
+            "the base plan and derives the async variant itself) "
+            "(default: the experiment's built-in plans)",
+        ),
+        parser.add_argument(
+            "--ckpt-data",
+            type=_spec(parse_ckpt_data),
+            help=f"{takers('ckpt_data')}: checkpoint data-plane spec for the "
+            "incremental mode — full | incr[:period][:compression], e.g. "
+            "incr:4:zlib-like (default: the built-in full-vs-incr pair)",
+        ),
+        parser.add_argument(
+            "--checkpoint-every",
+            type=positive_int_or_auto,
+            help=f"{takers('checkpoint_every')}: iterations between "
+            "coordinated checkpoints (a positive integer, or 'auto' for the "
+            "Young/Daly cadence)",
+        ),
+        parser.add_argument(
+            "--mtbf",
+            dest="mtbf_ns",
+            type=positive_seconds,
+            metavar="SECONDS",
+            help=f"{takers('mtbf_ns')}: node MTBF in (simulated) seconds "
+            "driving the 'auto' cadence (default 0.5)",
+        ),
+    ]
     parser.add_argument(
         "--shards",
         type=int,
@@ -164,6 +211,9 @@ def main(argv=None) -> int:
     ):
         parser.error(f"{args.experiment} takes no journal path argument")
 
+    if args.experiment in EXPERIMENTS:
+        return _experiment_command(parser, args, EXPERIMENTS, driver_flags)
+
     if args.experiment == "apps":
         from repro.apps.base import list_apps
 
@@ -179,165 +229,43 @@ def main(argv=None) -> int:
                   + (f"  [{', '.join(tags)}]" if tags else ""))
         return 0
 
-    if args.experiment in ("journal", "replay", "trace"):
-        return _journal_command(args)
-
-    from repro.harness import experiments as ex
-
-    subset = args.apps.split(",") if args.apps else None
-    # None falls through to the drivers' own default scale.
-    scale = dict(nranks=args.ranks, ranks_per_node=args.rpn)
-    if args.experiment == "table1":
-        rows = ex.table1_log_growth(apps=subset or ex.PAPER_APPS, **scale)
-        print(ex.format_table1(rows))
-    elif args.experiment == "table2":
-        rows = ex.table2_failure_free_overhead(
-            apps=subset or ex.PAPER_APPS, **scale
-        )
-        print(ex.format_table2(rows))
-    elif args.experiment == "fig5":
-        rows = ex.fig5_recovery(apps=subset or ex.PAPER_APPS, **scale)
-        print(ex.format_fig5(rows))
-    elif args.experiment == "fig6":
-        rows = ex.fig6_hydee_vs_spbc(apps=subset or ex.NAS_APPS, **scale)
-        print(ex.format_fig6(rows))
-    elif args.experiment == "ckptcost":
-        plans = None
-        if args.storage:
-            from repro.storage.backend import make_backend
-
-            try:
-                make_backend(args.storage)
-            except ValueError as e:
-                print(f"error: --storage {args.storage!r}: {e}", file=sys.stderr)
-                return 2
-            plans = {"memory": "memory", args.storage: args.storage}
-        rows = ex.checkpoint_cost(
-            apps=subset or ("minighost",), plans=plans, **scale
-        )
-        print(ex.format_checkpoint_cost(rows))
-    elif args.experiment == "deltachain":
-        from repro.ckptdata.plane import parse_ckpt_data
-        from repro.storage.backend import make_backend
-
-        modes = None
-        if args.ckpt_data:
-            try:
-                parse_ckpt_data(args.ckpt_data)
-            except ValueError as e:
-                print(f"error: --ckpt-data {args.ckpt_data!r}: {e}", file=sys.stderr)
-                return 2
-            modes = {"full": "full", args.ckpt_data: args.ckpt_data}
-        kwargs = dict(scale)
-        if args.storage:
-            try:
-                make_backend(args.storage)
-            except ValueError as e:
-                print(f"error: --storage {args.storage!r}: {e}", file=sys.stderr)
-                return 2
-            kwargs["plan"] = args.storage
-        rows = ex.deltachain(
-            apps=subset or ex.DELTACHAIN_APPS, modes=modes, **kwargs
-        )
-        print(ex.format_deltachain(rows))
-    elif args.experiment == "simperf":
+    if args.experiment == "simperf":
         from repro.harness import simperf
 
         return simperf.main(shards=args.shards)
-    elif args.experiment == "ioverlap":
-        kwargs = dict(scale)
-        if args.storage:
-            from repro.storage.backend import make_backend
 
-            if args.storage.endswith(":async"):
-                print(
-                    f"error: --storage {args.storage!r}: pass the base "
-                    "(sync) plan; ioverlap derives the async variant "
-                    "itself",
-                    file=sys.stderr,
-                )
-                return 2
-            try:
-                make_backend(args.storage)
-            except ValueError as e:
-                print(f"error: --storage {args.storage!r}: {e}", file=sys.stderr)
-                return 2
-            kwargs["plan"] = args.storage
-        rows = ex.ioverlap(apps=subset or ex.IOVERLAP_APPS, **kwargs)
-        print(ex.format_ioverlap(rows))
-    elif args.experiment == "blastradius":
-        from repro.storage.backend import make_backend
-        from repro.util.units import SEC
+    return _journal_command(args)
 
-        plans = None
-        if args.storage:
-            try:
-                make_backend(args.storage)
-            except ValueError as e:
-                print(f"error: --storage {args.storage!r}: {e}", file=sys.stderr)
-                return 2
-            plans = {args.storage: args.storage}
-        every = 2
-        if args.checkpoint_every == "auto":
-            every = "auto"
-        elif args.checkpoint_every:
-            try:
-                every = int(args.checkpoint_every)
-            except ValueError:
-                print(
-                    f"error: --checkpoint-every {args.checkpoint_every!r}: "
-                    "expected a positive integer or 'auto'",
-                    file=sys.stderr,
-                )
-                return 2
-            if every < 1:
-                print(
-                    f"error: --checkpoint-every {every}: must be >= 1",
-                    file=sys.stderr,
-                )
-                return 2
-        if args.mtbf <= 0:
-            print(
-                f"error: --mtbf {args.mtbf}: MTBF must be positive seconds",
-                file=sys.stderr,
+
+def _experiment_command(parser, args, table, driver_flags) -> int:
+    """Run row ``args.experiment`` of the experiment table and print its
+    table; a driver flag that this row does not accept is a usage
+    error."""
+    experiment = table[args.experiment]
+    kwargs = {}
+    for flag in driver_flags:
+        value = getattr(args, flag.dest)
+        if value is None:
+            continue
+        if flag.dest not in experiment.flags:
+            parser.error(
+                f"{flag.option_strings[0]} is not accepted by {args.experiment}"
             )
-            return 2
-        try:
-            rows = ex.blastradius(
-                apps=subset or ("minighost",),
-                plans=plans,
-                checkpoint_every=every,
-                mtbf_ns=int(args.mtbf * SEC),
-                **scale,
-            )
-        except ValueError as e:
-            # e.g. --storage memory with --checkpoint-every auto
-            print(f"error: blastradius: {e}", file=sys.stderr)
-            return 2
-        print(ex.format_blastradius(rows))
-        # The Young/Daly cadence report rides along: it shares the
-        # failure model's tier costs and shows the 'auto' interval next
-        # to the analytic optimum.
-        auto_plan = (
-            args.storage if args.storage else ex.BLAST_PLANS["no-partner"]
-        )
-        try:
-            arows = ex.auto_interval(
-                apps=subset or ("minighost",),
-                plan=auto_plan,
-                mtbf_ns=int(args.mtbf * SEC),
-                **scale,
-            )
-        except ValueError as e:
-            # e.g. --storage memory: the free store has no write cost for
-            # the Young/Daly controller to optimize against.  The blast
-            # table above is still the requested artifact — skip the
-            # ride-along report instead of failing the command.
-            print()
-            print(f"(auto-interval report skipped for {auto_plan!r}: {e})")
-        else:
-            print()
-            print(ex.format_auto_interval(arows))
+        kwargs[flag.dest] = value
+    if args.apps:
+        kwargs["apps"] = args.apps.split(",")
+    if args.ranks is not None:
+        kwargs["nranks"] = args.ranks
+    if args.rpn is not None:
+        kwargs["ranks_per_node"] = args.rpn
+    try:
+        rows = experiment.run(**kwargs)
+    except ValueError as e:
+        # A combination the driver rejects before simulating, e.g.
+        # --storage memory with --checkpoint-every auto.
+        print(f"error: {args.experiment}: {e}", file=sys.stderr)
+        return 2
+    print(experiment.render(rows))
     return 0
 
 

@@ -44,7 +44,6 @@ from repro.storage.multilevel import optimal_interval_ns, optimal_interval_round
 from repro.core.clusters import ClusterMap
 from repro.core.logstore import LogRecord, LogStore
 from repro.mpi import collectives as coll
-from repro.mpi.constants import DEFAULT_IDENT
 from repro.mpi.hooks import ProtocolHooks
 from repro.mpi.message import ControlMsg, Envelope
 from repro.mpi.request import RecvRequest
@@ -408,10 +407,9 @@ class SPBC(ProtocolHooks):
 
     # ------------------------------------------------------------------
     def attach(self, runtime) -> None:
-        # Identifier stamping happens inline in the runtime's send/recv
-        # hot path, gated by this capability flag (a per-message hook
-        # dispatch was pure overhead — the ident is always just the
-        # runtime's active_ident).
+        # The runtime stamps identifiers inline in isend/irecv/iprobe,
+        # gated by this capability flag: the ident is always just its
+        # active_ident, so there is no per-message hook to dispatch.
         runtime.stamp_idents = self.config.ident_matching
         if self._world is None:
             self._world = runtime.world
@@ -439,18 +437,8 @@ class SPBC(ProtocolHooks):
         return comm
 
     # ------------------------------------------------------------------
-    # Identifier stamping and matching (sections 4.3, 5.2.1)
+    # Identifier matching (sections 4.3, 5.2.1)
     # ------------------------------------------------------------------
-    def message_ident(self, runtime) -> Tuple[int, int]:
-        if not self.config.ident_matching:
-            return DEFAULT_IDENT
-        return runtime.active_ident
-
-    def request_ident(self, runtime) -> Tuple[int, int]:
-        if not self.config.ident_matching:
-            return DEFAULT_IDENT
-        return runtime.active_ident
-
     def match_allowed(self, req: RecvRequest, env: Envelope) -> bool:
         # ident_matching=False installs _match_anything in __init__, so
         # this body only ever runs with identifier matching on.

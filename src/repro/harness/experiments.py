@@ -1,10 +1,13 @@
-"""Experiment drivers for every table and figure in the paper's evaluation.
+"""Experiment drivers, and :data:`EXPERIMENTS`: one row per committed
+artefact under ``benchmarks/results/`` — its driver (whose defaults are
+the committed arguments), the CLI flags it accepts and its table, which
+``python -m repro <name>`` and ``pytest benchmarks/`` both run and print.
 
-Scale model: the paper runs 512 ranks on 64 nodes (8 ranks/node).  The
-drivers default to ``REPRO_BENCH_RANKS`` (128) ranks with 8 ranks/node;
-the cluster-count sweeps scale accordingly (…, nnodes = "log all
-inter-node", nranks = "pure message logging").  Set
-``REPRO_BENCH_RANKS=512`` for paper scale.
+Scale model: the paper runs 512 ranks on 64 nodes (8 ranks/node).  Scale
+is an argument of every driver, ``nranks=128, ranks_per_node=8`` by
+default (``--ranks 512`` for paper scale); the cluster-count sweeps
+scale accordingly (…, nnodes = "log all inter-node", nranks = "pure
+message logging").
 
 Efficiency note: Table 1 and Figure 5 derive *all* clustering
 configurations from a single logging run per application — log content
@@ -15,20 +18,18 @@ communication statistics once and clusters offline ([30], section 6.1).
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import AbstractSet, Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.apps.base import get_app
 from repro.apps.calibration import PAPER_NET
-from repro.ckptdata.regions import WriteLocalityProfile
 from repro.baselines.hydee import HydEEPlan, run_hydee_recovery
-from repro.clustering.partition import cluster_by_communication, cut_bytes
+from repro.clustering.partition import cluster_by_communication
 from repro.core.clusters import ClusterMap
 from repro.core.emulated import ReplayPlan
-from repro.core.protocol import SPBC, SPBCConfig
+from repro.core.protocol import SPBCConfig
 from repro.harness.runner import (
     RunResult,
     run_emulated_recovery,
@@ -63,14 +64,6 @@ BENCH_PARAMS: Dict[str, dict] = {
 }
 
 
-def bench_nranks(default: int = 128) -> int:
-    return int(os.environ.get("REPRO_BENCH_RANKS", default))
-
-
-def bench_ranks_per_node() -> int:
-    return int(os.environ.get("REPRO_BENCH_RPN", 8))
-
-
 def cluster_counts(nranks: int, ranks_per_node: int) -> List[int]:
     """The Table 1 sweep scaled to the current world size: the paper's
     {2, 4, 8, 16, 64 (= nodes), 512 (= ranks)} at 512/64."""
@@ -87,12 +80,30 @@ def app_factory(name: str, overrides: Optional[dict] = None):
     return get_app(name).factory(**params)
 
 
-def app_profile(name: str) -> WriteLocalityProfile:
-    """The app's write-locality profile (synthetic default when the app
-    module didn't calibrate one) — guarantees every registered app has a
-    *nonzero* modeled checkpoint payload, so cost-modeled backends never
-    silently charge for zero bytes."""
-    return get_app(name).profile
+def _paper_world(ranks_per_node: int) -> dict:
+    """World keywords of every measured run: the paper's network, no
+    trace."""
+    return dict(ranks_per_node=ranks_per_node, net_params=PAPER_NET, trace=False)
+
+
+def _checkpointing(
+    name: str, cm: ClusterMap, storage: Union[str, StorageBackend], **cfg
+) -> SPBCConfig:
+    """A checkpointing config on ``storage`` (a spec string or a fresh
+    backend).  The modeled payload is app ``name``'s write-locality
+    profile — nonzero for every registered app, so a cost-modeled
+    backend never charges for a zero-byte checkpoint."""
+    return SPBCConfig(
+        clusters=cm,
+        storage=make_backend(storage) if isinstance(storage, str) else storage,
+        state_nbytes=get_app(name).profile.total_bytes,
+        **cfg,
+    )
+
+
+def _rounds(backend: StorageBackend, nranks: int) -> int:
+    """Checkpoint rounds committed: the most any rank holds."""
+    return max((len(backend.rounds_of(r)) for r in range(nranks)), default=0)
 
 
 # ----------------------------------------------------------------------
@@ -143,28 +154,25 @@ class LoggingRun:
 
 def make_logging_run(
     name: str,
-    nranks: Optional[int] = None,
-    ranks_per_node: Optional[int] = None,
+    nranks: int = 128,
+    ranks_per_node: int = 8,
     overrides: Optional[dict] = None,
     seed: int = 0,
 ) -> LoggingRun:
-    n = nranks or bench_nranks()
-    rpn = ranks_per_node or bench_ranks_per_node()
-    app = app_factory(name, overrides)
     res = run_spbc(
-        app,
-        n,
-        ClusterMap.singletons(n),
-        ranks_per_node=rpn,
+        app_factory(name, overrides),
+        nranks,
+        ClusterMap.singletons(nranks),
+        ranks_per_node=ranks_per_node,
         net_params=PAPER_NET,
         seed=seed,
     )
     return LoggingRun(
         name=name,
-        nranks=n,
-        ranks_per_node=rpn,
+        nranks=nranks,
+        ranks_per_node=ranks_per_node,
         result=res,
-        bytes_matrix=res.trace.comm_bytes_matrix(n).astype(np.float64),
+        bytes_matrix=res.trace.comm_bytes_matrix(nranks).astype(np.float64),
     )
 
 
@@ -183,8 +191,8 @@ class Table1Row:
 
 def table1_log_growth(
     apps: Sequence[str] = PAPER_APPS,
-    nranks: Optional[int] = None,
-    ranks_per_node: Optional[int] = None,
+    nranks: int = 128,
+    ranks_per_node: int = 8,
     counts: Optional[Sequence[int]] = None,
     overrides: Optional[Dict[str, dict]] = None,
 ) -> List[Table1Row]:
@@ -211,27 +219,6 @@ def table1_log_growth(
     return rows
 
 
-def format_table1(rows: List[Table1Row]) -> str:
-    ks = sorted({r.k for r in rows})
-    apps = sorted({r.app for r in rows})
-    by = {(r.app, r.k): r for r in rows}
-    out_rows = []
-    for k in ks:
-        row: List[object] = [k]
-        for a in apps:
-            r = by.get((a, k))
-            row += [r.avg_mb_s if r else float("nan"), r.max_mb_s if r else float("nan")]
-        out_rows.append(row)
-    headers = ["clusters"]
-    for a in apps:
-        headers += [f"{a}.avg", f"{a}.max"]
-    return format_table(
-        headers,
-        out_rows,
-        title="Table 1: log growth rate per process (MB/s)",
-    )
-
-
 # ----------------------------------------------------------------------
 # Table 2 — failure-free overhead of SPBC vs native MPI
 # ----------------------------------------------------------------------
@@ -251,41 +238,23 @@ class Table2Row:
 def table2_failure_free_overhead(
     apps: Sequence[str] = PAPER_APPS,
     ks: Sequence[int] = (16,),
-    nranks: Optional[int] = None,
-    ranks_per_node: Optional[int] = None,
-    overrides: Optional[Dict[str, dict]] = None,
+    nranks: int = 128,
+    ranks_per_node: int = 8,
 ) -> List[Table2Row]:
-    n = nranks or bench_nranks()
-    rpn = ranks_per_node or bench_ranks_per_node()
+    world = _paper_world(ranks_per_node)
     rows: List[Table2Row] = []
     for name in apps:
-        ov = (overrides or {}).get(name)
-        app = app_factory(name, ov)
-        native = run_native(app, n, ranks_per_node=rpn, net_params=PAPER_NET, trace=False)
-        run = make_logging_run(name, n, rpn, ov)
+        app = app_factory(name)
+        native = run_native(app, nranks, **world)
+        run = make_logging_run(name, nranks, ranks_per_node)
         for k in ks:
-            cm = run.clustering_for(k)
-            spbc = run_spbc(
-                app, n, cm, ranks_per_node=rpn, net_params=PAPER_NET, trace=False
-            )
+            spbc = run_spbc(app, nranks, run.clustering_for(k), **world)
             rows.append(
                 Table2Row(
                     app=name, k=k, native_ns=native.makespan_ns, spbc_ns=spbc.makespan_ns
                 )
             )
     return rows
-
-
-def format_table2(rows: List[Table2Row]) -> str:
-    return format_table(
-        ["app", "clusters", "native (ms)", "SPBC (ms)", "overhead %"],
-        [
-            [r.app, r.k, r.native_ns / 1e6, r.spbc_ns / 1e6, r.overhead_pct]
-            for r in rows
-        ],
-        title="Table 2: failure-free overhead of SPBC",
-        float_fmt="{:.3f}",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -324,87 +293,56 @@ class CkptCostRow:
 def checkpoint_cost(
     apps: Sequence[str] = ("minighost",),
     ks: Sequence[int] = (4, 16),
-    plans: Optional[Dict[str, str]] = None,
-    checkpoint_every: int = 2,
-    nranks: Optional[int] = None,
-    ranks_per_node: Optional[int] = None,
-    overrides: Optional[Dict[str, dict]] = None,
+    storage: Optional[str] = None,
+    checkpoint_every: int = 1,
+    nranks: int = 128,
+    ranks_per_node: int = 8,
 ) -> List[CkptCostRow]:
-    """Sweep tier plans × cluster counts with checkpointing enabled.
+    """Sweep tier plans × cluster counts with checkpointing enabled:
+    :data:`CKPT_PLANS`, or the ``storage`` spec next to "memory".
 
     Every configuration runs the same app; the in-memory backend is the
     per-k baseline (identical to a run without any storage model), so a
     row's slowdown is purely the modeled checkpoint write time."""
-    n = nranks or bench_nranks()
-    rpn = ranks_per_node or bench_ranks_per_node()
-    plans = plans or CKPT_PLANS
+    plans = CKPT_PLANS if storage is None else {"memory": "memory", storage: storage}
+    world = _paper_world(ranks_per_node)
     rows: List[CkptCostRow] = []
     for name in apps:
-        app = app_factory(name, (overrides or {}).get(name))
+        app = app_factory(name)
         for k in ks:
-            if k > n:
+            if k > nranks:
                 continue
-            cm = ClusterMap.block(n, k)
-            results: Dict[str, Tuple[RunResult, StorageBackend]] = {}
+            cm = ClusterMap.block(nranks, k)
+            results: Dict[str, RunResult] = {}
             for plan_name, spec in plans.items():
-                backend = make_backend(spec)
-                cfg = SPBCConfig(
-                    clusters=cm,
-                    checkpoint_every=checkpoint_every,
-                    storage=backend,
-                    # Every registered app has a nonzero modeled payload
-                    # (write-locality profile or synthetic default), so
-                    # tiered plans never charge for zero-byte checkpoints.
-                    state_nbytes=app_profile(name).total_bytes,
-                )
-                res = run_spbc(
-                    app, n, cm, config=cfg,
-                    ranks_per_node=rpn, net_params=PAPER_NET, trace=False,
-                )
-                results[plan_name] = (res, backend)
+                cfg = _checkpointing(name, cm, spec, checkpoint_every=checkpoint_every)
+                results[plan_name] = run_spbc(app, nranks, cm, config=cfg, **world)
             free = [
                 res.makespan_ns
-                for res, b in results.values()
-                if not isinstance(b, TieredBackend)
+                for res in results.values()
+                if not isinstance(res.hooks.storage, TieredBackend)
             ]
             base_ns = min(free) if free else min(
-                res.makespan_ns for res, _ in results.values()
+                res.makespan_ns for res in results.values()
             )
-            for plan_name, (res, backend) in results.items():
-                rounds = max(
-                    (len(backend.rounds_of(r)) for r in range(n)), default=0
-                )
+            for plan_name, res in results.items():
+                backend = res.hooks.storage
                 rows.append(
                     CkptCostRow(
                         app=name,
                         k=k,
                         plan=plan_name,
-                        nranks=n,
-                        rounds=rounds,
+                        nranks=nranks,
+                        rounds=_rounds(backend, nranks),
                         ckpt_mb_avg=(
                             backend.bytes_written / max(1, backend.writes) / 1e6
                         ),
-                        write_ms_per_rank=backend.write_ns_total / n / 1e6,
+                        write_ms_per_rank=backend.write_ns_total / nranks / 1e6,
                         makespan_ns=res.makespan_ns,
                         baseline_ns=base_ns,
                     )
                 )
     return rows
-
-
-def format_checkpoint_cost(rows: List[CkptCostRow]) -> str:
-    return format_table(
-        ["app", "clusters", "plan", "rounds", "ckpt MB (avg)",
-         "write ms/rank", "makespan (ms)", "slowdown %"],
-        [
-            [r.app, r.k, r.plan, r.rounds, r.ckpt_mb_avg,
-             r.write_ms_per_rank, r.makespan_ns / 1e6, r.slowdown_pct]
-            for r in rows
-        ],
-        title="Checkpoint cost: tier plans x cluster counts "
-        "(write time charged to the simulation clock)",
-        float_fmt="{:.3f}",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -428,19 +366,16 @@ class Fig5Row:
 def fig5_recovery(
     apps: Sequence[str] = PAPER_APPS,
     ks: Sequence[int] = (2, 4, 8, 16),
-    nranks: Optional[int] = None,
-    ranks_per_node: Optional[int] = None,
-    overrides: Optional[Dict[str, dict]] = None,
+    nranks: int = 128,
+    ranks_per_node: int = 8,
     window: int = 50,
 ) -> List[Fig5Row]:
-    n = nranks or bench_nranks()
-    rpn = ranks_per_node or bench_ranks_per_node()
+    world = _paper_world(ranks_per_node)
     rows: List[Fig5Row] = []
     for name in apps:
-        ov = (overrides or {}).get(name)
-        app = app_factory(name, ov)
-        native = run_native(app, n, ranks_per_node=rpn, net_params=PAPER_NET, trace=False)
-        run = make_logging_run(name, n, rpn, ov)
+        app = app_factory(name)
+        native = run_native(app, nranks, **world)
+        run = make_logging_run(name, nranks, ranks_per_node)
         for k in ks:
             if k > run.nranks:
                 continue
@@ -449,14 +384,8 @@ def fig5_recovery(
                 run.result.hooks, run.duration_ns, clusters=cm
             )
             rec = run_emulated_recovery(
-                app,
-                n,
-                cm,
-                plan,
-                reference_ns=native.makespan_ns,
-                window=window,
-                ranks_per_node=rpn,
-                net_params=PAPER_NET,
+                app, nranks, cm, plan,
+                reference_ns=native.makespan_ns, window=window, **world,
             )
             rows.append(
                 Fig5Row(
@@ -469,26 +398,6 @@ def fig5_recovery(
                 )
             )
     return rows
-
-
-def format_fig5(rows: List[Fig5Row]) -> str:
-    ks = sorted({r.k for r in rows})
-    apps = sorted({r.app for r in rows})
-    by = {(r.app, r.k): r for r in rows}
-    out = []
-    for a in apps:
-        line: List[object] = [a]
-        for k in ks:
-            r = by.get((a, k))
-            line.append(r.normalized if r else float("nan"))
-        out.append(line)
-    return format_table(
-        ["app"] + [f"{k} clusters" for k in ks],
-        out,
-        title="Figure 5: recovery time normalized to failure-free execution "
-        "(MPICH native = 1.0)",
-        float_fmt="{:.3f}",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -507,20 +416,17 @@ class Fig6Row:
 def fig6_hydee_vs_spbc(
     apps: Sequence[str] = NAS_APPS,
     k: int = 8,
-    nranks: Optional[int] = None,
-    ranks_per_node: Optional[int] = None,
-    overrides: Optional[Dict[str, dict]] = None,
+    nranks: int = 128,
+    ranks_per_node: int = 8,
 ) -> List[Fig6Row]:
-    n = nranks or bench_nranks()
-    rpn = ranks_per_node or bench_ranks_per_node()
+    world = _paper_world(ranks_per_node)
     rows: List[Fig6Row] = []
     for name in apps:
-        ov = (overrides or {}).get(name)
-        app = app_factory(name, ov)
-        native = run_native(app, n, ranks_per_node=rpn, net_params=PAPER_NET, trace=False)
+        app = app_factory(name)
+        native = run_native(app, nranks, **world)
         # Phase 1 with the actual k-cluster map (the trace also yields the
         # causal levels HydEE needs).
-        run = make_logging_run(name, n, rpn, ov)
+        run = make_logging_run(name, nranks, ranks_per_node)
         cm = run.clustering_for(k)
         plan = ReplayPlan.from_run(run.result.hooks, run.duration_ns, clusters=cm)
         # The HydEE plan (dependency vectors + tracked set) is derived
@@ -529,12 +435,11 @@ def fig6_hydee_vs_spbc(
             run.result.hooks, run.result.trace, run.duration_ns, clusters=cm
         )
         spbc_rec = run_emulated_recovery(
-            app, n, cm, plan,
-            reference_ns=native.makespan_ns, ranks_per_node=rpn, net_params=PAPER_NET,
+            app, nranks, cm, plan, reference_ns=native.makespan_ns, **world,
         )
         hydee_rec = run_hydee_recovery(
-            app, n, cm, hplan,
-            reference_ns=native.makespan_ns, ranks_per_node=rpn, net_params=PAPER_NET,
+            app, nranks, cm, hplan, reference_ns=native.makespan_ns,
+            ranks_per_node=ranks_per_node, net_params=PAPER_NET,
         )
         rows.append(
             Fig6Row(
@@ -546,20 +451,6 @@ def fig6_hydee_vs_spbc(
             )
         )
     return rows
-
-
-def format_fig6(rows: List[Fig6Row]) -> str:
-    return format_table(
-        ["app", "SPBC", "HydEE", "HydEE/SPBC", "replayed msgs"],
-        [
-            [r.app, r.spbc_normalized, r.hydee_normalized,
-             r.hydee_normalized / r.spbc_normalized, r.records]
-            for r in rows
-        ],
-        title="Figure 6: recovery time normalized to failure-free "
-        "(8 clusters, NAS benchmarks)",
-        float_fmt="{:.3f}",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -604,41 +495,33 @@ class BlastRadiusRow:
 def blastradius(
     apps: Sequence[str] = ("minighost",),
     k: Optional[int] = None,
-    plans: Optional[Dict[str, str]] = None,
+    storage: Optional[str] = None,
     checkpoint_every: "int | str" = 2,
     frac: float = 0.6,
     fail_rank: int = 0,
-    nranks: Optional[int] = None,
-    ranks_per_node: Optional[int] = None,
-    overrides: Optional[Dict[str, dict]] = None,
+    nranks: int = 128,
+    ranks_per_node: int = 8,
     mtbf_ns: int = int(0.5 * SEC),
 ) -> List[BlastRadiusRow]:
-    """Inject one process and one node failure per storage plan and
-    report how far each configuration rolls back.
+    """Inject one process and one node failure per storage plan
+    (:data:`BLAST_PLANS`, or the ``storage`` spec alone) and report how
+    far each configuration rolls back.
 
     The probe run (failure-free, same plan) times the injection at
     ``frac`` of the makespan and tells us how many rounds had committed
     by then; the failure runs report the restart round, the tier it was
     read from, and the copies the node loss invalidated."""
-    n = nranks or bench_nranks()
-    rpn = ranks_per_node or bench_ranks_per_node()
-    k = k or max(2, n // rpn)
-    plans = plans or BLAST_PLANS
+    world = _paper_world(ranks_per_node)
+    cm = ClusterMap.block(nranks, k or max(2, nranks // ranks_per_node))
+    cadence = dict(checkpoint_every=checkpoint_every, mtbf_ns=mtbf_ns)
+    plans = BLAST_PLANS if storage is None else {storage: storage}
     rows: List[BlastRadiusRow] = []
     for name in apps:
-        app = app_factory(name, (overrides or {}).get(name))
-        cm = ClusterMap.block(n, k)
+        app = app_factory(name)
         for plan_name, spec in plans.items():
-            cfg = lambda: SPBCConfig(
-                clusters=cm,
-                checkpoint_every=checkpoint_every,
-                mtbf_ns=mtbf_ns,
-                storage=make_backend(spec),
-                state_nbytes=app_profile(name).total_bytes,
-            )
             probe = run_spbc(
-                app, n, cm, config=cfg(),
-                ranks_per_node=rpn, net_params=PAPER_NET, trace=False,
+                app, nranks, cm, config=_checkpointing(name, cm, spec, **cadence),
+                **world,
             )
             fail_at = max(1, int(probe.makespan_ns * frac))
             backend = probe.hooks.storage
@@ -649,17 +532,17 @@ def blastradius(
             for rnd in backend.rounds_of(fail_rank):
                 ckpt = backend.retrieve(fail_rank, rnd).ckpt
                 committed_at = ckpt.taken_at_ns + backend.write_cost_ns(
-                    ckpt, concurrent_writers=n
+                    ckpt, concurrent_writers=nranks
                 )
                 if committed_at < fail_at:
                     rounds_before.append(rnd)
             rounds_at_failure = max(rounds_before, default=0)
             for kind in ("process", "node"):
                 out = run_online_failure(
-                    app, n, cm,
+                    app, nranks, cm,
                     fail_at_ns=fail_at, fail_rank=fail_rank,
-                    config=cfg(), failure_kind=kind,
-                    ranks_per_node=rpn, net_params=PAPER_NET, trace=False,
+                    config=_checkpointing(name, cm, spec, **cadence),
+                    failure_kind=kind, **world,
                 )
                 ev = out.manager.failures[0]
                 rows.append(
@@ -667,7 +550,7 @@ def blastradius(
                         app=name,
                         plan=plan_name,
                         kind=kind,
-                        nranks=n,
+                        nranks=nranks,
                         nnodes=out.world.topology.nnodes,
                         failed_node=ev.node,
                         restarted_ranks=len(out.restarted_ranks),
@@ -680,25 +563,6 @@ def blastradius(
                     )
                 )
     return rows
-
-
-def format_blastradius(rows: List[BlastRadiusRow]) -> str:
-    return format_table(
-        ["app", "plan", "kind", "node", "restarted", "rounds", "from",
-         "lost", "tier", "invalidated", "recovery %"],
-        [
-            [r.app, r.plan, r.kind,
-             "-" if r.failed_node is None else r.failed_node,
-             r.restarted_ranks, r.rounds_at_failure,
-             r.restarted_from_round, r.lost_rounds,
-             r.restored_tier or "scratch", r.invalidated_copies,
-             r.recovery_overhead_pct]
-            for r in rows
-        ],
-        title="Blast radius: per-node failures vs storage plans "
-        "(partner copies survive a single-node loss)",
-        float_fmt="{:.2f}",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -730,38 +594,27 @@ class AutoIntervalRow:
 def auto_interval(
     apps: Sequence[str] = ("minighost",),
     k: Optional[int] = None,
-    plan: str = "tiered:ram@1,pfs@4",
+    storage: str = "tiered:ram@1,pfs@4",
     mtbf_ns: int = int(0.5 * SEC),
-    nranks: Optional[int] = None,
-    ranks_per_node: Optional[int] = None,
-    overrides: Optional[Dict[str, dict]] = None,
+    nranks: int = 128,
+    ranks_per_node: int = 8,
 ) -> List[AutoIntervalRow]:
     """Run with ``checkpoint_every="auto"`` and report, per cluster, the
     cadence the Young/Daly controller settled on next to the analytic
     optimum it was chasing."""
-    n = nranks or bench_nranks()
-    rpn = ranks_per_node or bench_ranks_per_node()
-    k = k or max(2, n // rpn)
+    cm = ClusterMap.block(nranks, k or max(2, nranks // ranks_per_node))
     rows: List[AutoIntervalRow] = []
     for name in apps:
-        app = app_factory(name, (overrides or {}).get(name))
-        cm = ClusterMap.block(n, k)
-        cfg = SPBCConfig(
-            clusters=cm,
-            checkpoint_every="auto",
-            mtbf_ns=mtbf_ns,
-            storage=make_backend(plan),
-            state_nbytes=app_profile(name).total_bytes,
+        app = app_factory(name)
+        cfg = _checkpointing(
+            name, cm, storage, checkpoint_every="auto", mtbf_ns=mtbf_ns
         )
-        res = run_spbc(
-            app, n, cm, config=cfg,
-            ranks_per_node=rpn, net_params=PAPER_NET, trace=False,
-        )
+        res = run_spbc(app, nranks, cm, config=cfg, **_paper_world(ranks_per_node))
         for cluster, rep in res.hooks.auto_cadence_report().items():
             rows.append(
                 AutoIntervalRow(
                     app=name,
-                    plan=plan,
+                    plan=storage,
                     cluster=cluster,
                     every=rep["every"],
                     iter_ns=rep["iter_ns"],
@@ -815,67 +668,60 @@ class DeltaChainRow:
 def deltachain(
     apps: Sequence[str] = DELTACHAIN_APPS,
     k: Optional[int] = None,
-    plan: str = "tiered:ram@1,pfs@4",
-    modes: Optional[Dict[str, str]] = None,
+    storage: str = "tiered:ram@1,pfs@4",
+    ckpt_data: Optional[str] = None,
     checkpoint_every: int = 2,
     frac: float = 0.85,
     fail_rank: int = 0,
-    nranks: Optional[int] = None,
-    ranks_per_node: Optional[int] = None,
-    overrides: Optional[Dict[str, dict]] = None,
+    nranks: int = 128,
+    ranks_per_node: int = 8,
 ) -> List[DeltaChainRow]:
-    """Compare checkpoint data-plane modes on the same app + storage plan.
+    """Compare checkpoint data-plane modes (:data:`DELTACHAIN_MODES`, or
+    the ``ckpt_data`` spec next to "full") on the same app + storage plan.
 
     Per mode: a failure-free probe run reports the bytes the plan wrote
     (the scalability axis SPBC cares about), then a node failure at
     ``frac`` of the makespan exercises the chain-aware restart — a lost
     delta base must fall back to the newest round with a complete chain.
     """
-    n = nranks or bench_nranks()
-    rpn = ranks_per_node or bench_ranks_per_node()
-    k = k or max(2, n // rpn)
-    modes = modes or DELTACHAIN_MODES
+    modes = {"full": "full", ckpt_data: ckpt_data} if ckpt_data else DELTACHAIN_MODES
+    world = _paper_world(ranks_per_node)
+    cm = ClusterMap.block(nranks, k or max(2, nranks // ranks_per_node))
     rows: List[DeltaChainRow] = []
     for name in apps:
-        app = app_factory(name, (overrides or {}).get(name))
-        profile = app_profile(name)
-        cm = ClusterMap.block(n, k)
+        app = app_factory(name)
+        profile = get_app(name).profile
+
+        def cfg() -> SPBCConfig:
+            return _checkpointing(name, cm, storage, checkpoint_every=checkpoint_every)
+
         for mode_name, spec in modes.items():
-            def cfg() -> SPBCConfig:
-                return SPBCConfig(
-                    clusters=cm,
-                    checkpoint_every=checkpoint_every,
-                    storage=make_backend(plan),
-                    state_nbytes=profile.total_bytes,
-                )
             probe = run_spbc(
-                app, n, cm, config=cfg(), ckpt_data=spec, profile=profile,
-                ranks_per_node=rpn, net_params=PAPER_NET, trace=False,
+                app, nranks, cm, config=cfg(), ckpt_data=spec, profile=profile,
+                **world,
             )
             backend = probe.hooks.storage
             stats = probe.hooks.data_plane_report()
-            rounds = max((len(backend.rounds_of(r)) for r in range(n)), default=0)
             fail_at = max(1, int(probe.makespan_ns * frac))
             out = run_online_failure(
-                app, n, cm,
+                app, nranks, cm,
                 fail_at_ns=fail_at, fail_rank=fail_rank,
                 config=cfg(), ckpt_data=spec, profile=profile,
-                failure_kind="node",
-                ranks_per_node=rpn, net_params=PAPER_NET, trace=False,
+                failure_kind="node", **world,
             )
             ev = out.manager.failures[0]
             rows.append(
                 DeltaChainRow(
                     app=name,
                     mode=mode_name,
-                    nranks=n,
-                    rounds=rounds,
+                    nranks=nranks,
+                    rounds=_rounds(backend, nranks),
                     full_payloads=stats["full_payloads"],
                     delta_payloads=stats["delta_payloads"],
                     raw_mb=stats["raw_bytes"] / 1e6,
                     written_mb=backend.bytes_written / 1e6,
-                    compress_ms_per_rank=stats["compress_ns"] / n / 1e6,
-                    write_ms_per_rank=backend.write_ns_total / n / 1e6,
+                    compress_ms_per_rank=stats["compress_ns"] / nranks / 1e6,
+                    write_ms_per_rank=backend.write_ns_total / nranks / 1e6,
                     makespan_ns=probe.makespan_ns,
                     fail_makespan_ns=out.makespan_ns,
                     restarted_from_round=ev.restarted_from_round,
@@ -884,25 +730,6 @@ def deltachain(
                 )
             )
     return rows
-
-
-def format_deltachain(rows: List[DeltaChainRow]) -> str:
-    return format_table(
-        ["app", "mode", "rounds", "full", "delta", "raw MB", "written MB",
-         "compress ms/rk", "write ms/rk", "makespan (ms)", "from",
-         "tier", "restore read (ms)"],
-        [
-            [r.app, r.mode, r.rounds, r.full_payloads, r.delta_payloads,
-             r.raw_mb, r.written_mb, r.compress_ms_per_rank,
-             r.write_ms_per_rank, r.makespan_ns / 1e6,
-             r.restarted_from_round, r.restored_tier or "scratch",
-             r.restore_read_ns / 1e6]
-            for r in rows
-        ],
-        title="Delta chains: incremental vs full checkpoint payloads "
-        "(bytes written, chain-aware restart)",
-        float_fmt="{:.3f}",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -937,29 +764,16 @@ class IOverlapRow:
     fail_makespan_ns: int = 0
 
 
-def _ioverlap_backend(
-    async_flush: bool, pfs_period: int, pfs_read_gb_s: Optional[float]
-) -> TieredBackend:
-    """RAM every round + PFS every ``pfs_period``-th, with a realistic
-    asymmetric PFS read side for the restart path."""
-    plan = MultiLevelPlan(
-        tiers=[ram_tier(), pfs_tier(read_gb_s=pfs_read_gb_s)],
-        periods=[1, pfs_period],
-    )
-    return TieredBackend(plan, async_flush=async_flush)
-
-
 def ioverlap(
     apps: Sequence[str] = IOVERLAP_APPS,
     k: Optional[int] = None,
     checkpoint_every: int = 1,
     pfs_period: int = 4,
     pfs_read_gb_s: Optional[float] = 24.0,
-    plan: Optional[str] = None,
+    storage: Optional[str] = None,
     fail_rank: int = 0,
-    nranks: Optional[int] = None,
-    ranks_per_node: Optional[int] = None,
-    overrides: Optional[Dict[str, dict]] = None,
+    nranks: int = 128,
+    ranks_per_node: int = 8,
 ) -> List[IOverlapRow]:
     """Sync vs async checkpoint flush per app.
 
@@ -970,52 +784,47 @@ def ioverlap(
     cancelled with the node and recovery restarts from the last *fully
     drained* round, read back as overlapping flows.
 
-    ``plan`` overrides the built-in ram+pfs plan with a spec string (the
+    The built-in plan is RAM every round + PFS every ``pfs_period``-th,
+    with a realistic asymmetric PFS read side for the restart path;
+    ``storage`` replaces it with the spec string of a sync plan (the
     async variant is derived by appending ``:async``)."""
-    n = nranks or bench_nranks()
-    rpn = ranks_per_node or bench_ranks_per_node()
-    k = k or max(2, n // rpn)
+    if storage is not None and storage.endswith(":async"):
+        raise ValueError(
+            f"storage {storage!r}: pass the base (sync) plan; ioverlap "
+            "derives the async variant itself"
+        )
+    world = _paper_world(ranks_per_node)
+    cm = ClusterMap.block(nranks, k or max(2, nranks // ranks_per_node))
     rows: List[IOverlapRow] = []
 
-    def backend(async_flush: bool) -> StorageBackend:
-        if plan is not None:
-            return make_backend(plan + ":async" if async_flush else plan)
-        return _ioverlap_backend(async_flush, pfs_period, pfs_read_gb_s)
+    def cfg(name: str, async_flush: bool) -> SPBCConfig:
+        if storage is not None:
+            backend = storage + ":async" if async_flush else storage
+        else:
+            tiers = [ram_tier(), pfs_tier(read_gb_s=pfs_read_gb_s)]
+            levels = MultiLevelPlan(tiers=tiers, periods=[1, pfs_period])
+            backend = TieredBackend(levels, async_flush=async_flush)
+        return _checkpointing(name, cm, backend, checkpoint_every=checkpoint_every)
 
     for name in apps:
-        app = app_factory(name, (overrides or {}).get(name))
-        cm = ClusterMap.block(n, k)
-
-        def cfg(async_flush: bool) -> SPBCConfig:
-            return SPBCConfig(
-                clusters=cm,
-                checkpoint_every=checkpoint_every,
-                storage=backend(async_flush),
-                state_nbytes=app_profile(name).total_bytes,
-            )
-
+        app = app_factory(name)
         probes: Dict[str, RunResult] = {}
         for mode, async_flush in (("sync", False), ("async", True)):
-            res = run_spbc(
-                app, n, cm, config=cfg(async_flush),
-                ranks_per_node=rpn, net_params=PAPER_NET, trace=False,
-            )
+            res = run_spbc(app, nranks, cm, config=cfg(name, async_flush), **world)
             probes[mode] = res
             b = res.hooks.storage
             rows.append(
                 IOverlapRow(
                     app=name,
                     mode=mode,
-                    nranks=n,
-                    rounds=max(
-                        (len(b.rounds_of(r)) for r in range(n)), default=0
-                    ),
+                    nranks=nranks,
+                    rounds=_rounds(b, nranks),
                     stall_ms_per_rank=(
-                        res.hooks.total_checkpoint_stall_ns() / n / 1e6
+                        res.hooks.total_checkpoint_stall_ns() / nranks / 1e6
                     ),
-                    write_ms_per_rank=b.write_ns_total / n / 1e6,
+                    write_ms_per_rank=b.write_ns_total / nranks / 1e6,
                     bg_write_ms_per_rank=(
-                        getattr(b, "background_write_ns_total", 0) / n / 1e6
+                        getattr(b, "background_write_ns_total", 0) / nranks / 1e6
                     ),
                     peak_pfs_writers=res.hooks.peak_concurrent_pfs_writers(),
                     makespan_ns=res.makespan_ns,
@@ -1050,10 +859,9 @@ def ioverlap(
             continue  # app too short for a two-PFS-round story
         fail_at, inflight_round, last_drained = target
         out = run_online_failure(
-            app, n, cm,
+            app, nranks, cm,
             fail_at_ns=fail_at, fail_rank=fail_rank,
-            config=cfg(True), failure_kind="node",
-            ranks_per_node=rpn, net_params=PAPER_NET, trace=False,
+            config=cfg(name, True), failure_kind="node", **world,
         )
         ev = out.manager.failures[0]
         arow.fail_at_ns = fail_at
@@ -1066,37 +874,172 @@ def ioverlap(
     return rows
 
 
-def format_ioverlap(rows: List[IOverlapRow]) -> str:
-    return format_table(
-        ["app", "mode", "rounds", "stall ms/rk", "write ms/rk",
-         "bg ms/rk", "peak pfs", "makespan (ms)", "inflight",
-         "drained", "from", "cancelled", "tier"],
-        [
-            [r.app, r.mode, r.rounds, r.stall_ms_per_rank,
-             r.write_ms_per_rank, r.bg_write_ms_per_rank,
-             r.peak_pfs_writers, r.makespan_ns / 1e6,
-             r.inflight_round or "-", r.last_drained_round or "-",
-             r.restarted_from_round or "-",
-             r.cancelled_flushes or "-", r.restored_tier or "-"]
-            for r in rows
-        ],
-        title="I/O overlap: sync vs async checkpoint flush "
+# ----------------------------------------------------------------------
+# The experiment table: one row per committed artefact
+# ----------------------------------------------------------------------
+
+#: A table cell: the name of a row attribute, or a function of the row.
+Cell = Union[str, Callable[[Any], object]]
+
+
+def _cell(cell: Cell, row) -> object:
+    return getattr(row, cell) if isinstance(cell, str) else cell(row)
+
+
+def _pivot(rows: Sequence, columns: Dict[str, Cell], across: str):
+    """Lay ``rows`` out as one line per value of the first column and,
+    per value of attribute ``across``, one group of the other columns
+    (their headers are patterns filled with that value); a missing
+    combination shows as nan."""
+    (first, key), *cells = columns.items()
+    by = {(_cell(key, r), getattr(r, across)): r for r in rows}
+    groups = sorted({g for _, g in by})
+    headers = [first] + [h.format(g) for g in groups for h, _ in cells]
+    body = [
+        [line] + [
+            _cell(c, by[line, g]) if (line, g) in by else float("nan")
+            for g in groups for _, c in cells
+        ]
+        for line in sorted({line for line, _ in by})
+    ]
+    return headers, body
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One committed artefact: how to regenerate it and how to print it.
+
+    ``driver``'s defaults are the committed arguments; ``args`` holds
+    the ones an artefact differs by when it shares a driver.  ``flags``
+    names the driver keywords the CLI may set (each is a flag's argparse
+    dest, and its parsed value is passed as is).  ``columns`` maps each
+    header to a :data:`Cell`; with ``pivot`` the first column keys the
+    lines and the others repeat once per value of that attribute.
+    ``artefact`` names the results JSON when it is not the command."""
+
+    driver: Callable[..., list]
+    title: str
+    columns: Dict[str, Cell]
+    float_fmt: str = "{:.3f}"
+    args: Dict[str, Any] = field(default_factory=dict)
+    flags: AbstractSet[str] = frozenset()
+    pivot: Optional[str] = None
+    artefact: Optional[str] = None
+
+    def run(self, **kwargs) -> list:
+        """The driver's rows; ``kwargs`` (scale, apps, flag keywords)
+        override the committed arguments."""
+        return self.driver(**{**self.args, **kwargs})
+
+    def render(self, rows: Sequence) -> str:
+        if self.pivot:
+            headers, body = _pivot(rows, self.columns, self.pivot)
+        else:
+            headers = list(self.columns)
+            body = [[_cell(c, r) for c in self.columns.values()] for r in rows]
+        return format_table(headers, body, title=self.title, float_fmt=self.float_fmt)
+
+
+_TABLE2 = Experiment(
+    table2_failure_free_overhead,
+    "Table 2: failure-free overhead of SPBC",
+    {"app": "app", "clusters": "k",
+     "native (ms)": lambda r: r.native_ns / 1e6,
+     "SPBC (ms)": lambda r: r.spbc_ns / 1e6, "overhead %": "overhead_pct"},
+)
+
+#: Every artefact ``python -m repro`` and ``pytest benchmarks/`` produce.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "table1": Experiment(
+        table1_log_growth,
+        "Table 1: log growth rate per process (MB/s)",
+        {"clusters": "k", "{}.avg": "avg_mb_s", "{}.max": "max_mb_s"},
+        float_fmt="{:.2f}",
+        pivot="app",
+    ),
+    "table2": _TABLE2,
+    # Section 6.3's sweep: one app is enough for the trend.
+    "table2_sweep": replace(
+        _TABLE2, args=dict(apps=("minighost",), ks=(2, 4, 8, 16))
+    ),
+    "fig5": Experiment(
+        fig5_recovery,
+        "Figure 5: recovery time normalized to failure-free execution "
+        "(MPICH native = 1.0)",
+        {"app": "app", "{} clusters": "normalized"},
+        pivot="k",
+    ),
+    "fig6": Experiment(
+        fig6_hydee_vs_spbc,
+        "Figure 6: recovery time normalized to failure-free "
+        "(8 clusters, NAS benchmarks)",
+        {"app": "app", "SPBC": "spbc_normalized", "HydEE": "hydee_normalized",
+         "HydEE/SPBC": lambda r: r.hydee_normalized / r.spbc_normalized,
+         "replayed msgs": "records"},
+    ),
+    "ckptcost": Experiment(
+        checkpoint_cost,
+        "Checkpoint cost: tier plans x cluster counts "
+        "(write time charged to the simulation clock)",
+        {"app": "app", "clusters": "k", "plan": "plan", "rounds": "rounds",
+         "ckpt MB (avg)": "ckpt_mb_avg", "write ms/rank": "write_ms_per_rank",
+         "makespan (ms)": lambda r: r.makespan_ns / 1e6,
+         "slowdown %": "slowdown_pct"},
+        flags={"storage"},
+        artefact="checkpoint_cost",
+    ),
+    "blastradius": Experiment(
+        blastradius,
+        "Blast radius: per-node failures vs storage plans "
+        "(partner copies survive a single-node loss)",
+        {"app": "app", "plan": "plan", "kind": "kind",
+         "node": lambda r: "-" if r.failed_node is None else r.failed_node,
+         "restarted": "restarted_ranks", "rounds": "rounds_at_failure",
+         "from": "restarted_from_round", "lost": "lost_rounds",
+         "tier": lambda r: r.restored_tier or "scratch",
+         "invalidated": "invalidated_copies",
+         "recovery %": "recovery_overhead_pct"},
+        float_fmt="{:.2f}",
+        flags={"storage", "checkpoint_every", "mtbf_ns"},
+    ),
+    "auto_interval": Experiment(
+        auto_interval,
+        "Auto checkpoint interval: Young/Daly cadence vs the "
+        "analytic optimum (checkpoint_every='auto')",
+        {"app": "app", "cluster": "cluster", "every": "every",
+         "predicted": "predicted_every", "iter (ms)": lambda r: r.iter_ns / 1e6,
+         "ckpt cost (ms)": lambda r: r.ckpt_cost_ns / 1e6,
+         "T_opt (ms)": lambda r: r.t_opt_ns / 1e6, "commits": "commits"},
+        flags={"storage", "mtbf_ns"},
+    ),
+    "deltachain": Experiment(
+        deltachain,
+        "Delta chains: incremental vs full checkpoint payloads "
+        "(bytes written, chain-aware restart)",
+        {"app": "app", "mode": "mode", "rounds": "rounds",
+         "full": "full_payloads", "delta": "delta_payloads", "raw MB": "raw_mb",
+         "written MB": "written_mb", "compress ms/rk": "compress_ms_per_rank",
+         "write ms/rk": "write_ms_per_rank",
+         "makespan (ms)": lambda r: r.makespan_ns / 1e6,
+         "from": "restarted_from_round",
+         "tier": lambda r: r.restored_tier or "scratch",
+         "restore read (ms)": lambda r: r.restore_read_ns / 1e6},
+        flags={"ckpt_data", "storage"},
+    ),
+    "ioverlap": Experiment(
+        ioverlap,
+        "I/O overlap: sync vs async checkpoint flush "
         "(background PFS drain; crash mid-flush restarts from the "
         "last drained round)",
-        float_fmt="{:.3f}",
-    )
-
-
-def format_auto_interval(rows: List[AutoIntervalRow]) -> str:
-    return format_table(
-        ["app", "cluster", "every", "predicted", "iter (ms)",
-         "ckpt cost (ms)", "T_opt (ms)", "commits"],
-        [
-            [r.app, r.cluster, r.every, r.predicted_every, r.iter_ns / 1e6,
-             r.ckpt_cost_ns / 1e6, r.t_opt_ns / 1e6, r.commits]
-            for r in rows
-        ],
-        title="Auto checkpoint interval: Young/Daly cadence vs the "
-        "analytic optimum (checkpoint_every='auto')",
-        float_fmt="{:.3f}",
-    )
+        {"app": "app", "mode": "mode", "rounds": "rounds",
+         "stall ms/rk": "stall_ms_per_rank", "write ms/rk": "write_ms_per_rank",
+         "bg ms/rk": "bg_write_ms_per_rank", "peak pfs": "peak_pfs_writers",
+         "makespan (ms)": lambda r: r.makespan_ns / 1e6,
+         "inflight": lambda r: r.inflight_round or "-",
+         "drained": lambda r: r.last_drained_round or "-",
+         "from": lambda r: r.restarted_from_round or "-",
+         "cancelled": lambda r: r.cancelled_flushes or "-",
+         "tier": lambda r: r.restored_tier or "-"},
+        flags={"storage"},
+    ),
+}

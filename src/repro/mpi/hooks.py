@@ -3,8 +3,6 @@
 The MPI runtime calls into a :class:`ProtocolHooks` object at every point
 a checkpointing protocol needs to observe or steer the library:
 
-* ``message_ident`` / ``request_ident`` — SPBC stamps the active
-  ``(pattern_id, iteration_id)`` here (section 5.2.1);
 * ``match_allowed`` — the modified MPICH matching function: message and
   request match only if their identifiers agree;
 * ``on_send`` — sender-side logging (Algorithm 1 lines 3-9) and the
@@ -24,9 +22,7 @@ no-op, so the runtime behaves like plain MPI.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Tuple
-
-from repro.mpi.constants import DEFAULT_IDENT
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.message import Envelope
@@ -39,13 +35,6 @@ class ProtocolHooks:
 
     def attach(self, runtime: "MPIRuntime") -> None:
         """Called once when the runtime for one rank is created."""
-
-    # -- identifier stamping ------------------------------------------
-    def message_ident(self, runtime: "MPIRuntime") -> Tuple[int, int]:
-        return DEFAULT_IDENT
-
-    def request_ident(self, runtime: "MPIRuntime") -> Tuple[int, int]:
-        return DEFAULT_IDENT
 
     # -- matching ------------------------------------------------------
     def match_allowed(self, req: "RecvRequest", env: "Envelope") -> bool:

@@ -68,8 +68,8 @@ class MPIRuntime:
         self._eager_threshold = world.eager_threshold
         self._comms = world.comms.comms  # cached: one dict hit per deliver
         # Identifier-stamping capability: set by the protocol at attach()
-        # (SPBC with ident_matching).  When False, messages/requests carry
-        # DEFAULT_IDENT without a per-call hook dispatch.
+        # (SPBC with ident_matching).  When False, messages, receives and
+        # probes carry DEFAULT_IDENT.
         self.stamp_idents = False
         # Protocol-owned per-rank state, cached here by SPBC at attach()
         # and restore_rank() so the per-message hooks skip a dict lookup.
@@ -710,7 +710,7 @@ class MPIRuntime:
             tag=tag,
             comm_id=comm.comm_id,
             req_seq=-1,
-            ident=self.hooks.request_ident(self),
+            ident=self.active_ident if self.stamp_idents else DEFAULT_IDENT,
         )
         env = self.matching.probe(probe)
         if env is None:

@@ -90,6 +90,41 @@ def test_ident_matching_disabled_uses_default():
     assert all(e.ident == (0, 0) for e in res.trace.sends())
 
 
+def _probe_across_iterations(ctx, state=None):
+    """Rank 0 sends in iteration 2 of a pattern; rank 1 probes for it
+    from iteration 1, then from iteration 2, then receives it."""
+    pattern = ctx.declare_pattern()
+    if ctx.rank == 0:
+        for it in (1, 2):
+            ctx.begin_iteration(pattern)
+            if it == 2:
+                yield from ctx.send(1, "x", nbytes=64, tag=7)
+            ctx.end_iteration(pattern)
+        return None
+    yield from ctx.compute(1_000_000)  # the message has long arrived
+    seen = []
+    for it in (1, 2):
+        ctx.begin_iteration(pattern)
+        seen.append(ctx.iprobe(src=0, tag=7)[0])
+        if it == 2:
+            yield from ctx.recv(0, tag=7)
+        ctx.end_iteration(pattern)
+    return seen
+
+
+@pytest.mark.parametrize("ident_matching,seen", [
+    (True, [False, True]),  # another iteration's message is invisible
+    (False, [True, True]),  # stock matching sees it at once
+])
+def test_iprobe_respects_pattern_iteration(ident_matching, seen):
+    clusters = ClusterMap.singletons(2)
+    cfg = SPBCConfig(clusters=clusters, ident_matching=ident_matching)
+    res = run_spbc(
+        _probe_across_iterations, 2, clusters, config=cfg, ranks_per_node=2
+    )
+    assert res.results[1] == seen
+
+
 def test_seqnums_per_channel_monotone_gapless():
     app = get_app("milc").factory(iters=2, compute_ns=10_000)
     res = run_spbc(app, 8, ClusterMap.block(8, 2), ranks_per_node=4)

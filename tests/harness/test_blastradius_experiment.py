@@ -3,12 +3,7 @@
 import pytest
 
 from repro.core.clusters import ClusterMap
-from repro.harness.experiments import (
-    auto_interval,
-    blastradius,
-    format_auto_interval,
-    format_blastradius,
-)
+from repro.harness.experiments import EXPERIMENTS, auto_interval, blastradius
 from repro.harness.runner import run_failure_schedule
 from repro.apps.synthetic import ring_app
 
@@ -46,7 +41,7 @@ def test_blastradius_rows_show_partner_advantage():
     # only the failed node's cluster restarted (blast containment)
     for r in rows:
         assert r.restarted_ranks == 2
-    rendered = format_blastradius(rows)
+    rendered = EXPERIMENTS["blastradius"].render(rows)
     assert any(
         "partner" in line and "no-partner" not in line
         for line in rendered.splitlines()
@@ -65,5 +60,5 @@ def test_auto_interval_rows_match_young_daly_within_one_iteration():
     for r in rows:
         assert r.iter_ns > 0 and r.t_opt_ns > 0
         assert abs(r.every - r.predicted_every) <= 1
-    rendered = format_auto_interval(rows)
+    rendered = EXPERIMENTS["auto_interval"].render(rows)
     assert "T_opt" in rendered

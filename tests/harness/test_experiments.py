@@ -6,10 +6,9 @@ import pytest
 
 from repro.core.clusters import ClusterMap
 from repro.harness.experiments import (
+    EXPERIMENTS,
     LoggingRun,
     cluster_counts,
-    format_fig5,
-    format_table1,
     make_logging_run,
     table1_log_growth,
     Fig5Row,
@@ -65,7 +64,7 @@ def test_table1_row_and_formatting():
         assert r.max_mb_s >= r.avg_mb_s - eps
         assert r.avg_mb_s >= r.min_mb_s - eps
         assert r.min_mb_s >= 0
-    text = format_table1(rows)
+    text = EXPERIMENTS["table1"].render(rows)
     assert "ring.avg" in text and "ring.max" in text
 
 
@@ -74,7 +73,7 @@ def test_fig5_formatting_grid():
         Fig5Row(app="a", k=2, rework_ns=90, native_ns=100, replayed_records=1, replayed_bytes=10),
         Fig5Row(app="a", k=4, rework_ns=80, native_ns=100, replayed_records=2, replayed_bytes=20),
     ]
-    text = format_fig5(rows)
+    text = EXPERIMENTS["fig5"].render(rows)
     assert "0.900" in text and "0.800" in text
     assert "2 clusters" in text and "4 clusters" in text
     assert rows[0].normalized == pytest.approx(0.9)

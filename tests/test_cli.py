@@ -1,16 +1,21 @@
 """CLI entry point (`python -m repro ...`)."""
 
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.__main__ import main
+from repro.harness.experiments import EXPERIMENTS
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("REPRO_BENCH_RANKS", raising=False)
-    monkeypatch.delenv("REPRO_BENCH_RPN", raising=False)
+def _rejected(argv, capsys) -> str:
+    """``main(argv)`` must stop at argument parsing with exit status 2;
+    returns what it printed on stderr."""
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    return capsys.readouterr().err
 
 
 def test_apps_listing(capsys):
@@ -28,9 +33,9 @@ def test_table1_small_scale(capsys):
 
 
 def test_scale_flags_reach_the_driver_not_the_environment(capsys):
-    """--ranks/--rpn are arguments to the drivers; REPRO_BENCH_* stays
-    the scale setting of ``pytest benchmarks/`` and main() never writes
-    it (it used to, and later-collected benchmarks inherited the scale)."""
+    """--ranks/--rpn are arguments to the drivers, and main() never
+    writes the environment (it used to, and later-collected benchmarks
+    inherited the scale)."""
     before = dict(os.environ)
     assert main(["table1", "--ranks", "8", "--rpn", "4", "--apps", "minife"]) == 0
     rows = capsys.readouterr().out.splitlines()[3:]
@@ -39,9 +44,47 @@ def test_scale_flags_reach_the_driver_not_the_environment(capsys):
     assert dict(os.environ) == before
 
 
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_cli_passes_the_row_only_the_scale(name, monkeypatch, capsys):
+    """``benchmarks/test_*.py`` runs ``EXPERIMENTS[name].run(**scale)``;
+    the command adds nothing beyond the scale either, so without flags
+    it prints the committed table."""
+    calls = []
+
+    def driver(**kwargs):
+        calls.append(kwargs)
+        return []
+
+    row = replace(EXPERIMENTS[name], driver=driver)
+    monkeypatch.setitem(EXPERIMENTS, name, row)
+    assert main([name, "--ranks", "8", "--rpn", "2"]) == 0
+    assert capsys.readouterr().out == row.render([]) + "\n"
+    assert calls == [dict(row.args, nranks=8, ranks_per_node=2)]
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         main(["tableX"])
+
+
+#: Each driver flag's argparse dest, its option and a well-formed value.
+DRIVER_FLAGS = {
+    "storage": ("--storage", "memory"),
+    "ckpt_data": ("--ckpt-data", "full"),
+    "checkpoint_every": ("--checkpoint-every", "2"),
+    "mtbf_ns": ("--mtbf", "1"),
+}
+
+
+@pytest.mark.parametrize("name,dest", [
+    (name, dest)
+    for name, row in EXPERIMENTS.items()
+    for dest in DRIVER_FLAGS if dest not in row.flags
+])
+def test_flag_the_experiment_does_not_accept_is_rejected(name, dest, capsys):
+    flag, value = DRIVER_FLAGS[dest]
+    err = _rejected([name, "--ranks", "8", "--rpn", "2", flag, value], capsys)
+    assert f"{flag} is not accepted by {name}" in err
 
 
 def test_ckptcost_small_scale(capsys):
@@ -73,7 +116,8 @@ def test_blastradius_small_scale(capsys):
         "partner" in line and "no-partner" not in line
         for line in out.splitlines()
     )
-    assert "Auto checkpoint interval" in out
+    # One command, one artefact: the cadence report is auto_interval's.
+    assert "Auto checkpoint interval" not in out
 
 
 def test_blastradius_explicit_storage(capsys):
@@ -85,46 +129,63 @@ def test_blastradius_explicit_storage(capsys):
     assert "partner:ram@1,partner@1,pfs@3" in out
 
 
-def test_blastradius_rejects_malformed_storage(capsys):
-    assert main(
-        ["blastradius", "--ranks", "8", "--rpn", "2",
-         "--storage", "tiered:floppy@1"]
-    ) == 2
-    err = capsys.readouterr().err
-    assert "'floppy'" in err and "ram" in err
+@pytest.mark.parametrize("bad,token", [
+    ("tiered:floppy@1", "'floppy'"),  # unknown tier
+    ("warp@1", "'warp@1'"),  # unknown backend
+])
+@pytest.mark.parametrize(
+    "name", [n for n, e in EXPERIMENTS.items() if "storage" in e.flags]
+)
+def test_malformed_storage_rejected(name, bad, token, capsys):
+    err = _rejected([name, "--ranks", "8", "--rpn", "2", "--storage", bad], capsys)
+    assert "--storage" in err and token in err
 
 
 def test_blastradius_rejects_bad_checkpoint_every(capsys):
-    assert main(
-        ["blastradius", "--ranks", "8", "--rpn", "2",
-         "--checkpoint-every", "sometimes"]
-    ) == 2
-    assert "'sometimes'" in capsys.readouterr().err
-    assert main(
-        ["blastradius", "--ranks", "8", "--rpn", "2",
-         "--checkpoint-every", "0"]
-    ) == 2
-    assert ">= 1" in capsys.readouterr().err
+    for bad in ("sometimes", "0"):
+        err = _rejected(
+            ["blastradius", "--ranks", "8", "--rpn", "2",
+             "--checkpoint-every", bad], capsys,
+        )
+        assert "--checkpoint-every" in err and repr(bad) in err
+        assert ">= 1" in err
 
 
-def test_blastradius_rejects_nonpositive_mtbf(capsys):
-    assert main(
-        ["blastradius", "--ranks", "8", "--rpn", "2", "--mtbf", "-1"]
-    ) == 2
-    assert "MTBF" in capsys.readouterr().err
+@pytest.mark.parametrize("bad", ["-1", "0", "soon", "inf"])
+def test_nonpositive_mtbf_rejected(bad, capsys):
+    err = _rejected(
+        ["blastradius", "--ranks", "8", "--rpn", "2", "--mtbf", bad], capsys
+    )
+    assert "--mtbf" in err and repr(bad) in err
+    assert "MTBF must be positive" in err
 
 
-def test_blastradius_memory_storage_skips_auto_interval(capsys):
-    """The free store has no write cost: the blast table (the requested
-    artifact) still prints and the command succeeds; the Young/Daly
-    ride-along is skipped with an actionable note."""
+def test_blastradius_memory_storage_prints_its_one_table(capsys):
+    """The free store is a valid blastradius plan; the command prints
+    the blast table and nothing else."""
     assert main(
         ["blastradius", "--ranks", "8", "--rpn", "2", "--storage", "memory"]
     ) == 0
     out = capsys.readouterr().out
     assert "Blast radius" in out
-    assert "skipped" in out and "cost-modeled" in out
     assert "Auto checkpoint interval" not in out
+
+
+def test_auto_interval_small_scale(capsys):
+    assert main(
+        ["auto_interval", "--ranks", "8", "--rpn", "2", "--mtbf", "0.02"]
+    ) == 0
+    out = capsys.readouterr().out
+    assert "Auto checkpoint interval" in out and "T_opt" in out
+
+
+def test_auto_interval_with_memory_storage_rejected(capsys):
+    """The free store has no write cost for the Young/Daly controller to
+    optimize against."""
+    assert main(
+        ["auto_interval", "--ranks", "8", "--rpn", "2", "--storage", "memory"]
+    ) == 2
+    assert "cost-modeled" in capsys.readouterr().err
 
 
 def test_deltachain_small_scale(capsys):
@@ -146,28 +207,11 @@ def test_deltachain_explicit_ckpt_data_and_storage(capsys):
 
 
 def test_deltachain_rejects_malformed_ckpt_data(capsys):
-    assert main(
+    err = _rejected(
         ["deltachain", "--ranks", "8", "--rpn", "2",
-         "--ckpt-data", "incr:4:zstd"]
-    ) == 2
-    err = capsys.readouterr().err
+         "--ckpt-data", "incr:4:zstd"], capsys,
+    )
     assert "--ckpt-data" in err and "zstd" in err
-
-
-def test_deltachain_rejects_malformed_storage(capsys):
-    assert main(
-        ["deltachain", "--ranks", "8", "--rpn", "2",
-         "--storage", "tiered:floppy@1"]
-    ) == 2
-    assert "floppy" in capsys.readouterr().err
-
-
-def test_ckptcost_rejects_malformed_storage(capsys):
-    assert main(
-        ["ckptcost", "--ranks", "8", "--rpn", "2", "--storage", "warp@1"]
-    ) == 2
-    err = capsys.readouterr().err
-    assert "'warp@1'" in err
 
 
 def test_blastradius_auto_cadence_accepted(capsys):
@@ -175,8 +219,7 @@ def test_blastradius_auto_cadence_accepted(capsys):
         ["blastradius", "--ranks", "8", "--rpn", "2",
          "--checkpoint-every", "auto", "--mtbf", "0.02"]
     ) == 0
-    out = capsys.readouterr().out
-    assert "Blast radius" in out and "Auto checkpoint interval" in out
+    assert "Blast radius" in capsys.readouterr().out
 
 
 def test_blastradius_auto_with_memory_storage_rejected(capsys):
@@ -211,14 +254,6 @@ def test_ioverlap_rejects_async_spec(capsys):
     ) == 2
     err = capsys.readouterr().err
     assert "base" in err and "async" in err
-
-
-def test_ioverlap_rejects_malformed_storage(capsys):
-    assert main(
-        ["ioverlap", "--ranks", "8", "--rpn", "2",
-         "--storage", "tiered:floppy@1"]
-    ) == 2
-    assert "floppy" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
