@@ -35,7 +35,7 @@ from repro.core.clusters import ClusterMap
 from repro.core.protocol import SPBCConfig
 from repro.harness.experiments import PAPER_NET, app_factory
 from repro.harness.runner import run_spbc
-from repro.sim.eventq import BACKENDS
+from repro.sim.eventq import CalendarEventQueue, HeapEventQueue
 
 
 class Pair(NamedTuple):
@@ -126,8 +126,8 @@ def telemetry_pair(pairs: int) -> Pair:
 def hold_once(queue, depth: int, nops: int = 200_000, seed: int = 42) -> float:
     """One hold-model run — the classic calendar-queue benchmark: fill
     ``queue`` to ``depth``, then ``nops`` pops, each rescheduling itself
-    ``+Exp(1 µs)`` ahead.  The rng is reseeded per run so every backend
-    replays the identical event stream.  Returns events per second over
+    ``+Exp(1 µs)`` ahead.  The rng is reseeded per run so both queues
+    replay the identical event stream.  Returns events per second over
     the timed pops."""
     expo = random.Random(seed).expovariate
     rate = 1.0 / 1_000
@@ -152,8 +152,8 @@ def hold_pair(depth: int) -> Pair:
     O(log n) sifts that grow with depth, the wheel's buckets stay flat."""
     return _best_pair(alternating(
         2,
-        lambda: hold_once(BACKENDS["wheel"](), depth),
-        lambda: hold_once(BACKENDS["heap"](), depth),
+        lambda: hold_once(CalendarEventQueue(), depth),
+        lambda: hold_once(HeapEventQueue(), depth),
     ), best=max)
 
 

@@ -894,7 +894,7 @@ class World:
         eager_threshold: int = DEFAULT_EAGER_THRESHOLD,
         telemetry: Any = None,
     ) -> None:
-        self.engine = Engine()
+        self.engine = self._make_engine(nranks)
         # Resolve telemetry before anything touches the engine: runtime
         # construction already runs protocol attach hooks (which bind
         # the storage backend and its I/O scheduler to this engine).
@@ -920,6 +920,12 @@ class World:
         # other call site so disabled telemetry is never even invoked.
         if self.telemetry.enabled:
             self.telemetry.start_queue_sampler(self.engine)
+
+    def _make_engine(self, nranks: int) -> Engine:
+        """Subclass hook: the engine, sized by the ranks it executes
+        (its event queue is picked from that count); a shard executes
+        only its owned ranks."""
+        return Engine(nranks)
 
     def _make_network(self, net_params: Optional[NetworkParams], seed: int) -> Network:
         """Subclass hook: the sharded world (repro.sim.shard) swaps in a

@@ -5,10 +5,11 @@ Design notes
 * The pending-event set holds ``(time_ns, seq, handle, fn, args)`` tuples
   where ``seq`` is a global monotone counter assigned at scheduling time.
   Two events at the same virtual time therefore fire in scheduling order,
-  making whole executions reproducible byte-for-byte.  The container is a
-  pluggable :mod:`repro.sim.eventq` backend — an adaptive calendar queue
-  by default, the classic binary heap under ``REPRO_EVENTQ=heap`` — both
-  draining in identical ``(time_ns, seq)`` order.
+  making whole executions reproducible byte-for-byte.  The container is
+  one of the :mod:`repro.sim.eventq` queues, picked once from the number
+  of ranks the engine executes — the binary heap for small worlds, a
+  calendar queue for deep ones — both draining in identical
+  ``(time_ns, seq)`` order.
 * Blocking is expressed with :class:`Trigger` objects.  A process
   generator yields a trigger and is resumed with ``trigger.value`` once it
   fires.  Triggers are single-fire.  ``AnyOf``/``AllOf`` compose them.
@@ -113,11 +114,12 @@ class Engine:
         "telemetry",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, nranks: int = 0) -> None:
         self.now: int = 0
-        # Pending-event set (repro.sim.eventq); _push is the bound insert
-        # method, cached because every scheduling path goes through it.
-        self._eq = make_event_queue()
+        # Pending-event set (repro.sim.eventq), sized by the ranks this
+        # engine executes; _push is the bound insert method, cached
+        # because every scheduling path goes through it.
+        self._eq = make_event_queue(nranks)
         self._push = self._eq.push
         self._seq: int = 0
         self._running = False
@@ -330,8 +332,8 @@ class Engine:
     # ------------------------------------------------------------------
     # Warp support (see repro.sim.warp): shift every pending event and
     # the clock by a constant.  Adding the same delta to every key
-    # preserves all same-time sequencing exactly; the calendar backend
-    # does it in O(1) by rebasing its epoch offset.
+    # preserves all same-time sequencing exactly; either queue does it
+    # in O(pending).
     # ------------------------------------------------------------------
     def shift_pending(self, delta_ns: int) -> None:
         if delta_ns < 0:

@@ -1,59 +1,51 @@
-"""Pluggable event queues for the engine: binary heap and calendar queue.
+"""The engine's event queues: binary heap and calendar queue, one per
+world, picked from the number of ranks the world executes.
 
 The engine's pending-event set was a ``heapq`` of
 ``(time_ns, seq, handle, fn, args)`` tuples.  That is O(log n) per
-insert/pop, and once a shard carries thousands of in-flight sleeps,
+insert/pop, and once a world carries thousands of in-flight sleeps,
 flows, and mirrored storage records (4096-16384 rank runs), the heap's
-sift comparisons dominate the hot loop.  This module makes the queue a
-swappable component with two implementations:
+sift comparisons dominate the hot loop.  This module has two queues
+behind one protocol:
 
-* :class:`HeapEventQueue` — the original binary heap, kept selectable
-  (``REPRO_EVENTQ=heap``) as the differential-fuzz reference;
-* :class:`CalendarEventQueue` — an adaptive calendar queue / timing
-  wheel (``REPRO_EVENTQ=wheel``, the default): below the measured
-  crossover depth it simply *is* a heap (tiny mode — everything in the
-  spine), and past it near-future events land in fixed-width buckets
+* :class:`HeapEventQueue` — the binary heap.  It serves every world
+  below :data:`CALENDAR_MIN_RANKS` ranks, where the C ``heapq`` beats
+  pure-Python bucket management, and is the executable reference the
+  differential tests hold the calendar against;
+* :class:`CalendarEventQueue` — a calendar queue / timing wheel for
+  deep worlds: near-future events land in fixed-width buckets
   (amortized O(1) insert/pop), far-future events (MTBF-scale failure
   arrivals, horizon caps) overflow into a small sorted spine, and the
   bucket width is re-calibrated from the observed pending-time
   distribution whenever the calendar is rebuilt.
 
-Exactness contract (shared by both backends, property-tested in
+:func:`make_event_queue` picks one from a world's rank count, once, at
+engine construction: pending populations track rank count (a 128-rank
+run peaks near a thousand pending events, a 4096-rank run keeps almost
+every push above 2 048), so the rank count is the depth the choice
+needs, known before the first event.
+
+Exactness contract (shared by both queues, property-tested in
 ``tests/sim/test_eventq.py`` and differentially fuzzed against each
 other in ``tests/integration/test_eventq_differential.py``):
 
 * events drain in strict ``(time_ns, seq)`` order — ``seq`` is unique,
   so two events never tie and whole executions are byte-for-byte
-  identical regardless of backend;
-* ``peek_time`` returns the raw head's absolute time (cancelled or
-  not), matching the old ``heap[0][0]`` deadline check in ``run()``;
+  identical regardless of the queue;
+* ``peek_time`` returns the raw head's time (cancelled or not),
+  matching the old ``heap[0][0]`` deadline check in ``run()``;
 * ``next_live_time`` additionally discards cancelled heads, matching
   ``Engine.next_event_time`` (the conservative shard coordinator's
   safe-horizon peek);
-* ``shift_all`` adds a constant to every pending time.  The heap
-  rewrites its tuples; the wheel just moves its epoch ``offset`` — the
-  O(1) rebase that makes a steady-state warp jump independent of queue
-  depth.
+* ``shift_all`` adds a constant to every pending time, in O(n) on both
+  queues: the heap rewrites its tuples, the calendar rebuilds around
+  the shifted population.
 
 Calendar internals
 ------------------
-The queue is adaptive in *representation*, not just in geometry: below
-``TINY_MAX`` pending events the whole population lives in the overflow
-spine and every operation is a plain C ``heapq`` op — at shallow depth
-(a 128-rank run peaks at ~128 pending events) the heap's constant
-factor beats pure-Python bucket management by ~10%, and the hold-model
-microbenchmark only shows the calendar winning past a few thousand
-events.  Crossing ``TINY_MAX`` migrates into buckets via one rebuild;
-a day that drains empty with at most ``TINY_MIN`` spine survivors
-collapses back (a 4x hysteresis band, so a population hovering near
-the threshold doesn't thrash migrations).  Both representations drain
-the identical ``(time_ns, seq)`` total order, so the migration is
-invisible to the execution.
-
-Times are stored *internally* as ``t_abs - offset`` so ``shift_all`` is
-a single integer add.  Buckets are modular — an event at internal time
-``t`` lives in bucket ``(t // width) % nbuckets`` — and the placement
-horizon ``limit`` slides forward with the cursor, always one full day
+Buckets are modular — an event at time ``t`` lives in bucket
+``(t // width) % nbuckets`` — and the placement horizon ``limit``
+slides forward with the cursor, always one full day
 (``nbuckets * width``) ahead of it.  The sliding window is the load-
 bearing choice: with a *fixed* day, the steady-state reschedule traffic
 (every drained compute sleep scheduling its successor one period ahead)
@@ -73,7 +65,8 @@ buckets are unsorted append lists, sorted once when the cursor reaches
 them.  Anything at or past ``limit`` goes to the spine (a heap), which
 drains back into buckets as the horizon slides over it.  When a full
 lap finds every bucket empty, the window jumps straight to the spine's
-minimum — a far-future idle stretch costs one jump, not a crawl.
+minimum — a far-future idle stretch costs one jump, not a crawl — or,
+with the spine empty too, the calendar resets to its default geometry.
 
 Deliberately *not* a resize trigger: raw bucket occupancy.
 Collective-heavy workloads park thousands of events on one timestamp
@@ -94,7 +87,9 @@ fast path.
 Rebuilds happen when the spine floods (the day is undersized: grow),
 when an empty-lap jump finds the population far below the bucket count
 (the day is oversized: shrink), or when deep-insert churn passes
-``CHURN_CAP`` (the width is too coarse: spread).  A rebuild sizes the
+``CHURN_CAP`` (the width is too coarse: spread; a spread that does not
+stop the churn raises the cap to the population, so futile spreads
+cost O(1) amortised per deep insert).  A rebuild sizes the
 bucket count to ~2x the square root of the live population (laps and
 bucket occupancy both stay modest; power of two in
 ``[MIN_BUCKETS, MAX_BUCKETS]``, with a 4x dead band before shrinking) —
@@ -108,18 +103,20 @@ microsecond-scale bulk.
 
 from __future__ import annotations
 
-import os
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from heapq import heapify, heappop, heappush
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple, Union
 
-#: (time_ns, seq, handle, fn, args) — absolute virtual time, globally
-#: unique monotone seq, optional EventHandle, callback, args.
+#: (time_ns, seq, handle, fn, args) — virtual time, globally unique
+#: monotone seq, optional EventHandle, callback, args.
 Item = Tuple[int, int, object, object, tuple]
 
-#: Environment variable selecting the backend ("wheel" | "heap").
-EVENTQ_ENV = "REPRO_EVENTQ"
-DEFAULT_BACKEND = "wheel"
+#: Worlds executing at least this many ranks get the calendar queue,
+#: smaller ones the heap.  In full runs on a 2-core host the heap led by
+#: 1-9 % at 128-512 ranks and the calendar by 9 % at 4096, where 98.7 %
+#: of pushes find more than 2 048 events pending (docs/performance.md,
+#: "The event queue").
+CALENDAR_MIN_RANKS = 1 << 11
 
 MIN_BUCKETS = 32
 MAX_BUCKETS = 1 << 16
@@ -133,32 +130,20 @@ SPINE_CAP = 1 << 10
 #: is a "deep" insert (an O(bucket) memmove, not a cheap append).
 DEEP_INSERT = 64
 #: Deep inserts since the last rebuild that trigger a spread-rebuild
-#: (the bucket width is too wide for a *distributed* population).
+#: (the bucket width is too wide for a *distributed* population); after
+#: a spread-rebuild the next one waits for the population's size.
 #: Swept on the committed 4096-rank op trace: larger caps amortize the
 #: O(n) rebuilds better (79 rebuilds vs 575 at cap=64) without letting
 #: the deep-insert memmoves run long enough to matter.
 CHURN_CAP = 1 << 10
 #: Per-bucket occupancy a spread-rebuild aims for.
 TARGET_OCC = 32
-#: Population above which the queue migrates from the plain-heap (tiny)
-#: representation into buckets.  Below the crossover the C-implemented
-#: ``heapq`` beats pure-Python bucket management (measured ~10% on
-#: 128-rank full runs, parity at depth ~1000 in the hold model), so the
-#: adaptive queue simply *is* a heap until the population justifies the
-#: calendar.
-TINY_MAX = 1 << 11
-#: Population at or below which an empty day collapses back to the tiny
-#: representation (4x hysteresis below TINY_MAX so a population
-#: hovering near the threshold doesn't thrash migrations).
-TINY_MIN = 1 << 9
 
 
 class HeapEventQueue:
-    """The original binary-heap pending set behind the queue protocol."""
+    """The binary-heap pending set behind the queue protocol."""
 
     __slots__ = ("_heap",)
-
-    name = "heap"
 
     def __init__(self) -> None:
         self._heap: List[Item] = []
@@ -206,10 +191,9 @@ class HeapEventQueue:
 
 
 class CalendarEventQueue:
-    """Adaptive calendar queue / timing wheel (see module docstring)."""
+    """Calendar queue / timing wheel (see module docstring)."""
 
     __slots__ = (
-        "_offset",
         "_width",
         "_shift",
         "_mask",
@@ -223,52 +207,24 @@ class CalendarEventQueue:
         "_spine",
         "_spine_cap",
         "_churn",
-        "_tiny",
+        "_churn_cap",
         "resizes",
         "day_rolls",
     )
 
-    name = "wheel"
-
     def __init__(self) -> None:
-        self._offset = 0  # absolute = internal + offset (warp rebase)
-        self._width = DEFAULT_WIDTH_NS
-        self._shift = DEFAULT_WIDTH_NS.bit_length() - 1
-        self._mask = MIN_BUCKETS - 1
-        self._nbuckets = MIN_BUCKETS
-        self._curtime = 0  # lap start of the cursor bucket (internal)
-        self._limit = MIN_BUCKETS * DEFAULT_WIDTH_NS  # placement horizon
-        self._buckets: List[List[Item]] = [[] for _ in range(MIN_BUCKETS)]
-        self._cur = 0
-        self._curbuf = self._buckets[0]
-        self._curpos = 0
         self._spine: List[Item] = []
-        self._spine_cap = SPINE_CAP
         self._churn = 0
-        self._tiny = True  # start as a plain heap; migrate past TINY_MAX
         # Introspection for tests/benchmarks.
         self.resizes = 0
         self.day_rolls = 0
+        self._reset()
 
     # ------------------------------------------------------------------
     # Hot path
     # ------------------------------------------------------------------
     def push(self, item: Item) -> None:
         t = item[0]
-        offset = self._offset
-        if offset:
-            t -= offset
-            item = (t,) + item[1:]
-        if self._tiny:
-            # Below the crossover the whole queue lives in the spine —
-            # the adaptive queue *is* a binary heap until the population
-            # justifies bucket management.
-            spine = self._spine
-            heappush(spine, item)
-            if len(spine) > TINY_MAX:
-                self._tiny = False
-                self._rebuild()
-            return
         if t >= self._limit:
             # Beyond the sliding window: far-future spine.
             spine = self._spine
@@ -303,7 +259,7 @@ class CalendarEventQueue:
                         # collapsed into one wide bucket) is the one
                         # case where a narrower width genuinely helps.
                         self._churn += 1
-                        if self._churn > CHURN_CAP:
+                        if self._churn > self._churn_cap:
                             self._rebuild(spread=True)
             else:
                 # Fully drained: drop the consumed prefix (pops null
@@ -341,36 +297,16 @@ class CalendarEventQueue:
         # exactly like heappop: retaining the consumed prefix until the
         # bucket empties keeps thousands of dead tuples (and their args)
         # alive mid-day, bloating the allocator's working set.
-        if self._tiny:
-            spine = self._spine
-            if not spine:
-                return None
-            item = heappop(spine)
-            offset = self._offset
-            if offset:
-                return (item[0] + offset,) + item[1:]
-            return item
         buf = self._curbuf
         pos = self._curpos
-        if pos < len(buf):
-            self._curpos = pos + 1
-            item = buf[pos]
-            buf[pos] = None
-            offset = self._offset
-            if offset:
-                return (item[0] + offset,) + item[1:]
-            return item
-        if not self._advance():
-            if self._tiny:  # the empty day collapsed back to a heap
-                return self.pop()
-            return None
-        self._curpos = 1
-        buf = self._curbuf
-        item = buf[0]
-        buf[0] = None
-        offset = self._offset
-        if offset:
-            return (item[0] + offset,) + item[1:]
+        if pos >= len(buf):
+            if not self._advance():
+                return None
+            buf = self._curbuf
+            pos = 0
+        self._curpos = pos + 1
+        item = buf[pos]
+        buf[pos] = None
         return item
 
     def pop_until(self, until_ns: int) -> Optional[Item]:
@@ -378,37 +314,14 @@ class CalendarEventQueue:
         ``<= until_ns`` (popping it), else None (leaving it).  This is
         the windowed (PDES shard) hot path — one bounds check and one
         list index per event instead of two method calls."""
-        if self._tiny:
-            spine = self._spine
-            if not spine:
-                return None
-            item = spine[0]
-            offset = self._offset
-            t = item[0] + offset
-            if t > until_ns:
-                return None
-            heappop(spine)
-            if offset:
-                return (t,) + item[1:]
-            return item
         buf = self._curbuf
         pos = self._curpos
         if pos >= len(buf):
             if not self._advance():
-                if self._tiny:
-                    return self.pop_until(until_ns)
                 return None
             buf = self._curbuf
             pos = 0
         item = buf[pos]
-        offset = self._offset
-        if offset:
-            t = item[0] + offset
-            if t > until_ns:
-                return None
-            self._curpos = pos + 1
-            buf[pos] = None
-            return (t,) + item[1:]
         if item[0] > until_ns:
             return None
         self._curpos = pos + 1
@@ -416,36 +329,19 @@ class CalendarEventQueue:
         return item
 
     def peek_time(self) -> Optional[int]:
-        if self._tiny:
-            spine = self._spine
-            return spine[0][0] + self._offset if spine else None
         pos = self._curpos
         if pos >= len(self._curbuf):
             if not self._advance():
-                if self._tiny:
-                    return self.peek_time()
                 return None
             pos = 0
-        return self._curbuf[pos][0] + self._offset
+        return self._curbuf[pos][0]
 
     def next_live_time(self) -> Optional[int]:
         while True:
-            if self._tiny:
-                spine = self._spine
-                while spine:
-                    head = spine[0]
-                    handle = head[2]
-                    if handle is not None and handle.cancelled:
-                        heappop(spine)
-                        continue
-                    return head[0] + self._offset
-                return None
             pos = self._curpos
             buf = self._curbuf
             if pos >= len(buf):
                 if not self._advance():
-                    if self._tiny:
-                        continue
                     return None
                 buf = self._curbuf
                 pos = 0
@@ -455,13 +351,12 @@ class CalendarEventQueue:
                 self._curpos = pos + 1
                 buf[pos] = None
                 continue
-            return head[0] + self._offset
+            return head[0]
 
-    # ------------------------------------------------------------------
-    # Warp rebase: O(1) regardless of queue depth.
-    # ------------------------------------------------------------------
     def shift_all(self, delta_ns: int) -> None:
-        self._offset += delta_ns
+        """Add ``delta_ns`` to every pending time: one rebuild over the
+        shifted population, O(n) like the heap's tuple rewrite."""
+        self._rebuild(shift_ns=delta_ns)
 
     def __len__(self) -> int:
         # No hot-path occupancy counter; the few callers (deadlock check
@@ -473,20 +368,21 @@ class CalendarEventQueue:
         return n
 
     def __iter__(self) -> Iterator[Item]:
-        offset = self._offset
-        items = list(self._curbuf[self._curpos:])
+        return iter(self._pending())
+
+    # ------------------------------------------------------------------
+    # Cold paths: cursor advance, window jump, resize
+    # ------------------------------------------------------------------
+    def _pending(self) -> List[Item]:
+        """Every pending item, in unspecified order (a fresh list)."""
+        items = self._curbuf[self._curpos:]
         cur = self._cur
         for i, bucket in enumerate(self._buckets):
             if i != cur and bucket:
                 items.extend(bucket)
         items.extend(self._spine)
-        if offset:
-            return iter([(it[0] + offset,) + it[1:] for it in items])
-        return iter(items)
+        return items
 
-    # ------------------------------------------------------------------
-    # Cold paths: cursor advance, window jump, resize
-    # ------------------------------------------------------------------
     def _advance(self) -> bool:
         """Move the cursor to the next non-empty bucket, sliding the
         placement horizon with it and draining the spine as the horizon
@@ -508,17 +404,11 @@ class CalendarEventQueue:
             if scanned >= n:
                 # A full lap found nothing: the day is empty.  Jump the
                 # window straight to the spine's head — a far-future
-                # idle stretch costs one jump, not a bucket crawl — or
+                # idle stretch costs one jump, not a bucket crawl — or,
+                # with nothing left anywhere, reset the geometry and
                 # report the queue empty.
-                if len(spine) <= TINY_MIN:
-                    # The day drained empty and what is left (possibly
-                    # nothing) already lives in the spine — a heap —
-                    # below the crossover: collapse back to the tiny
-                    # representation and let the caller re-dispatch on
-                    # the ``_tiny`` flag.  (Reached at most once per
-                    # collapse — once tiny, the empty-queue checks
-                    # never call _advance again.)
-                    self._collapse_tiny()
+                if not spine:
+                    self._reset()
                     return False
                 if 4 * len(spine) < n and n > MIN_BUCKETS:
                     # The day is grossly oversized for what is left in
@@ -581,47 +471,42 @@ class CalendarEventQueue:
                 return True
             scanned += 1
 
-    def _collapse_tiny(self) -> None:
-        """Fall back to the tiny (plain heap) representation: whatever
-        remains pending must already live in ``_spine``.  Resets the
-        calendar geometry to defaults so the next population re-earns
-        its buckets via a fresh migration."""
-        self._tiny = True
-        self._nbuckets = MIN_BUCKETS
-        self._mask = MIN_BUCKETS - 1
+    def _reset(self) -> None:
+        """Default geometry around an empty day at time 0 (the queue
+        holds nothing)."""
         self._width = DEFAULT_WIDTH_NS
         self._shift = DEFAULT_WIDTH_NS.bit_length() - 1
-        self._buckets = [[] for _ in range(MIN_BUCKETS)]
+        self._mask = MIN_BUCKETS - 1
+        self._nbuckets = MIN_BUCKETS
+        self._buckets: List[List[Item]] = [[] for _ in range(MIN_BUCKETS)]
         self._cur = 0
-        self._curtime = 0
-        self._limit = MIN_BUCKETS * DEFAULT_WIDTH_NS
+        self._curtime = 0  # lap start of the cursor bucket
+        self._limit = MIN_BUCKETS * DEFAULT_WIDTH_NS  # placement horizon
         self._curbuf = self._buckets[0]
         self._curpos = 0
         self._spine_cap = SPINE_CAP
+        self._churn_cap = CHURN_CAP
 
-    def _rebuild(self, spread: bool = False) -> None:
+    def _rebuild(self, spread: bool = False, shift_ns: int = 0) -> None:
         """Resize the day to the live population and recalibrate the
-        bucket width from the pending time distribution.  ``spread``
-        (the deep-insert churn trigger) additionally forces the bucket
-        count high enough that the *average* occupancy lands near
+        bucket width from the pending time distribution, adding
+        ``shift_ns`` to every pending time on the way.  ``spread`` (the
+        deep-insert churn trigger) additionally forces the bucket count
+        high enough that the *average* occupancy lands near
         ``TARGET_OCC``, so a dense uniformly-distributed population
         stops collapsing into one wide bucket with O(bucket) inserts."""
-        items = self._curbuf[self._curpos:]
-        cur = self._cur
-        for i, bucket in enumerate(self._buckets):
-            if i != cur and bucket:
-                items.extend(bucket)
-        items.extend(self._spine)
-        # Cancelled-handle events are kept: the heap backend keeps them
-        # too (lazy cancellation), and shedding here would let ``len``
-        # and ``peek_time`` diverge between backends — observable via
-        # the deadlock check and the deadline clamp in ``run()``.
+        items = self._pending()
+        if shift_ns:
+            items = [(it[0] + shift_ns,) + it[1:] for it in items]
+        # Cancelled-handle events are kept: the heap keeps them too
+        # (lazy cancellation), and shedding here would let ``len`` and
+        # ``peek_time`` diverge between the queues — observable via the
+        # deadlock check and the deadline clamp in ``run()``.
         self.resizes += 1
         self._churn = 0
         count = len(items)
         if count == 0:
-            self._spine = []
-            self._collapse_tiny()
+            self._reset()
             return
         old_nbuckets = self._nbuckets
         # Bucket count ~ 2*sqrt(population): laps and per-bucket
@@ -666,6 +551,11 @@ class CalendarEventQueue:
         self._buckets = buckets
         self._spine = spine
         self._spine_cap = max(SPINE_CAP, 2 * len(spine))
+        # A spread rebuild that recurs means the churn is one the width
+        # cannot fix (a population dense at a few instants, as in a
+        # checkpoint storm): wait out as many deep inserts as the rebuild
+        # just cost before paying for another.
+        self._churn_cap = max(CHURN_CAP, count) if spread else CHURN_CAP
         # The minimum item lands in the cursor bucket by construction.
         cur = (t0 // width) % nbuckets
         bucket0 = buckets[cur]
@@ -695,21 +585,12 @@ def _calibrate_width(times: List[int], nbuckets: int, fallback: int) -> int:
     return 1 << (width - 1).bit_length()
 
 
-BACKENDS = {
-    "heap": HeapEventQueue,
-    "wheel": CalendarEventQueue,
-}
-
-
-def make_event_queue(kind: Optional[str] = None):
-    """Build an event queue; ``kind`` defaults to ``$REPRO_EVENTQ`` or
-    the calendar queue."""
-    if kind is None:
-        kind = os.environ.get(EVENTQ_ENV, DEFAULT_BACKEND)
-    try:
-        return BACKENDS[kind]()
-    except KeyError:
-        raise ValueError(
-            f"unknown event queue backend {kind!r} "
-            f"(choices: {sorted(BACKENDS)})"
-        ) from None
+def make_event_queue(
+    nranks: Optional[int] = None,
+) -> Union[HeapEventQueue, CalendarEventQueue]:
+    """The event queue for a world executing ``nranks`` ranks: the heap
+    below :data:`CALENDAR_MIN_RANKS`, the calendar queue at or above it
+    (and without a rank count)."""
+    if nranks is not None and nranks < CALENDAR_MIN_RANKS:
+        return HeapEventQueue()
+    return CalendarEventQueue()

@@ -44,7 +44,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.core.recovery import RecoveryManager, _FlowRestore
 from repro.journal.recorder import ListSink, commit_history_of, log_counters_of
 from repro.mpi.runtime import World
-from repro.sim.engine import sim_gc
+from repro.sim.engine import Engine, sim_gc
 from repro.sim.network import Network, NetworkParams, Packet
 from repro.sim.process import ProcessStatus
 
@@ -239,11 +239,15 @@ class ShardRecoveryManager(RecoveryManager):
 
 
 class _ShardWorld(World):
-    """World whose network exports packets addressed outside the shard."""
+    """World whose engine is sized by the shard's owned ranks and whose
+    network exports packets addressed outside the shard."""
 
     def __init__(self, owned_ranks: FrozenSet[int], *args, **kw) -> None:
         self._shard_owned = owned_ranks
         super().__init__(*args, **kw)
+
+    def _make_engine(self, nranks: int) -> Engine:
+        return Engine(len(self._shard_owned))
 
     def _make_network(self, net_params, seed: int) -> Network:
         return ShardNetwork(

@@ -88,10 +88,10 @@ class _Snapshot:
     current_rank: int
     current_sleep_ns: int
     trace_len: int
-    wake_offsets: Dict[int, int]
+    wake_in_ns: Dict[int, int]
     per_rank: Dict[int, dict]
     net_pairs: Dict[Tuple[int, int], Tuple[int, int]]  # (arrival-now, seq)
-    nic_offsets: List[int]
+    nic_free_in_ns: List[int]
     net_counters: Tuple[int, int]
 
 
@@ -210,7 +210,7 @@ class WarpController:
         # The event queue must hold nothing but those ranks' wake-ups:
         # any other event (failure injection, storage flow tick, stale
         # wake of a killed incarnation, composed timeout) vetoes warp.
-        wake_offsets: Dict[int, int] = {}
+        wake_in_ns: Dict[int, int] = {}
         for time_ns, _seq, handle, fn, _args in engine.iter_pending():
             if handle is not None:
                 if handle.cancelled:
@@ -220,10 +220,10 @@ class WarpController:
             rank = sleepers.get(id(owner))
             if rank is None or fn.__name__ != "_wake_sleep":
                 return None
-            if rank in wake_offsets:
+            if rank in wake_in_ns:
                 return None  # stale duplicate wake — not quiescent
-            wake_offsets[rank] = time_ns - now
-        if len(wake_offsets) != len(sleepers):
+            wake_in_ns[rank] = time_ns - now
+        if len(wake_in_ns) != len(sleepers):
             return None
 
         # Per-rank library/protocol state.
@@ -285,12 +285,12 @@ class WarpController:
             current_rank=runtime.rank,
             current_sleep_ns=sleep_ns,
             trace_len=len(world.trace),
-            wake_offsets=wake_offsets,
+            wake_in_ns=wake_in_ns,
             per_rank=per_rank,
             net_pairs={
                 k: (v[0] - now, v[1]) for k, v in net.chan_state_items()
             },
-            nic_offsets=[t - now for t in net._nic_free],
+            nic_free_in_ns=[t - now for t in net._nic_free],
             net_counters=(net.packets_sent, net.bytes_sent),
         )
 
@@ -308,9 +308,9 @@ class WarpController:
             return None
         if new.current_sleep_ns != old.current_sleep_ns:
             return None
-        if new.wake_offsets != old.wake_offsets:
+        if new.wake_in_ns != old.wake_in_ns:
             return None
-        if new.nic_offsets != old.nic_offsets:
+        if new.nic_free_in_ns != old.nic_free_in_ns:
             return None
         if set(new.per_rank) != set(old.per_rank):
             return None

@@ -1,13 +1,17 @@
-"""Differential fuzz: the two event-queue backends must be observably
+"""Differential fuzz: the two event queues must be observably
 indistinguishable.
 
 The calendar queue replaces the binary heap on the engine's hottest
-path, so its exactness contract is stronger than "tests pass": the SAME
-journaled failure schedule recorded under ``REPRO_EVENTQ=heap`` and
-``REPRO_EVENTQ=wheel`` must produce **byte-identical canonical journal
-streams** — every failure, restart, commit, GC, and finish event at the
-same simulated instant with the same payload — plus identical final
+path in deep worlds, so its exactness contract is stronger than "tests
+pass": the SAME journaled failure schedule recorded on the heap and on
+the calendar must produce **byte-identical canonical journal streams**
+— every failure, restart, commit, GC, and finish event at the same
+simulated instant with the same payload — plus identical final
 observables, on sequential and sharded engines alike.
+
+These worlds are small, so left alone they would all run the heap.
+Each side therefore moves ``CALENDAR_MIN_RANKS`` (huge: the heap; 0:
+the calendar); forked shard workers inherit the patch.
 
 The schedules reuse the failure-fuzz generator (seeded, reproducible
 from the test id) across sync and async storage backends, so the
@@ -26,11 +30,15 @@ from repro.harness.runner import run_failure_schedule
 from repro.journal import Journal
 from repro.journal.format import canonical_json
 from repro.journal.recorder import journaled_app
-from repro.sim.eventq import EVENTQ_ENV
+from repro.sim import eventq
+from repro.sim.eventq import CalendarEventQueue, HeapEventQueue
 
 NRANKS = 8
 RPN = 2
 ITERS = 8
+
+#: Rank-count threshold that puts these worlds on each queue.
+QUEUES = {"heap": (1 << 62, HeapEventQueue), "wheel": (0, CalendarEventQueue)}
 
 BACKENDS = [
     "memory",
@@ -71,13 +79,13 @@ def canonical_stream(path):
 
 
 def run_pair(seed, spec, tmp_path, monkeypatch, shards=None):
-    """Run the same journaled schedule under each backend and compare."""
+    """Run the same journaled schedule on each queue and compare."""
     factory = journaled_app(
         "ring", iters=ITERS, msg_bytes=2048, compute_ns=200_000
     )
     clusters = ClusterMap.block(NRANKS, 4)
 
-    # A reference run (default backend) just to size the schedule.
+    # A reference run (the heap, at this size) just to size the schedule.
     from repro.harness.runner import run_native
 
     ref = run_native(
@@ -88,10 +96,10 @@ def run_pair(seed, spec, tmp_path, monkeypatch, shards=None):
     schedule = random_schedule(seed, ref.makespan_ns)
 
     outs, streams = {}, {}
-    for backend in ("heap", "wheel"):
-        monkeypatch.setenv(EVENTQ_ENV, backend)
-        path = tmp_path / f"{backend}-{seed}.journal"
-        outs[backend] = run_failure_schedule(
+    for queue, (min_ranks, cls) in QUEUES.items():
+        monkeypatch.setattr(eventq, "CALENDAR_MIN_RANKS", min_ranks)
+        path = tmp_path / f"{queue}-{seed}.journal"
+        out = outs[queue] = run_failure_schedule(
             factory,
             NRANKS,
             clusters,
@@ -102,14 +110,16 @@ def run_pair(seed, spec, tmp_path, monkeypatch, shards=None):
             journal=str(path),
             shards=shards,
         )
-        streams[backend] = canonical_stream(path)
+        if shards is None:
+            assert isinstance(out.world.engine._eq, cls), queue
+        streams[queue] = canonical_stream(path)
 
     heap_out, wheel_out = outs["heap"], outs["wheel"]
     assert wheel_out.results == heap_out.results, (seed, spec)
     assert wheel_out.makespan_ns == heap_out.makespan_ns, (seed, spec)
     assert streams["wheel"] == streams["heap"], (
         f"seed {seed} spec {spec}: canonical journal streams diverged "
-        f"between event-queue backends under {schedule}"
+        f"between the event queues under {schedule}"
     )
 
 
@@ -125,14 +135,14 @@ def test_eventq_differential_failure_schedules(seed, spec, tmp_path,
 @pytest.mark.parametrize("seed", [1, 2])
 def test_eventq_differential_async_flush(seed, spec, tmp_path, monkeypatch):
     """PR-gate slice: the async flush path's background flows drain in
-    the same order on both backends."""
+    the same order on both queues."""
     run_pair(seed, spec, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_eventq_differential_sharded(seed, tmp_path, monkeypatch):
     """PR-gate slice: the shard coordinator's windowed runs (the
-    deadline hot loop) under both backends."""
+    deadline hot loop) on both queues."""
     run_pair(seed, "tiered:ram@1,pfs@2", tmp_path, monkeypatch, shards=2)
 
 
@@ -140,7 +150,7 @@ def test_eventq_differential_sharded(seed, tmp_path, monkeypatch):
 @pytest.mark.parametrize("spec", BACKENDS + ASYNC_BACKENDS)
 @pytest.mark.parametrize("seed", range(10, 22))
 def test_eventq_differential_deep(seed, spec, tmp_path, monkeypatch):
-    """Nightly slice: twelve more seeds per backend."""
+    """Nightly slice: twelve more seeds per storage backend."""
     run_pair(seed, spec, tmp_path, monkeypatch)
 
 

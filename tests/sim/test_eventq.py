@@ -1,29 +1,32 @@
-"""Property tests for the pluggable event queues (repro.sim.eventq).
+"""Property tests for the event queues (repro.sim.eventq).
 
-The contract under test: both backends drain live events in strict
+The contract under test: both queues drain live events in strict
 ``(time_ns, seq)`` order, expose the same peek / next-live / shift
 semantics, and the calendar queue's internal machinery (bucket rewind,
-day rolls off the overflow spine, occupancy-driven resizes, epoch
-rebase) never perturbs that order.  A randomized differential fuzz
-drives both backends through identical operation sequences and demands
-identical outputs — the queue-level mirror of the journal-level
-differential in tests/integration/test_eventq_differential.py.
+day rolls off the overflow spine, occupancy-driven resizes, the
+shifting rebuild, the empty-lap reset) never perturbs that order.  A randomized differential
+fuzz drives both queues through identical operation sequences and
+demands identical outputs — the queue-level mirror of the journal-level
+differential in tests/integration/test_eventq_differential.py.  The
+rule that picks a world's queue from its rank count is tested last.
 """
 
 import random
 
 import pytest
 
+from repro.mpi.runtime import World
 from repro.sim.engine import Engine, EventHandle
 from repro.sim.eventq import (
-    DEFAULT_BACKEND,
-    EVENTQ_ENV,
+    CALENDAR_MIN_RANKS,
+    MIN_BUCKETS,
     CalendarEventQueue,
     HeapEventQueue,
     make_event_queue,
 )
+from repro.sim.shard import _ShardWorld
 
-BACKENDS = [HeapEventQueue, CalendarEventQueue]
+QUEUES = [HeapEventQueue, CalendarEventQueue]
 
 
 def drain(q):
@@ -39,19 +42,10 @@ def mk(t, seq, handle=None):
     return (t, seq, handle, None, ())
 
 
-def bucketed():
-    """A calendar queue forced straight into bucket mode.  Small
-    populations normally stay in the tiny (plain-heap) representation;
-    the bucket-machinery tests below need the calendar itself."""
-    q = CalendarEventQueue()
-    q._tiny = False
-    return q
-
-
 # ----------------------------------------------------------------------
 # Shared-order properties
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("cls", BACKENDS)
+@pytest.mark.parametrize("cls", QUEUES)
 def test_fifo_within_a_timestamp(cls):
     q = cls()
     for seq in range(1, 50):
@@ -59,7 +53,7 @@ def test_fifo_within_a_timestamp(cls):
     assert [it[1] for it in drain(q)] == list(range(1, 50))
 
 
-@pytest.mark.parametrize("cls", BACKENDS)
+@pytest.mark.parametrize("cls", QUEUES)
 def test_pop_orders_by_time_then_seq(cls):
     q = cls()
     rng = random.Random(42)
@@ -70,7 +64,7 @@ def test_pop_orders_by_time_then_seq(cls):
     assert drain(q) == sorted(items)
 
 
-@pytest.mark.parametrize("cls", BACKENDS)
+@pytest.mark.parametrize("cls", QUEUES)
 def test_len_and_interleaved_push_pop(cls):
     q = cls()
     q.push(mk(10, 1))
@@ -87,7 +81,7 @@ def test_len_and_interleaved_push_pop(cls):
     assert q.next_live_time() is None
 
 
-@pytest.mark.parametrize("cls", BACKENDS)
+@pytest.mark.parametrize("cls", QUEUES)
 def test_peek_time_reports_raw_head_even_if_cancelled(cls):
     q = cls()
     h = EventHandle()
@@ -101,7 +95,7 @@ def test_peek_time_reports_raw_head_even_if_cancelled(cls):
     assert len(q) == 1
 
 
-@pytest.mark.parametrize("cls", BACKENDS)
+@pytest.mark.parametrize("cls", QUEUES)
 def test_next_live_time_discards_cancelled_prefix(cls):
     q = cls()
     handles = [EventHandle() for _ in range(4)]
@@ -115,7 +109,7 @@ def test_next_live_time_discards_cancelled_prefix(cls):
     assert q.pop()[1] == 99
 
 
-@pytest.mark.parametrize("cls", BACKENDS)
+@pytest.mark.parametrize("cls", QUEUES)
 def test_shift_all_rebases_every_pending_time(cls):
     q = cls()
     for seq, t in enumerate([100, 250, 250, 900], start=1):
@@ -125,7 +119,7 @@ def test_shift_all_rebases_every_pending_time(cls):
     assert [it[0] for it in drain(q)] == [1_000_100, 1_000_250, 1_000_250, 1_000_900]
 
 
-@pytest.mark.parametrize("cls", BACKENDS)
+@pytest.mark.parametrize("cls", QUEUES)
 def test_push_after_shift_interleaves_in_absolute_time(cls):
     q = cls()
     q.push(mk(10, 1))
@@ -135,7 +129,7 @@ def test_push_after_shift_interleaves_in_absolute_time(cls):
     assert [(it[0], it[1]) for it in drain(q)] == [(100, 1), (300, 3), (590, 2)]
 
 
-@pytest.mark.parametrize("cls", BACKENDS)
+@pytest.mark.parametrize("cls", QUEUES)
 def test_iter_yields_all_pending_with_absolute_times(cls):
     q = cls()
     items = [mk(t, seq) for seq, t in enumerate([40, 10, 10, 7_000_000], start=1)]
@@ -172,7 +166,8 @@ def test_wheel_shrinks_when_the_day_goes_sparse():
     q = CalendarEventQueue()
     for seq in range(1, 3_001):
         q.push(mk(seq * 100_000, seq))
-    assert q._nbuckets > 32
+    grown = q._nbuckets
+    assert grown > MIN_BUCKETS
     stragglers = [mk(10_000_000_000_000 + i * 3_600_000_000_000, 50_000 + i)
                   for i in range(5)]
     for it in stragglers:
@@ -180,24 +175,21 @@ def test_wheel_shrinks_when_the_day_goes_sparse():
     dense = [q.pop() for _ in range(3_000)]
     assert dense == sorted(dense)
     assert [q.pop() for _ in range(5)] == stragglers
-    # The sparse tail collapsed the calendar back to the tiny (plain
-    # heap) representation with the default geometry.
-    assert q._tiny
-    assert q._nbuckets == 32
-    # The collapsed queue still works.
+    assert q._nbuckets < grown  # rebuilt around the sparse tail
+    # The empty lap past the last straggler resets the default geometry.
+    assert q.pop() is None
+    assert q._nbuckets == MIN_BUCKETS
+    # The reset queue still works.
     q.push(mk(5, 99_999))
     assert q.pop()[1] == 99_999
 
 
 def test_wheel_day_roll_pulls_far_future_spine():
-    from repro.sim.eventq import TINY_MIN
-
-    q = bucketed()
-    # Near-term cluster plus MTBF-scale outliers far beyond the day —
-    # enough of them that the drained day rolls onto the spine cohort
-    # instead of collapsing to the tiny representation.
+    q = CalendarEventQueue()
+    # Near-term cluster plus MTBF-scale outliers far beyond the day: the
+    # drained day rolls onto the spine cohort.
     near = [mk(t, seq) for seq, t in enumerate(range(0, 5_000, 50), start=1)]
-    far = [mk(3_600_000_000_000 + t, 1_000 + t) for t in range(2 * TINY_MIN)]
+    far = [mk(3_600_000_000_000 + t, 1_000 + t) for t in range(64)]
     for it in near + far:
         q.push(it)
     assert drain(q) == sorted(near + far)
@@ -208,7 +200,7 @@ def test_wheel_calibration_survives_outlier_gaps():
     # One huge gap (a failure arrival hours out) must not stretch the
     # bucket width: the bulk still spreads across many buckets instead
     # of degenerating into one insort list.
-    q = bucketed()
+    q = CalendarEventQueue()
     for seq in range(1, 1_001):
         q.push(mk(seq * 1_000, seq))
     q.push(mk(3_600_000_000_000, 9_999))
@@ -221,7 +213,7 @@ def test_wheel_calibration_survives_outlier_gaps():
 
 
 def test_wheel_rewind_accepts_push_behind_an_advanced_cursor():
-    q = bucketed()
+    q = CalendarEventQueue()
     q.push(mk(1_000_000, 1))  # far enough that peeking advances buckets
     assert q.peek_time() == 1_000_000
     # An engine idling at a window horizon schedules something sooner.
@@ -237,7 +229,7 @@ def test_wheel_mid_scan_spine_drain_lands_behind_the_cursor():
     must restart on a drain or the scan concludes "empty day" with live
     events stranded in a passed bucket (a pop observably returned None
     here with two events pending)."""
-    q = bucketed()
+    q = CalendarEventQueue()
     day = q._nbuckets * q._width
     t = day + (day * 2) // 5  # in the second day: spine, wraps behind
     q.push(mk(t, 1))
@@ -273,8 +265,31 @@ def test_wheel_deep_insert_churn_spreads_a_dense_distributed_bucket():
     assert q._nbuckets * q._nbuckets > 4 * len(q)
 
 
+def test_wheel_futile_spread_rebuilds_back_off():
+    """Deep inserts in front of a cluster at one instant, inside a bucket
+    whose width a long pending tail keeps coarse: no spread rebuild can
+    stop them.  After one futile spread the next waits for as many deep
+    inserts as the population's size, instead of re-bucketing the whole
+    population every ``CHURN_CAP`` inserts."""
+    from repro.sim.eventq import CHURN_CAP
+
+    rng = random.Random(3)
+    q = CalendarEventQueue()
+    items = [mk(rng.randrange(0, 1_000_000_000), seq) for seq in range(1, 10_001)]
+    items += [mk(2_000, seq) for seq in range(10_001, 13_001)]
+    for it in items:
+        q.push(it)
+    before = q.resizes
+    for seq in range(20_000, 20_000 + 5 * CHURN_CAP):
+        item = mk(1_500, seq)
+        q.push(item)
+        items.append(item)
+    assert q.resizes - before <= 1  # not one per CHURN_CAP deep inserts
+    assert drain(q) == sorted(items)
+
+
 def test_wheel_push_below_epoch_after_day_roll():
-    q = bucketed()
+    q = CalendarEventQueue()
     q.push(mk(10, 1))
     q.push(mk(50_000_000_000, 2))  # spine
     assert q.pop()[1] == 1
@@ -285,10 +300,10 @@ def test_wheel_push_below_epoch_after_day_roll():
 
 
 def test_wheel_rebuild_keeps_cancelled_events_for_len_parity():
-    """Cancelled-handle events survive a rebuild: the heap backend keeps
+    """Cancelled-handle events survive a rebuild: the heap keeps
     them too (lazy cancellation), so ``len`` and ``peek_time`` must stay
-    bit-identical between backends even across resizes."""
-    q = bucketed()
+    bit-identical between the queues even across resizes."""
+    q = CalendarEventQueue()
     ref = HeapEventQueue()
     handles = [EventHandle() for _ in range(600)]
     for seq, h in enumerate(handles, start=1):
@@ -312,74 +327,87 @@ def test_wheel_rebuild_keeps_cancelled_events_for_len_parity():
     assert q.next_live_time() == ref.next_live_time() == 1
 
 
-def test_wheel_starts_tiny_and_migrates_past_the_crossover():
-    """Below TINY_MAX pending events the wheel is a plain heap (the C
-    heapq beats pure-Python buckets at shallow depth); crossing the
-    threshold migrates into buckets with one rebuild, order untouched."""
-    from repro.sim.eventq import TINY_MAX
-
-    q = CalendarEventQueue()
-    rng = random.Random(11)
-    items = [mk(rng.randrange(0, 10_000_000), seq)
-             for seq in range(1, TINY_MAX + 2)]
-    for it in items[:TINY_MAX]:
-        q.push(it)
-    assert q._tiny
-    assert q.resizes == 0
-    q.push(items[TINY_MAX])
-    assert not q._tiny
-    assert q.resizes == 1
-    assert drain(q) == sorted(items)
-
-
-def test_wheel_collapse_and_remigration_round_trip():
-    """Drain the calendar empty -> collapse back to the heap
-    representation with default geometry; refill past TINY_MAX ->
-    migrate into buckets again.  The round trip must be invisible in
-    the drain order."""
-    from repro.sim.eventq import MIN_BUCKETS, TINY_MAX
-
+def test_wheel_reset_and_regrow_round_trip():
+    """Drain a grown calendar empty -> default geometry around time 0;
+    refill far past that default day -> the spine floods and the day
+    grows again.  The round trip must be invisible in the drain order."""
     q = CalendarEventQueue()
     ref = HeapEventQueue()
     seq = 0
-    for _ in range(2 * TINY_MAX):
+    for _ in range(4_096):
         seq += 1
         it = mk(seq * 100, seq)
         q.push(it)
         ref.push(it)
-    assert not q._tiny
+    assert q._nbuckets > MIN_BUCKETS
     assert drain(q) == drain(ref)
-    assert q.pop() is None
-    assert q._tiny  # fully drained: back to the heap representation
-    assert q._nbuckets == MIN_BUCKETS
-    for _ in range(2 * TINY_MAX):  # refill past the crossover again
+    assert q._nbuckets == MIN_BUCKETS  # the empty lap reset the geometry
+    before = q.resizes
+    for _ in range(4_096):  # every time is past the default day
         seq += 1
         it = mk(seq * 100, seq)
         q.push(it)
         ref.push(it)
-    assert not q._tiny
+    assert q.resizes > before
+    assert q._nbuckets > MIN_BUCKETS
+    assert drain(q) == drain(ref)
+
+
+def test_wheel_shift_all_rebuilds_a_grown_calendar_mid_bucket():
+    """``shift_all`` is a rebuild over the shifted population: with the
+    cursor bucket half consumed, a parked spine and cancelled events,
+    the calendar must keep heap parity in ``len``, peeks and order."""
+    q = CalendarEventQueue()
+    ref = HeapEventQueue()
+    rng = random.Random(5)
+    handles = []
+    for seq in range(1, 3_001):
+        handle = EventHandle() if seq % 7 == 0 else None
+        if handle is not None:
+            handles.append(handle)
+        t = rng.randrange(0, 50) if seq <= 200 else rng.randrange(0, 3_000_000)
+        if seq % 100 == 0:
+            t = 3_600_000_000_000 + seq  # MTBF-scale: the spine
+        item = mk(t, seq, handle)
+        q.push(item)
+        ref.push(item)
+    assert q._nbuckets > MIN_BUCKETS and q._spine
+    for h in handles[::2]:
+        h.cancel()
+    for _ in range(50):  # part-way into the first bucket
+        assert q.pop() == ref.pop()
+    assert q._curpos > 0
+    q.shift_all(123_456_789)
+    ref.shift_all(123_456_789)
+    assert len(q) == len(ref)
+    assert q.peek_time() == ref.peek_time()
+    assert q.next_live_time() == ref.next_live_time()
     assert drain(q) == drain(ref)
 
 
 # ----------------------------------------------------------------------
 # Differential fuzz: heap vs wheel under identical operation sequences
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("tiny", [True, False])
+#: (push share, pop share) of the fuzz's operations; the remaining 15 %
+#: peek, cancel and shift.  "filling" grows a pending population of a few
+#: hundred; "draining" pops more than it pushes, so the calendar runs
+#: empty over and over and restarts from its default geometry.
+REGIMES = {"filling": (0.55, 0.30), "draining": (0.40, 0.45)}
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
 @pytest.mark.parametrize("seed", range(8))
-def test_differential_random_ops(seed, tiny):
+def test_differential_random_ops(seed, regime):
+    push_share, pop_share = REGIMES[regime]
     rng = random.Random(seed)
     heap, wheel = HeapEventQueue(), CalendarEventQueue()
-    if not tiny:
-        # The adaptive queue keeps populations this small in the tiny
-        # (plain heap) representation; force bucket mode so the fuzz
-        # also drives the calendar machinery at shallow depth.
-        wheel._tiny = False
     seq = 0
     handles = []
+    empties = 0
     t_floor = 0  # popped times are monotone; pushes stay >= the floor
     for _ in range(3_000):
         op = rng.random()
-        if op < 0.55:
+        if op < push_share:
             seq += 1
             # Mix of dense near-term, ties, and far-future outliers.
             r = rng.random()
@@ -396,10 +424,12 @@ def test_differential_random_ops(seed, tiny):
             a, b = mk(t, seq, handle), mk(t, seq, handle)
             heap.push(a)
             wheel.push(b)
-        elif op < 0.85:
+        elif op < push_share + pop_share:
             a, b = heap.pop(), wheel.pop()
             assert a == b
-            if a is not None:
+            if a is None:
+                empties += 1
+            else:
                 t_floor = max(t_floor, a[0])
         elif op < 0.92:
             assert heap.peek_time() == wheel.peek_time()
@@ -413,33 +443,34 @@ def test_differential_random_ops(seed, tiny):
             heap.shift_all(delta)
             wheel.shift_all(delta)
             t_floor += delta
-        if not tiny:
-            # Keep the calendar machinery engaged even when a drain
-            # collapsed the queue back to the heap representation:
-            # bucket mode with the population parked on the spine is a
-            # legal state (the next advance rolls the day over it).
-            wheel._tiny = False
     assert drain(heap) == drain(wheel)
+    if regime == "draining":
+        assert empties > 0  # the reset path really ran
 
 
 # ----------------------------------------------------------------------
-# Engine integration
+# Engine integration: one queue per world, picked from its rank count
 # ----------------------------------------------------------------------
-def test_make_event_queue_env_selection(monkeypatch):
-    monkeypatch.delenv(EVENTQ_ENV, raising=False)
-    assert make_event_queue().name == DEFAULT_BACKEND == "wheel"
-    monkeypatch.setenv(EVENTQ_ENV, "heap")
-    assert isinstance(make_event_queue(), HeapEventQueue)
-    assert isinstance(make_event_queue("wheel"), CalendarEventQueue)
-    monkeypatch.setenv(EVENTQ_ENV, "splay")
-    with pytest.raises(ValueError, match="splay"):
-        make_event_queue()
+def test_queue_is_picked_from_the_ranks_a_world_executes():
+    below, at = CALENDAR_MIN_RANKS - 1, CALENDAR_MIN_RANKS
+    assert isinstance(make_event_queue(below), HeapEventQueue)
+    assert isinstance(make_event_queue(at), CalendarEventQueue)
+    # The two no-argument forms: a bare queue is the calendar, a bare
+    # engine (no ranks) the heap.
+    assert isinstance(make_event_queue(), CalendarEventQueue)
+    assert isinstance(Engine()._eq, HeapEventQueue)
+    assert isinstance(World(below, trace=False).engine._eq, HeapEventQueue)
+    assert isinstance(World(at, trace=False).engine._eq, CalendarEventQueue)
+    # A shard counts the ranks it owns, not the world's.
+    shard = _ShardWorld(frozenset(range(below)), 2 * at, trace=False)
+    assert isinstance(shard.engine._eq, HeapEventQueue)
+    shard = _ShardWorld(frozenset(range(at)), 2 * at, trace=False)
+    assert isinstance(shard.engine._eq, CalendarEventQueue)
 
 
-@pytest.mark.parametrize("backend", ["heap", "wheel"])
-def test_engine_deadline_bounded_run(monkeypatch, backend):
-    monkeypatch.setenv(EVENTQ_ENV, backend)
-    eng = Engine()
+@pytest.mark.parametrize("nranks", [0, CALENDAR_MIN_RANKS])
+def test_engine_deadline_bounded_run(nranks):
+    eng = Engine(nranks)
     fired = []
     for t in (10, 20, 30, 40):
         eng.schedule_fast(t, fired.append, t)
@@ -453,10 +484,9 @@ def test_engine_deadline_bounded_run(monkeypatch, backend):
     assert fired == [10, 20, 30, 40]
 
 
-@pytest.mark.parametrize("backend", ["heap", "wheel"])
-def test_engine_warp_rebase_mid_run(monkeypatch, backend):
-    monkeypatch.setenv(EVENTQ_ENV, backend)
-    eng = Engine()
+@pytest.mark.parametrize("nranks", [0, CALENDAR_MIN_RANKS])
+def test_engine_warp_rebase_mid_run(nranks):
+    eng = Engine(nranks)
     order = []
 
     def shift_now():
