@@ -119,7 +119,7 @@ class LoggingRun:
     nranks: int
     ranks_per_node: int
     result: RunResult
-    bytes_matrix: np.ndarray  # directed bytes, from the trace
+    bytes_matrix: np.ndarray  # directed bytes src -> dst, from the sender logs
     maps: Dict[int, ClusterMap] = field(default_factory=dict)
 
     @property
@@ -152,13 +152,42 @@ class LoggingRun:
         return (self.bytes_matrix * cross).sum(axis=1)
 
 
+def _sent_bytes_matrix(hooks, nranks: int) -> np.ndarray:
+    """Directed bytes src -> dst summed over every rank's sender log.
+
+    Exact only while each log still holds every record it appended:
+    receiver garbage collection deletes records, so a log with
+    ``collected_records > 0`` is refused rather than undercounted."""
+    mat = np.zeros((nranks, nranks), dtype=np.float64)
+    for r in range(nranks):
+        log = hooks.state[r].log
+        if log.collected_records:
+            raise ValueError(
+                f"rank {r}: {log.collected_records} log records were "
+                "garbage-collected; its log no longer sums to what it sent"
+            )
+        row = mat[r]
+        for rec in log.all_records():
+            row[rec.dst] += rec.nbytes
+    return mat
+
+
 def make_logging_run(
     name: str,
     nranks: int = 128,
     ranks_per_node: int = 8,
     overrides: Optional[dict] = None,
     seed: int = 0,
+    trace: bool = False,
 ) -> LoggingRun:
+    """Run app ``name`` under pure message logging (singleton clusters),
+    failure-free and without checkpoints.  Every non-loopback send then
+    crosses a cluster boundary and is logged exactly once, and no log is
+    ever collected, so the sender logs hold the run's communication
+    matrix (loopback, which crosses no boundary, aside) and
+    :attr:`LoggingRun.bytes_matrix` is summed from them.  ``trace=True``
+    also records the event trace, for consumers of the message order
+    (HydEE's causal levels, Figure 6)."""
     res = run_spbc(
         app_factory(name, overrides),
         nranks,
@@ -166,13 +195,14 @@ def make_logging_run(
         ranks_per_node=ranks_per_node,
         net_params=PAPER_NET,
         seed=seed,
+        trace=trace,
     )
     return LoggingRun(
         name=name,
         nranks=nranks,
         ranks_per_node=ranks_per_node,
         result=res,
-        bytes_matrix=res.trace.comm_bytes_matrix(nranks).astype(np.float64),
+        bytes_matrix=_sent_bytes_matrix(res.hooks, nranks),
     )
 
 
@@ -424,9 +454,9 @@ def fig6_hydee_vs_spbc(
     for name in apps:
         app = app_factory(name)
         native = run_native(app, nranks, **world)
-        # Phase 1 with the actual k-cluster map (the trace also yields the
-        # causal levels HydEE needs).
-        run = make_logging_run(name, nranks, ranks_per_node)
+        # Phase 1 with the actual k-cluster map, traced: the trace yields
+        # the causal levels HydEE needs.
+        run = make_logging_run(name, nranks, ranks_per_node, trace=True)
         cm = run.clustering_for(k)
         plan = ReplayPlan.from_run(run.result.hooks, run.duration_ns, clusters=cm)
         # The HydEE plan (dependency vectors + tracked set) is derived

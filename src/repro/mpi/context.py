@@ -298,20 +298,10 @@ class RankContext:
     def compute(self, ns: int) -> Generator:
         """Spend ``ns`` of virtual CPU time.
 
-        Body inlined from MPIRuntime.compute: one generator object per
-        compute phase instead of two (hot: once per app iteration)."""
-        rt = self.rt
-        if ns < 0:
-            raise ValueError("negative compute time")
-        rt.compute_total_ns += ns
-        debt, rt.cpu_debt_ns = rt.cpu_debt_ns, 0
-        total = ns + debt
-        warp = rt.world.warp
-        if warp is not None:
-            warp.on_compute(rt, total)
-        sleep = rt._csleep
-        sleep.delay_ns = total
-        yield sleep
+        Returns the runtime's generator rather than wrapping it: one
+        generator object per compute phase (hot: once per app
+        iteration)."""
+        return self.rt.compute(ns)
 
     def maybe_checkpoint(self, state_fn: Callable[[], dict]) -> Generator:
         """Offer the protocol a checkpoint opportunity (app is quiescent)."""

@@ -4,16 +4,23 @@ accounting from a single logging run."""
 import numpy as np
 import pytest
 
+from repro.apps.calibration import PAPER_NET
 from repro.core.clusters import ClusterMap
+from repro.harness import experiments
 from repro.harness.experiments import (
     EXPERIMENTS,
+    PAPER_APPS,
     LoggingRun,
+    _sent_bytes_matrix,
+    app_factory,
     cluster_counts,
+    fig6_hydee_vs_spbc,
     make_logging_run,
     table1_log_growth,
     Fig5Row,
     Table1Row,
 )
+from repro.harness.runner import run_spbc
 
 
 def test_cluster_counts_scaling():
@@ -77,3 +84,49 @@ def test_fig5_formatting_grid():
     assert "0.900" in text and "0.800" in text
     assert "2 clusters" in text and "4 clusters" in text
     assert rows[0].normalized == pytest.approx(0.9)
+
+
+@pytest.mark.parametrize("app", PAPER_APPS)
+def test_logging_run_matrix_is_the_traced_send_matrix(app):
+    """The sender logs of a pure-logging run sum to exactly what a
+    traced twin of the same run sent, without recording a trace."""
+    n, rpn = 8, 2
+    run = make_logging_run(app, n, rpn)
+    assert len(run.result.trace) == 0
+    twin = run_spbc(
+        app_factory(app), n, ClusterMap.singletons(n),
+        ranks_per_node=rpn, net_params=PAPER_NET,
+    )
+    assert twin.makespan_ns == run.duration_ns
+    ref = twin.trace.comm_bytes_matrix(n)
+    assert ref.sum() > 0
+    assert (run.bytes_matrix == ref).all()
+
+
+def test_fig6_logging_run_is_traced(monkeypatch):
+    """HydEE's causal levels come from the trace: Figure 6 alone asks
+    the logging run to record one."""
+    runs = []
+
+    def spy(*args, **kwargs):
+        run = make_logging_run(*args, **kwargs)
+        runs.append(run)
+        return run
+
+    monkeypatch.setattr(experiments, "make_logging_run", spy)
+    rows = fig6_hydee_vs_spbc(apps=("mg",), k=2, nranks=8, ranks_per_node=2)
+    assert len(rows) == 1 and len(runs) == 1
+    assert len(runs[0].result.trace) > 0
+
+
+def test_sent_bytes_matrix_refuses_a_collected_log():
+    run = make_logging_run("ring", nranks=8, ranks_per_node=2, overrides=dict(
+        iters=3, msg_bytes=100, compute_ns=1_000,
+    ))
+    hooks = run.result.hooks
+    assert (_sent_bytes_matrix(hooks, 8) == run.bytes_matrix).all()
+    log = hooks.state[5].log
+    (comm_id, dst), = log.channel_keys()
+    assert log.collect(comm_id, dst, 1) == 1
+    with pytest.raises(ValueError, match="rank 5"):
+        _sent_bytes_matrix(hooks, 8)

@@ -28,24 +28,27 @@ Workloads (the shapes docs/performance.md talks about):
   ``paper_tables_128`` repetition of ``benchmarks/e2e``: the AMG
   skeleton (``ANY_SOURCE`` + pattern identifiers) under SPBC with
   singleton clusters on ``PAPER_NET``.  The paper pipeline runs it
-  traced; ``--trace``/``--no-trace`` toggles that on any workload (the
-  measurement behind "Why tracing cost a third of a paper run" in
-  docs/performance.md);
+  untraced (Table 1's matrix comes from the sender logs); only Figure
+  6 records the trace, for HydEE's causal levels.  ``--trace``/
+  ``--no-trace`` toggles it on any workload (the measurement behind
+  "Why tracing cost a third of a paper run" in docs/performance.md);
 * ``eventq``  — not a simulation: the hold-model event-queue
   microbenchmark head-to-head on both queue backends
   (``repro.harness.simperf.hold_pair``), then a cProfile of the
   calendar queue at the deepest depth — where the bucket hot path's
   time actually goes.
 
-Output: raw wall-clock (profiler off) and events/sec; when the workload
+Output: a header line with the process's peak RSS so far; raw
+wall-clock (profiler off) and events/sec; when the workload
 moved bytes as flows, what the bandwidth lanes did (flows admitted, the
 most in flight on one lane, how often a lane walked its whole pool and
 over how many flows); then the cProfile top-N by the requested sort
 key.  With ``--gc`` the cProfile table is
 replaced by what the cyclic collector did during one more unprofiled
 run: collections per generation and the total pause, timed through
-``gc.callbacks``, plus the process's peak RSS (the measurement behind
-"Why per-event cost grew with rank count" in docs/performance.md).
+``gc.callbacks``, plus the process's peak RSS after that run (the
+measurement behind "Why per-event cost grew with rank count" in
+docs/performance.md).
 """
 
 from __future__ import annotations
@@ -114,10 +117,13 @@ def profile_eventq(sort: str, top: int) -> None:
     # 4096-rank scenarios (~5k), and the depth simperf gates, where the
     # heap's O(log n) sift separates from the wheel's O(1) buckets.
     depths = (1_000, 16_000, 260_000)
-    print("== eventq: hold model, pop+reschedule (+Exp mean 1000 ns) ==")
+    pairs = [hold_pair(depth) for depth in depths]  # wheel over heap
+    print(
+        "== eventq: hold model, pop+reschedule (+Exp mean 1000 ns), "
+        f"peak rss {_peak_rss_mib():.0f} MiB =="
+    )
     print(f"{'depth':>8} {'heap kev/s':>11} {'wheel kev/s':>12} {'wheel/heap':>11}")
-    for depth in depths:
-        pair = hold_pair(depth)  # wheel over heap
+    for depth, pair in zip(depths, pairs):
         print(f"{depth:>8} {pair.b / 1e3:>11.0f} {pair.a / 1e3:>12.0f} "
               f"{pair.ratio:>10.2f}x")
     pr = cProfile.Profile()
@@ -203,7 +209,10 @@ def profile_one(
     with LaneWatch() as lanes:
         res = run()
     events = res.world.engine.events_executed
-    print(f"== {workload} @ {nranks} ranks, trace {'on' if trace else 'off'} ==")
+    print(
+        f"== {workload} @ {nranks} ranks, trace {'on' if trace else 'off'}, "
+        f"peak rss {_peak_rss_mib():.0f} MiB =="
+    )
     print(
         f"wall {wall:.3f}s   events {events}   "
         f"{events / wall / 1e3:.0f} kev/s   {wall / events * 1e6:.2f} us/event"
@@ -227,7 +236,7 @@ def profile_one(
             f"{g0}/{g1}/{g2}   pause {watch.pause_s:.3f}s "
             f"({100 * watch.pause_s / gc_wall:.1f}% of wall)   "
             f"{gc_wall / events * 1e6:.2f} us/event   peak rss "
-            f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MiB"
+            f"{_peak_rss_mib():.0f} MiB"
         )
         return
     pr = cProfile.Profile()
@@ -237,6 +246,11 @@ def profile_one(
     buf = io.StringIO()
     pstats.Stats(pr, stream=buf).sort_stats(sort).print_stats(top)
     print(buf.getvalue())
+
+
+def _peak_rss_mib() -> float:
+    """The process's peak resident set so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _timed(run) -> float:
@@ -264,8 +278,8 @@ def main() -> int:
     )
     ap.add_argument(
         "--trace", action=argparse.BooleanOptionalAction, default=False,
-        help="record the communication trace during the run (the paper "
-        "pipeline's setting; every other benchmark runs with it off)",
+        help="record the communication trace during the run (Figure 6's "
+        "logging runs record it; every other experiment runs with it off)",
     )
     args = ap.parse_args()
     for w in [args.workload] if args.workload else WORKLOADS:
