@@ -28,6 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Set, Tuple
 
+from repro.util.empty import EMPTY_DICT
 from repro.util.units import mb_per_s
 
 
@@ -64,12 +65,30 @@ def _suffix_after(chan: List[LogRecord], seqnum: int) -> List[LogRecord]:
 
 
 class LogStore:
-    """Per-rank append-only log, organized by outgoing channel."""
+    """Per-rank append-only log, organized by outgoing channel.
+
+    One exists per rank, so it is slotted, and the two areas only
+    checkpoint commits and receiver GC fill (``_stable``,
+    ``_collected``) start out as the shared read-only
+    :data:`~repro.util.empty.EMPTY_DICT` until their first writer."""
+
+    __slots__ = (
+        "rank",
+        "channels",
+        "_stable",
+        "bytes_logged",
+        "records_logged",
+        "resident_bytes",
+        "resident_records",
+        "_collected",
+        "collected_records",
+        "collected_bytes",
+    )
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
         self.channels: Dict[ChannelKey, List[LogRecord]] = {}  # resident
-        self._stable: Dict[ChannelKey, List[LogRecord]] = {}
+        self._stable: Dict[ChannelKey, List[LogRecord]] = EMPTY_DICT
         self.bytes_logged = 0  # cumulative (Table 1)
         self.records_logged = 0
         self.resident_bytes = 0  # live memory held by the log
@@ -78,7 +97,7 @@ class LogStore:
         # never be requested again (the receiver saved its delivery in a
         # checkpoint it can never roll back past).  Forever-true facts:
         # they survive this sender's own rollbacks.
-        self._collected: Dict[ChannelKey, int] = {}
+        self._collected: Dict[ChannelKey, int] = EMPTY_DICT
         self.collected_records = 0  # cumulative, freed by receiver GC
         self.collected_bytes = 0
 
@@ -192,8 +211,8 @@ class LogStore:
         # records the snapshot carries from before the floors.  Pruning
         # restored *copies* of already-collected records is not new GC,
         # so the cumulative collected counters are left untouched.
-        floors = dict(self._collected)
-        self._collected = {}
+        floors = self._collected
+        self._collected = EMPTY_DICT
         saved = (self.collected_records, self.collected_bytes)
         for (cid, dst), floor in floors.items():
             self.collect(cid, dst, floor)
@@ -207,6 +226,8 @@ class LogStore:
         checkpoint snapshot carries from below them."""
         for (cid, dst), floor in prev._collected.items():
             if floor > self._collected.get((cid, dst), 0):
+                if self._collected is EMPTY_DICT:
+                    self._collected = {}
                 self._collected[(cid, dst)] = floor
 
     def collect(self, comm_id: int, dst: int, upto_seq: int) -> int:
@@ -223,6 +244,8 @@ class LogStore:
         key = (comm_id, dst)
         if upto_seq <= self._collected.get(key, 0):
             return 0
+        if self._collected is EMPTY_DICT:
+            self._collected = {}
         self._collected[key] = upto_seq
         deleted = 0
         for area, resident in ((self._stable, False), (self.channels, True)):
@@ -249,6 +272,8 @@ class LogStore:
         commits to a surviving tier: the saved snapshot now covers
         everything up to the checkpoint).  Records stay replayable via
         ``include_stable=True``."""
+        if self.channels and self._stable is EMPTY_DICT:
+            self._stable = {}
         for key, recs in self.channels.items():
             self._stable.setdefault(key, []).extend(recs)
         self.channels = {}

@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple, Union
+from typing import (
+    Any, Callable, Dict, FrozenSet, Generator, List, Optional, Set, Tuple, Union,
+)
 
 from repro.ckptdata.plane import CkptDataPlane
 from repro.core.checkpoint import Checkpoint
@@ -47,6 +49,7 @@ from repro.mpi import collectives as coll
 from repro.mpi.hooks import ProtocolHooks
 from repro.mpi.message import ControlMsg, Envelope
 from repro.mpi.request import RecvRequest
+from repro.util.empty import EMPTY_DICT
 from repro.util.units import SEC, US
 
 ChannelIn = Tuple[int, int]  # (comm_id, src world rank)
@@ -172,17 +175,49 @@ class _InboundChannel:
         return max(self.arrived, delivered_floor)
 
 
+#: Initial value of the per-rank peer sets only recovery fills.
+_NO_KEYS: FrozenSet = frozenset()
+
+
 class _RankState:
-    """Per-rank protocol state."""
+    """Per-rank protocol state.
+
+    Slotted, and the containers only recovery fills (``ls``, ``gated``,
+    ``rollback_sent``) start out shared and read-only
+    (:data:`~repro.util.empty.EMPTY_DICT`, an empty frozenset) until
+    their first writer replaces them."""
+
+    __slots__ = (
+        "rank",
+        "cluster",
+        "log",
+        "lr",
+        "ls",
+        "inbound",
+        "gated",
+        "recovering",
+        "intra_sent",
+        "intra_arrived",
+        "ckpt_calls",
+        "calls_at_last_ckpt",
+        "ckpt_round",
+        "gc_round_sent",
+        "rollbacks_handled",
+        "replayed_records",
+        "broadcast_rollback",
+        "rollback_sent",
+    )
 
     def __init__(self, rank: int, cluster: int) -> None:
         self.rank = rank
         self.cluster = cluster
         self.log = LogStore(rank)
         self.lr: Dict[ChannelIn, int] = {}  # delivered high-water (line 11)
-        self.ls: Dict[ChannelOut, int] = {}  # re-send suppression bound
+        # Re-send suppression bound: set at restore and by lastMessage.
+        self.ls: Dict[ChannelOut, int] = EMPTY_DICT
         self.inbound: Dict[ChannelIn, _InboundChannel] = {}
-        self.gated: Set[ChannelOut] = set()  # defer sends until LS known
+        # Sends deferred until LS is known: set at restore.
+        self.gated: Set[ChannelOut] = _NO_KEYS
         self.recovering = False
         # Intra-cluster drain counters (per peer world rank, all comms).
         self.intra_sent: Dict[int, int] = {}
@@ -194,7 +229,7 @@ class _RankState:
         self.rollbacks_handled = 0
         self.replayed_records = 0
         self.broadcast_rollback = False
-        self.rollback_sent: Set[int] = set()  # peers already handshaked
+        self.rollback_sent: Set[int] = _NO_KEYS  # peers already handshaked
 
     def chan_in(self, key: ChannelIn) -> _InboundChannel:
         ch = self.inbound.get(key)
@@ -1020,8 +1055,7 @@ class SPBC(ProtocolHooks):
             runtime.matching.unexpected.append(env)
         # Gate every known inter-cluster outgoing channel until the peer
         # tells us (lastMessage/Rollback) what it already received.
-        for key in self._known_out_channels(runtime, st):
-            st.gated.add(key)
+        st.gated = self._known_out_channels(runtime, st)
 
     def _known_out_channels(self, runtime, st: _RankState) -> Set[ChannelOut]:
         if self.config.rollback_scope == "all" or st.broadcast_rollback:
@@ -1059,6 +1093,8 @@ class SPBC(ProtocolHooks):
     def _send_rollback_to(self, runtime, st: _RankState, peer: int) -> None:
         if peer in st.rollback_sent:
             return
+        if st.rollback_sent is _NO_KEYS:
+            st.rollback_sent = set()
         st.rollback_sent.add(peer)
         lr_map = {
             cid: st.lr.get((cid, peer), 0)
@@ -1200,6 +1236,8 @@ class SPBC(ProtocolHooks):
         missing (possible when in-flight messages died with our crash),
         then release sends deferred on this channel."""
         cid, peer = key
+        if st.ls is EMPTY_DICT:
+            st.ls = {}
         st.ls[key] = value
         if key in st.gated:
             st.gated.discard(key)

@@ -194,16 +194,22 @@ class _HooksShim:
 
 
 class _TraceShim:
-    __slots__ = ("enabled", "_matrix")
+    """The merged run's communication volume: the shards' sparse
+    (src, dst) -> bytes sums, densified only when asked for."""
 
-    def __init__(self, matrix: Optional[np.ndarray]) -> None:
-        self.enabled = matrix is not None
-        self._matrix = matrix
+    __slots__ = ("enabled", "_pairs")
+
+    def __init__(self, pairs: Optional[Dict[Tuple[int, int], int]]) -> None:
+        self.enabled = pairs is not None
+        self._pairs = pairs
 
     def comm_bytes_matrix(self, nranks: int) -> np.ndarray:
-        if self._matrix is None:
+        if self._pairs is None:
             raise RuntimeError("run was traced with trace=False")
-        return self._matrix
+        mat = np.zeros((nranks, nranks), dtype=np.int64)
+        for (src, dst), nbytes in self._pairs.items():
+            mat[src, dst] += nbytes
+        return mat
 
 
 @dataclass
@@ -508,7 +514,7 @@ def _merge(
     restarts: Dict[int, int] = {}
     pfs_windows: List[Tuple[int, int, int]] = []
     flow_windows: List[Tuple[int, int, int, int]] = []
-    matrix = np.zeros((nranks, nranks), dtype=np.int64) if spec.trace else None
+    pairs: Optional[Dict[Tuple[int, int], int]] = {} if spec.trace else None
     stall = overhead = compute = packets = nbytes = events = 0
     # Failure events: every shard logs every injection (the crash side
     # runs everywhere), but only the owner of a cluster knows its actual
@@ -532,8 +538,9 @@ def _merge(
         packets += summ["packets_sent"]
         nbytes += summ["bytes_sent"]
         events += summ["events_executed"]
-        if matrix is not None and summ["comm_matrix"] is not None:
-            matrix += summ["comm_matrix"]
+        if pairs is not None and summ["comm_pairs"] is not None:
+            for pair, value in summ["comm_pairs"].items():
+                pairs[pair] = pairs.get(pair, 0) + value
         if tele.enabled:
             tele.merge_snapshot(summ.get("telemetry"))
         for name, value in summ.get("storage_counters", {}).items():
@@ -569,7 +576,7 @@ def _merge(
         finish_ns=finish,
         results=results,
         hooks=_HooksShim(log, pfs_windows, flow_windows, stall),
-        trace=_TraceShim(matrix),
+        trace=_TraceShim(pairs),
         commit_history=commits,
         failures=failures,
         restarts=restarts,

@@ -45,6 +45,7 @@ from repro.sim.tracing import (
     Trace,
     pack_row,
 )
+from repro.util.empty import EMPTY_DICT
 
 # CPU cost of handing a loopback (self) message through shared memory.
 LOOPBACK_NS_PER_BYTE = 0.05
@@ -52,7 +53,53 @@ LOOPBACK_FIXED_NS = 150
 
 
 class MPIRuntime:
-    """MPI library instance of a single world rank."""
+    """MPI library instance of a single world rank.
+
+    One of these exists per simulated rank, so its footprint bounds the
+    world size: the attributes are slots, and the containers only rare
+    paths fill (rendezvous, deferred sends, the pattern API) start out
+    as the shared read-only :data:`~repro.util.empty.EMPTY_DICT` and
+    are created by their first writer."""
+
+    __slots__ = (
+        "world",
+        "rank",
+        "engine",
+        "hooks",
+        "matching",
+        "_trace_on",
+        "_trace_put",
+        "telemetry",
+        "_tele_on",
+        "_eager_threshold",
+        "_comms",
+        "stamp_idents",
+        "spbc_state",
+        "alive",
+        "incarnation",
+        "chan_seq",
+        "_recv_post_seq",
+        "_send_post_seq",
+        "_send_complete_seq",
+        "_rvz_pending_cts",
+        "_rvz_awaiting_data",
+        "_rvz_unexpected",
+        "_deferred_sends",
+        "cpu_debt_ns",
+        "overhead_total_ns",
+        "compute_total_ns",
+        "_send_busy_until",
+        "active_ident",
+        "_next_pattern_id",
+        "pattern_iters",
+        "_arrival_signal",
+        "_sleep",
+        "_csleep",
+        "_debt_gate",
+        "warp_capable",
+        "warp_skip",
+        "_coll_seq",
+    )
 
     def __init__(self, world: "World", rank: int) -> None:
         self.world = world
@@ -84,12 +131,14 @@ class MPIRuntime:
         self._send_post_seq = 0
         self._send_complete_seq = 0
 
-        # Rendezvous bookkeeping.
-        self._rvz_pending_cts: Dict[int, SendRequest] = {}
-        self._rvz_awaiting_data: Dict[Tuple, RecvRequest] = {}
-        self._rvz_unexpected: Dict[Tuple, int] = {}  # message_key -> send_req_id
-        # Sends held back until the peer's lastMessage fixes LS.
-        self._deferred_sends: Dict[Tuple[int, int], List[SendRequest]] = {}
+        # Rendezvous bookkeeping (created by the first rendezvous).
+        self._rvz_pending_cts: Dict[int, SendRequest] = EMPTY_DICT
+        self._rvz_awaiting_data: Dict[Tuple, RecvRequest] = EMPTY_DICT
+        # message_key -> send_req_id
+        self._rvz_unexpected: Dict[Tuple, int] = EMPTY_DICT
+        # Sends held back until the peer's lastMessage fixes LS (created
+        # by the first deferral, on a restarted rank).
+        self._deferred_sends: Dict[Tuple[int, int], List[SendRequest]] = EMPTY_DICT
 
         # Deferred CPU cost (charged at the next blocking call).
         self.cpu_debt_ns = 0
@@ -102,7 +151,7 @@ class MPIRuntime:
         # Pattern API state (stamped into idents by the SPBC hooks).
         self.active_ident: Tuple[int, int] = DEFAULT_IDENT
         self._next_pattern_id = 0
-        self.pattern_iters: Dict[int, int] = {}
+        self.pattern_iters: Dict[int, int] = EMPTY_DICT  # see declare_pattern
 
         # Fires on every accepted arrival; blocking probe waits on it.
         self._arrival_signal = Trigger()
@@ -137,6 +186,8 @@ class MPIRuntime:
     def declare_pattern(self) -> int:
         self._next_pattern_id += 1
         pid = self._next_pattern_id
+        if self.pattern_iters is EMPTY_DICT:
+            self.pattern_iters = {}
         # setdefault, not assignment: a restarted process re-executes its
         # (deterministic, SPMD) declarations, and the pattern's iteration
         # counter restored from the checkpoint must survive them.
@@ -235,7 +286,7 @@ class MPIRuntime:
         if decision == "defer":
             # Restarted rank: LS for this channel is unknown until the
             # peer's lastMessage arrives; queue the physical transfer.
-            self._deferred_sends.setdefault((comm.comm_id, dst), []).append(req)
+            self._defer_send((comm_id, dst), req)
             return req
         if overhead > 0:
             # Protocol work (the log memcpy) happens inside the send call,
@@ -256,6 +307,11 @@ class MPIRuntime:
         else:
             self._transmit(env, req)
         return req
+
+    def _defer_send(self, key: Tuple[int, int], req: SendRequest) -> None:
+        if self._deferred_sends is EMPTY_DICT:
+            self._deferred_sends = {}
+        self._deferred_sends.setdefault(key, []).append(req)
 
     def _transmit_evt(self, env: Envelope, req: SendRequest, inc: int) -> None:
         if inc != self.incarnation or not self.alive:
@@ -283,6 +339,8 @@ class MPIRuntime:
             self._complete_send(req)
             return
         if req.rendezvous:
+            if self._rvz_pending_cts is EMPTY_DICT:
+                self._rvz_pending_cts = {}
             self._rvz_pending_cts[req.req_id] = req
             self.world.network.send(
                 self.rank, env.dst, RtsMsg(env, req.req_id), WIRE_HEADER_BYTES
@@ -451,10 +509,10 @@ class MPIRuntime:
         req = self.matching.arrive(env)
         if req is None:
             if rvz_send_req_id is not None:
-                self._rvz_unexpected[env.message_key] = rvz_send_req_id
+                self._note_rts(env.message_key, rvz_send_req_id)
         else:
             if rvz_send_req_id is not None:
-                self._rvz_unexpected[env.message_key] = rvz_send_req_id
+                self._note_rts(env.message_key, rvz_send_req_id)
                 self._on_matched(req, env)
             elif self._trace_on or self._rvz_unexpected:
                 self._on_matched(req, env)
@@ -470,6 +528,12 @@ class MPIRuntime:
             self._arrival_signal = Trigger()
             sig.fire()
 
+    def _note_rts(self, key: Tuple, send_req_id: int) -> None:
+        """Remember an accepted RTS until its receive matches."""
+        if self._rvz_unexpected is EMPTY_DICT:
+            self._rvz_unexpected = {}
+        self._rvz_unexpected[key] = send_req_id
+
     def _on_matched(self, req: RecvRequest, env: Envelope) -> None:
         if self._trace_on:
             self._trace_env(KIND_MATCH, env, req.req_seq)
@@ -480,6 +544,8 @@ class MPIRuntime:
         )
         if rvz_id is not None:
             # Rendezvous: grant the sender a CTS; completion at data arrival.
+            if self._rvz_awaiting_data is EMPTY_DICT:
+                self._rvz_awaiting_data = {}
             self._rvz_awaiting_data[env.message_key] = req
             self.world.network.send(
                 self.rank, env.src, CtsMsg(rvz_id), WIRE_HEADER_BYTES

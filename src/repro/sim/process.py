@@ -131,6 +131,7 @@ class ProcessStatus(enum.Enum):
 _CREATED = ProcessStatus.CREATED
 _RUNNING = ProcessStatus.RUNNING
 _BLOCKED = ProcessStatus.BLOCKED
+_EXITED = (ProcessStatus.DONE, ProcessStatus.FAILED)
 
 
 class SimProcess:
@@ -144,7 +145,7 @@ class SimProcess:
         "status",
         "result",
         "exception",
-        "exit_trigger",
+        "_exit_trigger",
         "on_exit",
         "start_time",
         "finish_time",
@@ -166,7 +167,7 @@ class SimProcess:
         self.status = ProcessStatus.CREATED
         self.result: Any = None
         self.exception: Optional[BaseException] = None
-        self.exit_trigger = Trigger(name=f"{name}.exit")
+        self._exit_trigger: Optional[Trigger] = None  # see exit_trigger
         self.on_exit = on_exit
         self.start_time: Optional[int] = None
         self.finish_time: Optional[int] = None
@@ -175,6 +176,19 @@ class SimProcess:
         engine.processes.append(self)
 
     # ------------------------------------------------------------------
+    @property
+    def exit_trigger(self) -> Trigger:
+        """Fires with the result when the process ends ``DONE`` or
+        ``FAILED`` (a killed process did not exit).  Created on first
+        access — almost no process is ever waited on — and fired at
+        once when that access comes after the exit."""
+        trigger = self._exit_trigger
+        if trigger is None:
+            trigger = self._exit_trigger = Trigger(name=f"{self.name}.exit")
+            if self.status in _EXITED:
+                trigger.fire(self.result)
+        return trigger
+
     @property
     def is_blocked(self) -> bool:
         return self.status is _BLOCKED
@@ -278,7 +292,8 @@ class SimProcess:
         self.result = result
         self.finish_time = self.engine.now
         self._waiting_on = None
-        self.exit_trigger.fire(result)
+        if self._exit_trigger is not None and status in _EXITED:
+            self._exit_trigger.fire(result)
         if self.on_exit is not None:
             self.on_exit(self)
 

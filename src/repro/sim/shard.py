@@ -308,10 +308,11 @@ def _summarize(world, manager, owned_ranks: FrozenSet[int]) -> Dict[str, Any]:
         "results": {r: p.result for r, p in procs.items()},
         "log": log_counters_of(spbc, owned),
         "commits": commit_history_of(spbc, owned),
-        "comm_matrix": (
-            world.trace.comm_bytes_matrix(world.nranks)
-            if world.trace.enabled
-            else None
+        # Sparse (src, dst) -> bytes of the owned senders: a dense n x n
+        # matrix per shard would dwarf the run at scale.  Warp, the
+        # trace's other contributor, never runs sharded.
+        "comm_pairs": (
+            world.trace.send_pair_bytes() if world.trace.enabled else None
         ),
         "pfs_write_windows": list(spbc.pfs_write_windows),
         "shared_flow_windows": list(storage.shared_flow_windows()),

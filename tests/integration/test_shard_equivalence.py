@@ -20,6 +20,7 @@ world that has none.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.apps.amg import amg_app
@@ -30,6 +31,7 @@ from repro.ckptdata.plane import parse_ckpt_data
 from repro.ckptdata.regions import TEST_PROFILE
 from repro.core.clusters import ClusterMap
 from repro.core.protocol import SPBC, SPBCConfig
+from repro.harness import parallel
 from repro.harness.parallel import partition_shards
 from repro.harness.runner import run_app, run_failure_schedule, run_spbc
 from repro.journal.recorder import commit_history_of, log_counters_of
@@ -92,6 +94,40 @@ def test_failure_free_runs_are_bit_identical(k, shards):
     assert_matches_sequential(sh, seq, NRANKS, f"k={k} shards={shards}")
     assert sh.packets_sent == seq.world.network.packets_sent
     assert sh.bytes_sent == seq.world.network.bytes_sent
+
+
+def _ndarrays(obj):
+    """Every numpy array reachable through dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _ndarrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _ndarrays(value)
+
+
+def test_traced_worker_summary_carries_no_ndarray(monkeypatch):
+    """A traced shard ships its send volume as sparse (src, dst) byte
+    sums, not a dense nranks x nranks matrix; the merged result builds
+    the dense matrix only when asked, equal to the sequential one."""
+    summaries = []
+    real_merge = parallel._merge
+
+    def spy(worker_summaries, *args, **kwargs):
+        summaries.extend(worker_summaries)
+        return real_merge(worker_summaries, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "_merge", spy)
+    factory = ring_app(iters=6, msg_bytes=2048, compute_ns=200_000)
+    cm = ClusterMap.block(NRANKS, 4)
+    seq = run_spbc(factory, NRANKS, cm, ranks_per_node=RPN)
+    sh = run_spbc(factory, NRANKS, cm, ranks_per_node=RPN, shards=2)
+    assert len(summaries) == 2
+    assert all(s["comm_pairs"] for s in summaries)
+    assert not [a for s in summaries for a in _ndarrays(s)]
+    assert_matches_sequential(sh, seq, NRANKS)
 
 
 def test_paper_app_with_checkpoints_is_bit_identical():

@@ -11,6 +11,7 @@ measurement is reproducible::
     PYTHONPATH=src python tools/profile_hotpath.py storm --ranks 2048
     PYTHONPATH=src python tools/profile_hotpath.py paper --trace --gc
     PYTHONPATH=src python tools/profile_hotpath.py paper --no-trace --gc
+    PYTHONPATH=src python tools/profile_hotpath.py sync --ranks 1024 --mem
 
 Workloads (the shapes docs/performance.md talks about):
 
@@ -48,7 +49,13 @@ replaced by what the cyclic collector did during one more unprofiled
 run: collections per generation and the total pause, timed through
 ``gc.callbacks``, plus the process's peak RSS after that run (the
 measurement behind "Why per-event cost grew with rank count" in
-docs/performance.md).
+docs/performance.md).  With ``--mem`` nothing runs: the workload's
+world is built and launched under ``tracemalloc``, and the report is
+its traced bytes per rank plus the top-10 allocation sites by size
+(the measurement behind "The residual gap: bytes per rank" in
+docs/performance.md; ``sync`` at 1024 ranks is, to within a few bytes
+per rank, the block-clusters-of-8 ring world
+``tests/sim/test_footprint.py`` bounds).
 """
 
 from __future__ import annotations
@@ -60,27 +67,31 @@ import io
 import pstats
 import resource
 import time
+import tracemalloc
 
 from repro.apps.synthetic import halo2d_app, ring_app
 from repro.ckptdata.regions import TEST_PROFILE
 from repro.core.clusters import ClusterMap
 from repro.core.protocol import SPBCConfig
 from repro.harness.experiments import PAPER_NET, app_factory
-from repro.harness.runner import run_spbc
+from repro.harness.runner import RunSpec, _resolve_specs, build_world, execute
 from repro.sim.resources import BandwidthResource
 
 WORKLOADS = ("logging", "sync", "halo", "storm", "paper", "eventq")
 
 
-def build(workload: str, nranks: int, trace: bool = False):
+def spec_maker(workload: str, nranks: int, trace: bool = False):
+    """A function returning a fresh :class:`RunSpec` of ``workload``
+    (fresh, because a storage backend binds to the config it resolves
+    into)."""
     if workload == "logging":
         factory = ring_app(iters=20, msg_bytes=4096, compute_ns=200_000)
         cm = ClusterMap.singletons(nranks)
-        return lambda: run_spbc(factory, nranks, cm, trace=trace)
+        return lambda: RunSpec(factory, nranks, cm, trace=trace)
     if workload == "paper":
         factory = app_factory("amg")
         cm = ClusterMap.singletons(nranks)
-        return lambda: run_spbc(
+        return lambda: RunSpec(
             factory, nranks, cm, net_params=PAPER_NET, trace=trace
         )
     if workload in ("sync", "storm"):
@@ -98,15 +109,51 @@ def build(workload: str, nranks: int, trace: bool = False):
         cfg = lambda: SPBCConfig(  # noqa: E731 - fresh config per run
             clusters=cm, checkpoint_every=every, state_nbytes=1 << 20
         )
-        return lambda: run_spbc(
+        return lambda: RunSpec(
             factory, nranks, cm, config=cfg(), storage=storage, trace=trace,
             **data_plane,
         )
     if workload == "halo":
         factory = halo2d_app(iters=10, msg_bytes=8192, compute_ns=400_000)
         cm = ClusterMap.block(nranks, max(2, nranks // 8))
-        return lambda: run_spbc(factory, nranks, cm, trace=trace)
+        return lambda: RunSpec(factory, nranks, cm, trace=trace)
     raise SystemExit(f"unknown workload {workload!r} (pick from {WORKLOADS})")
+
+
+def build(workload: str, nranks: int, trace: bool = False):
+    make_spec = spec_maker(workload, nranks, trace)
+    return lambda: execute(make_spec())
+
+
+def profile_mem(workload: str, nranks: int, trace: bool, top: int = 10) -> None:
+    """Traced bytes per rank of the built (launched, not run) world and
+    its ``top`` allocation sites by size."""
+    if workload == "eventq":
+        print("== eventq builds no world: nothing to measure ==")
+        return
+    spec = spec_maker(workload, nranks, trace)()
+    _resolve_specs(spec)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        world, _manager = build_world(spec, None, None)
+        traced, _peak = tracemalloc.get_traced_memory()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    print(
+        f"== {workload} @ {nranks} ranks, built not run, trace "
+        f"{'on' if trace else 'off'}: {traced / 2**20:.2f} MiB traced, "
+        f"{traced / nranks:.0f} B per rank =="
+    )
+    print(f"{'MiB':>7} {'B/rank':>7} {'blocks':>8}  site")
+    for stat in snapshot.statistics("lineno")[:top]:
+        frame = stat.traceback[0]
+        where = frame.filename.rsplit("/src/", 1)[-1]
+        print(
+            f"{stat.size / 2**20:>7.2f} {stat.size / nranks:>7.0f} "
+            f"{stat.count:>8}  {where}:{frame.lineno}"
+        )
 
 
 def profile_eventq(sort: str, top: int) -> None:
@@ -277,12 +324,20 @@ def main() -> int:
         "(gc.callbacks) instead of the cProfile table",
     )
     ap.add_argument(
+        "--mem", action="store_true",
+        help="build the world without running it and report its traced "
+        "bytes per rank and top-10 allocation sites (tracemalloc)",
+    )
+    ap.add_argument(
         "--trace", action=argparse.BooleanOptionalAction, default=False,
         help="record the communication trace during the run (Figure 6's "
         "logging runs record it; every other experiment runs with it off)",
     )
     args = ap.parse_args()
     for w in [args.workload] if args.workload else WORKLOADS:
+        if args.mem:
+            profile_mem(w, args.ranks, args.trace)
+            continue
         profile_one(
             w, args.ranks, args.sort, args.top, gc_report=args.gc,
             trace=args.trace,
