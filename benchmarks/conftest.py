@@ -1,11 +1,13 @@
 """Benchmark harness configuration.
 
-Each paper/storage benchmark regenerates one row of
+Each benchmark regenerates one row of
 ``repro.harness.experiments.EXPERIMENTS`` — the same row, with the same
 arguments, that ``python -m repro <name>`` runs — and persists it as its
-committed ``benchmarks/results/<artefact>.json``.  The simulation is
-deterministic, so a single round per benchmark is exact;
-``pytest-benchmark`` still records the wall time of the driver.
+committed ``benchmarks/results/<artefact>.json`` through ``regenerate``,
+the only writer there; the ``benchmarks/test_*.py`` files keep only the
+paper-shape assertions.  The simulation is deterministic, so a single
+round per benchmark is exact; ``pytest-benchmark`` still records the
+wall time of the driver.
 
 The ``scale`` fixture is the only place the scale is set: ``REPRO_BENCH_RANKS``
 ranks (default 128; the paper used 512) with ``REPRO_BENCH_RPN`` ranks
@@ -39,39 +41,26 @@ def scale():
 
 
 @pytest.fixture
-def record_rows(scale):
-    """Persist a benchmark's table rows as JSON under benchmarks/results/
-    (consumed by tools/generate_experiments_md.py)."""
+def regenerate(benchmark, scale):
+    """Run experiment ``name`` at ``scale``, write its results JSON — the
+    rank count, each row as the row's ``record`` turns it into a JSON
+    object, and the rendered table — and return the rows."""
 
-    def _write(name: str, rows, rendered: str):
-        payload = {
-            "nranks": scale["nranks"],
-            "rows": rows,
-            "rendered": rendered,
-        }
-        (RESULTS_DIR / f"{name}.json").write_text(json.dumps(payload, indent=1))
-        print()
-        print(rendered)
-
-    return _write
-
-
-@pytest.fixture
-def regenerate(benchmark, record_rows, scale):
-    """Run experiment ``name`` at ``scale``, persist its rows (each
-    turned into a JSON object by ``record``) with its rendered table as
-    the row's artefact, and return the rows."""
-
-    def _run(name: str, record):
+    def _run(name: str):
         experiment = EXPERIMENTS[name]
         rows = benchmark.pedantic(
             experiment.run, kwargs=scale, rounds=1, iterations=1
         )
-        record_rows(
-            experiment.artefact or name,
-            [record(r) for r in rows],
-            experiment.render(rows),
-        )
+        rendered = experiment.render(rows)
+        payload = {
+            "nranks": scale["nranks"],
+            "rows": [experiment.record(r) for r in rows],
+            "rendered": rendered,
+        }
+        path = RESULTS_DIR / f"{experiment.artefact or name}.json"
+        path.write_text(json.dumps(payload, indent=1))
+        print()
+        print(rendered)
         return rows
 
     return _run

@@ -21,17 +21,7 @@ import pytest
 
 @pytest.mark.benchmark(group="blastradius")
 def test_blastradius_partner_vs_no_partner(regenerate):
-    rows = regenerate(
-        "blastradius",
-        lambda r: dict(app=r.app, plan=r.plan, kind=r.kind, nranks=r.nranks,
-                       nnodes=r.nnodes, failed_node=r.failed_node,
-                       restarted_ranks=r.restarted_ranks,
-                       rounds_at_failure=r.rounds_at_failure,
-                       restarted_from_round=r.restarted_from_round,
-                       lost_rounds=r.lost_rounds, restored_tier=r.restored_tier,
-                       invalidated_copies=r.invalidated_copies,
-                       recovery_overhead_pct=r.recovery_overhead_pct),
-    )
+    rows = regenerate("blastradius")
     by = {(r.plan, r.kind): r for r in rows}
     assert by[("no-partner", "process")].lost_rounds == 0
     assert by[("partner", "process")].lost_rounds == 0
@@ -42,12 +32,6 @@ def test_blastradius_partner_vs_no_partner(regenerate):
 
 @pytest.mark.benchmark(group="blastradius")
 def test_auto_interval_tracks_young_daly(regenerate):
-    rows = regenerate(
-        "auto_interval",
-        lambda r: dict(app=r.app, plan=r.plan, cluster=r.cluster, every=r.every,
-                       predicted_every=r.predicted_every, iter_ns=r.iter_ns,
-                       ckpt_cost_ns=r.ckpt_cost_ns, t_opt_ns=r.t_opt_ns,
-                       commits=r.commits),
-    )
+    rows = regenerate("auto_interval")
     for r in rows:
         assert abs(r.every - r.predicted_every) <= 1

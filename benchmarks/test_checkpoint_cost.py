@@ -21,14 +21,7 @@ import pytest
 
 @pytest.mark.benchmark(group="ckptcost")
 def test_checkpoint_cost_tier_sweep(regenerate):
-    rows = regenerate(
-        "ckptcost",
-        lambda r: dict(app=r.app, clusters=r.k, plan=r.plan, nranks=r.nranks,
-                       rounds=r.rounds, ckpt_mb_avg=r.ckpt_mb_avg,
-                       write_ms_per_rank=r.write_ms_per_rank,
-                       makespan_ms=r.makespan_ns / 1e6,
-                       slowdown_pct=r.slowdown_pct),
-    )
+    rows = regenerate("ckptcost")
     by = {(r.k, r.plan): r for r in rows}
     for k in (4, 16):
         mem = by[(k, "memory")]

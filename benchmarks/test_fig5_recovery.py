@@ -15,12 +15,7 @@ from repro.harness.experiments import PAPER_APPS
 
 @pytest.mark.benchmark(group="fig5")
 def test_fig5_recovery_normalized(regenerate):
-    rows = regenerate(
-        "fig5",
-        lambda r: dict(app=r.app, clusters=r.k, normalized=r.normalized,
-                       rework_ms=r.rework_ns / 1e6, native_ms=r.native_ns / 1e6,
-                       replayed=r.replayed_records),
-    )
+    rows = regenerate("fig5")
     by = {(r.app, r.k): r for r in rows}
     ks = sorted({r.k for r in rows})
 

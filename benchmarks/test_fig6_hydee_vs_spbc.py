@@ -12,11 +12,7 @@ import pytest
 
 @pytest.mark.benchmark(group="fig6")
 def test_fig6_hydee_vs_spbc(regenerate):
-    rows = regenerate(
-        "fig6",
-        lambda r: dict(app=r.app, spbc=r.spbc_normalized, hydee=r.hydee_normalized,
-                       grants=r.hydee_grants, records=r.records),
-    )
+    rows = regenerate("fig6")
     for r in rows:
         # SPBC never slower than failure-free.
         assert r.spbc_normalized <= 1.02, r

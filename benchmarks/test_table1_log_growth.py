@@ -22,11 +22,7 @@ from repro.harness.experiments import PAPER_APPS
 
 @pytest.mark.benchmark(group="table1")
 def test_table1_log_growth(regenerate, scale):
-    rows = regenerate(
-        "table1",
-        lambda r: dict(app=r.app, clusters=r.k, avg=r.avg_mb_s, max=r.max_mb_s,
-                       min=r.min_mb_s),
-    )
+    rows = regenerate("table1")
     nranks = scale["nranks"]
     by = {(r.app, r.k): r for r in rows}
     ks = sorted({r.k for r in rows})

@@ -7,7 +7,7 @@ Public API tour
 * :mod:`repro.mpi`  — the simulated MPI library (``World``, ``RankContext``);
 * :mod:`repro.core` — the SPBC protocol: clustering-aware sender-side
   logging, pattern identifiers, coordinated checkpointing, recovery;
-* :mod:`repro.baselines` — HydEE and classical baselines;
+* :mod:`repro.baselines` — HydEE, the recovery SPBC is compared against;
 * :mod:`repro.clustering` — the communication-driven clustering tool;
 * :mod:`repro.apps` — the paper's workloads as communication skeletons;
 * :mod:`repro.harness` — runners and the Table/Figure experiment drivers.

@@ -11,6 +11,10 @@ Usage::
     python -m repro deltachain [--ckpt-data incr:4:zlib-like]
                                [--storage tiered:ram@1,pfs@4]
     python -m repro ioverlap [--storage tiered:ram@1,pfs@4]
+    python -m repro ablation_clustering   # sections 6.2/6.6: partitioners
+    python -m repro ablation_containment  # rolled-back ranks vs log volume
+    python -m repro ablation_online       # contained vs global rollback
+    python -m repro ablation_window       # section 5.2.2: pre-post window
     python -m repro simperf [--shards N]   # gates on the simulator's own speed
     python -m repro apps            # list registered workloads
     python -m repro journal out.journal --record [--app ring] [--ranks 32]

@@ -2,10 +2,12 @@
 
 * :mod:`repro.baselines.hydee` — HydEE [19]: the only other protocol with
   failure containment and no reliable event logging; needs a centralized
-  coordinator to order replayed messages during recovery (Figure 6);
-* :mod:`repro.baselines.classic` — pure coordinated checkpointing
-  (global rollback) and pure per-process message logging, the two
-  extremes the hybrid design interpolates between (Table 1).
+  coordinator to order replayed messages during recovery (Figure 6).
+
+The two extremes the hybrid design interpolates between are SPBC itself
+at its endpoints: ``ClusterMap.single`` (pure coordinated checkpointing,
+global rollback; the k=1 row of ``python -m repro ablation_online``) and
+``ClusterMap.singletons`` (pure message logging; Table 1's last row).
 """
 
 from repro.baselines.hydee import (
@@ -13,17 +15,9 @@ from repro.baselines.hydee import (
     compute_levels,
     run_hydee_recovery,
 )
-from repro.baselines.classic import (
-    coordinated_rollback_cost,
-    pure_logging_clusters,
-    single_cluster,
-)
 
 __all__ = [
     "HydEEPlan",
     "compute_levels",
     "run_hydee_recovery",
-    "coordinated_rollback_cost",
-    "pure_logging_clusters",
-    "single_cluster",
 ]

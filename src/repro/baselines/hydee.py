@@ -280,7 +280,7 @@ class HydEEHooks(SPBC):
 
     # -- recovering-rank instrumentation ---------------------------------
     def on_send(self, runtime, env: Envelope):
-        decision = super().on_send(runtime, env)
+        decision, overhead = super().on_send(runtime, env)
         if (
             decision is False
             and self._emulated is not None
@@ -294,7 +294,7 @@ class HydEEHooks(SPBC):
                 self.coordinator_rank, DONE, {"key": env.message_key}, nbytes=32
             )
             runtime.charge_cpu(200)
-        return decision
+        return decision, overhead
 
     def on_deliver(self, runtime, env: Envelope) -> None:
         super().on_deliver(runtime, env)

@@ -326,11 +326,9 @@ class SPBC(ProtocolHooks):
         self.clusters = config.clusters
         # Send-path caches: the per-message hooks resolve cluster
         # membership with two list indexings instead of going through the
-        # ClusterMap methods, and the cost model's bound method is
-        # pre-resolved (profiled hot on every Tier-1 workload).
+        # ClusterMap methods, and the send hook reads the cost model's
+        # constants flattened (profiled hot on every Tier-1 workload).
         self._cluster_of: List[int] = list(config.clusters.cluster_of)
-        self._send_cost_ns = config.cost.send_cost_ns
-        # Flattened cost-model constants for the fused send hook.
         self._ident_cost_ns = config.cost.ident_fixed_ns
         self._log_fixed_ns = config.cost.log_fixed_ns
         self._log_ns_per_byte = config.cost.log_ns_per_byte
@@ -339,8 +337,6 @@ class SPBC(ProtocolHooks):
             # matching engine binds match_allowed once per runtime, and
             # the config test per match was measurable.
             self.match_allowed = _match_anything
-        if type(self) is SPBC:
-            self.on_send_with_cost = self._on_send_with_cost_fused
         self.state: Dict[int, _RankState] = {}
         # Journal event sink (anything with .emit(kind, t, **fields));
         # installed by the runners when a run is being recorded.
@@ -507,25 +503,9 @@ class SPBC(ProtocolHooks):
         return True
 
     def on_send(self, runtime, env: Envelope):
-        st = runtime.spbc_state
-        cluster_of = self._cluster_of
-        if cluster_of[env.src] == cluster_of[env.dst]:
-            dst = env.dst
-            intra = st.intra_sent
-            intra[dst] = intra.get(dst, 0) + 1
-            return True
-        if self._emulated is not None and env.src in self._emulated:
-            # Paper section 6.4 emulated recovery: the destination already
-            # holds every inter-cluster message; skip them all.
-            return False
-        return self._log_and_filter(runtime, st, env)
-
-    def _on_send_with_cost_fused(self, runtime, env: Envelope):
-        """Fused decision+cost send hook (one dispatch, one cluster
-        resolution per send).  Installed per-instance in __init__ only
-        for plain SPBC: subclasses overriding on_send /
-        send_overhead_ns keep the composing base-class
-        on_send_with_cost, so their overrides stay in effect."""
+        """Decision and cost (:meth:`LogCostModel.send_cost_ns`, inlined) of
+        one send, from one cluster resolution; emulated recovery charges
+        nothing."""
         st = runtime.spbc_state
         cluster_of = self._cluster_of
         if cluster_of[env.src] == cluster_of[env.dst]:
@@ -537,19 +517,13 @@ class SPBC(ProtocolHooks):
             return True, self._ident_cost_ns
         if self._emulated is not None:
             if env.src in self._emulated:
+                # Paper section 6.4 emulated recovery: the destination
+                # already holds every inter-cluster message; skip them all.
                 return False, 0
             return self._log_and_filter(runtime, st, env), 0
         return (
             self._log_and_filter(runtime, st, env),
             self._log_fixed_ns + int(env.nbytes * self._log_ns_per_byte),
-        )
-
-    def send_overhead_ns(self, runtime, env: Envelope) -> int:
-        if self._emulated is not None:
-            return 0
-        cluster_of = self._cluster_of
-        return self._send_cost_ns(
-            cluster_of[env.src] != cluster_of[env.dst], env.nbytes
         )
 
     # ------------------------------------------------------------------
@@ -1259,11 +1233,6 @@ class SPBC(ProtocolHooks):
     def total_bytes_logged(self) -> int:
         return sum(s.log.bytes_logged for s in self.state.values())
 
-    def total_resident_log_bytes(self) -> int:
-        """Live sender-log memory right now (bounded by truncation at
-        durable commits plus receiver-driven GC)."""
-        return sum(s.log.resident_bytes for s in self.state.values())
-
     def total_collected_log_bytes(self) -> int:
         """Bytes freed by receiver-driven GC across all ranks."""
         return sum(s.log.collected_bytes for s in self.state.values())
@@ -1302,6 +1271,3 @@ class SPBC(ProtocolHooks):
     def data_plane_report(self) -> Optional[dict]:
         """The data plane's payload/byte accounting (None when off)."""
         return self._plane.stats() if self._plane is not None else None
-
-    def total_overhead_ns(self) -> int:
-        return sum(rt.overhead_total_ns for rt in self._world.runtimes)

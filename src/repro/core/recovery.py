@@ -171,10 +171,6 @@ class RecoveryManager:
             )
         self.world.engine.schedule_at(at_ns, self._fail, rank, kind)
 
-    def inject_node_failure(self, at_ns: int, rank: int) -> None:
-        """Fail the physical node hosting ``rank`` at ``at_ns``."""
-        self.inject_failure(at_ns, rank, kind="node")
-
     def _fail(self, rank: int, kind: str = "process") -> None:
         clusters = self.spbc.clusters
         if kind == "node":

@@ -18,7 +18,7 @@ communication statistics once and clusters offline ([30], section 6.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import AbstractSet, Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from repro.apps.base import get_app
 from repro.apps.calibration import PAPER_NET
 from repro.baselines.hydee import HydEEPlan, run_hydee_recovery
-from repro.clustering.partition import cluster_by_communication
+from repro.clustering.partition import cluster_by_communication, cut_bytes
 from repro.core.clusters import ClusterMap
 from repro.core.emulated import ReplayPlan
 from repro.core.protocol import SPBCConfig
@@ -905,6 +905,166 @@ def ioverlap(
 
 
 # ----------------------------------------------------------------------
+# Ablations — the paper's design arguments, one app each (the row's
+# title names the committed one): the clustering strategy (sections
+# 6.2/6.6), containment vs logging (2.2/6.6), contained vs global
+# rollback online (1-2), and the replay pre-post window (5.2.2)
+# ----------------------------------------------------------------------
+
+def _one_app(apps: Sequence[str]) -> str:
+    if len(apps) != 1:
+        raise ValueError(f"an ablation studies one app, got {', '.join(apps)}")
+    return apps[0]
+
+
+@dataclass
+class ClusteringRow:
+    strategy: str
+    cut_mib: float  # inter-cluster volume
+    avg: float  # per-rank log growth (MB/s)
+    max: float
+
+
+def clustering_comparison(
+    apps: Sequence[str] = ("minighost",),
+    k: int = 8,
+    nranks: int = 128,
+    ranks_per_node: int = 8,
+) -> List[ClusteringRow]:
+    """The communication-driven partitioner against naive block and
+    round-robin-over-nodes maps of ``k`` clusters, on the logged volume."""
+    run = make_logging_run(_one_app(apps), nranks, ranks_per_node)
+    sym = run.bytes_matrix + run.bytes_matrix.T
+    strategies = {
+        "comm-driven": run.clustering_for(k),
+        "block": ClusterMap.block(nranks, k),
+        "round-robin(nodes)": ClusterMap(
+            [(r // ranks_per_node) % k for r in range(nranks)]
+        ),
+    }
+    rows: List[ClusteringRow] = []
+    for name, cm in strategies.items():
+        logged = run.per_rank_logged_bytes(cm)
+        rows.append(
+            ClusteringRow(
+                strategy=name,
+                cut_mib=cut_bytes(sym, cm.cluster_of) / 2**20,
+                avg=mb_per_s(int(logged.mean()), run.duration_ns),
+                max=mb_per_s(int(logged.max()), run.duration_ns),
+            )
+        )
+    return rows
+
+
+@dataclass
+class ContainmentRow:
+    clusters: int
+    rolled_back: int  # ranks one failure rolls back
+    avg: float  # per-rank log growth (MB/s)
+
+
+def containment_sweep(
+    apps: Sequence[str] = ("milc",),
+    nranks: int = 128,
+    ranks_per_node: int = 8,
+) -> List[ContainmentRow]:
+    """Smaller clusters roll fewer ranks back but log more: the hybrid
+    design's trade-off, from one logging run."""
+    run = make_logging_run(_one_app(apps), nranks, ranks_per_node)
+    rows: List[ContainmentRow] = []
+    for k in (2, 4, 8, 16):
+        if k > nranks:
+            continue
+        logged = run.per_rank_logged_bytes(run.clustering_for(k))
+        rows.append(
+            ContainmentRow(
+                clusters=k,
+                rolled_back=nranks // k,
+                avg=mb_per_s(int(logged.mean()), run.duration_ns),
+            )
+        )
+    return rows
+
+
+#: Online recovery re-executes the lost segment for real: a shorter milc
+#: than Table 1's keeps the sweep to seconds.
+ONLINE_OVERRIDES: Dict[str, dict] = {"milc": dict(iters=6, compute_ns=2_000_000)}
+
+
+@dataclass
+class OnlineRow:
+    clusters: int
+    restarted: int  # ranks the crash rolled back
+    slowdown: float  # makespan / failure-free
+
+
+def online_comparison(
+    apps: Sequence[str] = ("milc",),
+    nranks: int = 128,
+    ranks_per_node: int = 8,
+) -> List[OnlineRow]:
+    """A crash of rank 0 at 60% of the run, recovered online under block
+    maps of 1, 2, 4 and 8 clusters: k=1 is coordinated checkpointing's
+    global rollback, larger k SPBC's contained one.  Every recovered run
+    must compute what the native run computed."""
+    name = _one_app(apps)
+    app = app_factory(name, ONLINE_OVERRIDES.get(name))
+    world = _paper_world(ranks_per_node)
+    native = run_native(app, nranks, **world)
+    rows: List[OnlineRow] = []
+    for k in (1, 2, 4, 8):
+        cm = ClusterMap.block(nranks, k)
+        out = run_online_failure(
+            app, nranks, cm,
+            fail_at_ns=int(native.makespan_ns * 0.6),
+            config=SPBCConfig(clusters=cm, checkpoint_every=2),
+            **world,
+        )
+        assert out.results == native.results, f"{name}@{k}: results differ"
+        rows.append(
+            OnlineRow(
+                clusters=k,
+                restarted=len(out.restarted_ranks),
+                slowdown=out.makespan_ns / native.makespan_ns,
+            )
+        )
+    return rows
+
+
+@dataclass
+class WindowRow:
+    window: int
+    normalized: float  # rework / failure-free
+
+
+def window_sweep(
+    apps: Sequence[str] = ("minighost",),
+    k: int = 8,
+    nranks: int = 128,
+    ranks_per_node: int = 8,
+) -> List[WindowRow]:
+    """Emulated recovery of one ``k``-cluster run per replay pre-post
+    window (the paper posts up to 50 sends ahead).  The deadlock a window
+    below the log's reordering depth causes is a unit-scale test
+    (``tests/core/test_window_stress.py``)."""
+    name = _one_app(apps)
+    app = app_factory(name)
+    world = _paper_world(ranks_per_node)
+    native = run_native(app, nranks, **world)
+    run = make_logging_run(name, nranks, ranks_per_node)
+    cm = run.clustering_for(k)
+    plan = ReplayPlan.from_run(run.result.hooks, run.duration_ns, clusters=cm)
+    rows: List[WindowRow] = []
+    for w in (1, 5, 50, 200):
+        rec = run_emulated_recovery(
+            app, nranks, cm, plan,
+            reference_ns=native.makespan_ns, window=w, **world,
+        )
+        rows.append(WindowRow(window=w, normalized=rec.normalized))
+    return rows
+
+
+# ----------------------------------------------------------------------
 # The experiment table: one row per committed artefact
 # ----------------------------------------------------------------------
 
@@ -945,7 +1105,9 @@ class Experiment:
     dest, and its parsed value is passed as is).  ``columns`` maps each
     header to a :data:`Cell`; with ``pivot`` the first column keys the
     lines and the others repeat once per value of that attribute.
-    ``artefact`` names the results JSON when it is not the command."""
+    ``artefact`` names the results JSON when it is not the command, and
+    ``record`` turns a row into its JSON object there (by default, the
+    row's fields)."""
 
     driver: Callable[..., list]
     title: str
@@ -955,6 +1117,7 @@ class Experiment:
     flags: AbstractSet[str] = frozenset()
     pivot: Optional[str] = None
     artefact: Optional[str] = None
+    record: Callable[[Any], Dict[str, Any]] = asdict
 
     def run(self, **kwargs) -> list:
         """The driver's rows; ``kwargs`` (scale, apps, flag keywords)
@@ -976,6 +1139,8 @@ _TABLE2 = Experiment(
     {"app": "app", "clusters": "k",
      "native (ms)": lambda r: r.native_ns / 1e6,
      "SPBC (ms)": lambda r: r.spbc_ns / 1e6, "overhead %": "overhead_pct"},
+    record=lambda r: dict(app=r.app, clusters=r.k, native_ms=r.native_ns / 1e6,
+                          spbc_ms=r.spbc_ns / 1e6, overhead_pct=r.overhead_pct),
 )
 
 #: Every artefact ``python -m repro`` and ``pytest benchmarks/`` produce.
@@ -986,11 +1151,14 @@ EXPERIMENTS: Dict[str, Experiment] = {
         {"clusters": "k", "{}.avg": "avg_mb_s", "{}.max": "max_mb_s"},
         float_fmt="{:.2f}",
         pivot="app",
+        record=lambda r: dict(app=r.app, clusters=r.k, avg=r.avg_mb_s,
+                              max=r.max_mb_s, min=r.min_mb_s),
     ),
     "table2": _TABLE2,
     # Section 6.3's sweep: one app is enough for the trend.
     "table2_sweep": replace(
-        _TABLE2, args=dict(apps=("minighost",), ks=(2, 4, 8, 16))
+        _TABLE2, args=dict(apps=("minighost",), ks=(2, 4, 8, 16)),
+        record=lambda r: dict(app=r.app, clusters=r.k, overhead_pct=r.overhead_pct),
     ),
     "fig5": Experiment(
         fig5_recovery,
@@ -998,6 +1166,10 @@ EXPERIMENTS: Dict[str, Experiment] = {
         "(MPICH native = 1.0)",
         {"app": "app", "{} clusters": "normalized"},
         pivot="k",
+        record=lambda r: dict(app=r.app, clusters=r.k, normalized=r.normalized,
+                              rework_ms=r.rework_ns / 1e6,
+                              native_ms=r.native_ns / 1e6,
+                              replayed=r.replayed_records),
     ),
     "fig6": Experiment(
         fig6_hydee_vs_spbc,
@@ -1006,6 +1178,9 @@ EXPERIMENTS: Dict[str, Experiment] = {
         {"app": "app", "SPBC": "spbc_normalized", "HydEE": "hydee_normalized",
          "HydEE/SPBC": lambda r: r.hydee_normalized / r.spbc_normalized,
          "replayed msgs": "records"},
+        record=lambda r: dict(app=r.app, spbc=r.spbc_normalized,
+                              hydee=r.hydee_normalized, grants=r.hydee_grants,
+                              records=r.records),
     ),
     "ckptcost": Experiment(
         checkpoint_cost,
@@ -1017,6 +1192,12 @@ EXPERIMENTS: Dict[str, Experiment] = {
          "slowdown %": "slowdown_pct"},
         flags={"storage"},
         artefact="checkpoint_cost",
+        record=lambda r: dict(app=r.app, clusters=r.k, plan=r.plan,
+                              nranks=r.nranks, rounds=r.rounds,
+                              ckpt_mb_avg=r.ckpt_mb_avg,
+                              write_ms_per_rank=r.write_ms_per_rank,
+                              makespan_ms=r.makespan_ns / 1e6,
+                              slowdown_pct=r.slowdown_pct),
     ),
     "blastradius": Experiment(
         blastradius,
@@ -1031,6 +1212,16 @@ EXPERIMENTS: Dict[str, Experiment] = {
          "recovery %": "recovery_overhead_pct"},
         float_fmt="{:.2f}",
         flags={"storage", "checkpoint_every", "mtbf_ns"},
+        record=lambda r: dict(app=r.app, plan=r.plan, kind=r.kind,
+                              nranks=r.nranks, nnodes=r.nnodes,
+                              failed_node=r.failed_node,
+                              restarted_ranks=r.restarted_ranks,
+                              rounds_at_failure=r.rounds_at_failure,
+                              restarted_from_round=r.restarted_from_round,
+                              lost_rounds=r.lost_rounds,
+                              restored_tier=r.restored_tier,
+                              invalidated_copies=r.invalidated_copies,
+                              recovery_overhead_pct=r.recovery_overhead_pct),
     ),
     "auto_interval": Experiment(
         auto_interval,
@@ -1041,6 +1232,10 @@ EXPERIMENTS: Dict[str, Experiment] = {
          "ckpt cost (ms)": lambda r: r.ckpt_cost_ns / 1e6,
          "T_opt (ms)": lambda r: r.t_opt_ns / 1e6, "commits": "commits"},
         flags={"storage", "mtbf_ns"},
+        record=lambda r: dict(app=r.app, plan=r.plan, cluster=r.cluster,
+                              every=r.every, predicted_every=r.predicted_every,
+                              iter_ns=r.iter_ns, ckpt_cost_ns=r.ckpt_cost_ns,
+                              t_opt_ns=r.t_opt_ns, commits=r.commits),
     ),
     "deltachain": Experiment(
         deltachain,
@@ -1055,6 +1250,17 @@ EXPERIMENTS: Dict[str, Experiment] = {
          "tier": lambda r: r.restored_tier or "scratch",
          "restore read (ms)": lambda r: r.restore_read_ns / 1e6},
         flags={"ckpt_data", "storage"},
+        record=lambda r: dict(app=r.app, mode=r.mode, nranks=r.nranks,
+                              rounds=r.rounds, full_payloads=r.full_payloads,
+                              delta_payloads=r.delta_payloads, raw_mb=r.raw_mb,
+                              written_mb=r.written_mb,
+                              compress_ms_per_rank=r.compress_ms_per_rank,
+                              write_ms_per_rank=r.write_ms_per_rank,
+                              makespan_ms=r.makespan_ns / 1e6,
+                              fail_makespan_ms=r.fail_makespan_ns / 1e6,
+                              restarted_from_round=r.restarted_from_round,
+                              restored_tier=r.restored_tier,
+                              restore_read_ms=r.restore_read_ns / 1e6),
     ),
     "ioverlap": Experiment(
         ioverlap,
@@ -1071,5 +1277,45 @@ EXPERIMENTS: Dict[str, Experiment] = {
          "cancelled": lambda r: r.cancelled_flushes or "-",
          "tier": lambda r: r.restored_tier or "-"},
         flags={"storage"},
+        record=lambda r: dict(app=r.app, mode=r.mode, nranks=r.nranks,
+                              rounds=r.rounds,
+                              stall_ms_per_rank=r.stall_ms_per_rank,
+                              write_ms_per_rank=r.write_ms_per_rank,
+                              bg_write_ms_per_rank=r.bg_write_ms_per_rank,
+                              peak_pfs_writers=r.peak_pfs_writers,
+                              makespan_ms=r.makespan_ns / 1e6,
+                              fail_at_ms=r.fail_at_ns / 1e6,
+                              inflight_round=r.inflight_round,
+                              last_drained_round=r.last_drained_round,
+                              restarted_from_round=r.restarted_from_round,
+                              cancelled_flushes=r.cancelled_flushes,
+                              restored_tier=r.restored_tier,
+                              fail_makespan_ms=r.fail_makespan_ns / 1e6),
+    ),
+    "ablation_clustering": Experiment(
+        clustering_comparison,
+        "Ablation: clustering strategy (minighost, 8 clusters)",
+        {"strategy": "strategy", "cut (MiB)": "cut_mib", "avg MB/s": "avg",
+         "max MB/s": "max"},
+        float_fmt="{:.2f}",
+    ),
+    "ablation_containment": Experiment(
+        containment_sweep,
+        "Ablation: failure containment vs logging (milc)",
+        {"clusters": "clusters", "ranks rolled back": "rolled_back",
+         "avg log MB/s": "avg"},
+        float_fmt="{:.2f}",
+    ),
+    "ablation_online": Experiment(
+        online_comparison,
+        "Ablation: online recovery — contained vs global rollback (milc)",
+        {"clusters": "clusters", "ranks restarted": "restarted",
+         "makespan / failure-free": "slowdown"},
+    ),
+    "ablation_window": Experiment(
+        window_sweep,
+        "Ablation: replay pre-post window (minighost, 8 clusters)",
+        {"window": "window", "normalized rework": "normalized"},
+        float_fmt="{:.4f}",
     ),
 }

@@ -5,10 +5,9 @@ a checkpointing protocol needs to observe or steer the library:
 
 * ``match_allowed`` — the modified MPICH matching function: message and
   request match only if their identifiers agree;
-* ``on_send`` — sender-side logging (Algorithm 1 lines 3-9) and the
-  recovery re-send filter (``seqnum <= LS`` suppression);
-* ``send_overhead_ns`` — CPU cost charged for protocol work on the send
-  path (what Table 2 measures);
+* ``on_send`` — sender-side logging (Algorithm 1 lines 3-9), the
+  recovery re-send filter (``seqnum <= LS`` suppression), and the CPU
+  cost of that protocol work on the send path (what Table 2 measures);
 * ``on_arrival`` — inter-cluster dedup/reorder during recovery
   (Algorithm 1 lines 10-12);
 * ``on_deliver`` — LR bookkeeping;
@@ -42,27 +41,17 @@ class ProtocolHooks:
 
     # -- send path -----------------------------------------------------
     def on_send(self, runtime: "MPIRuntime", env: "Envelope"):
-        """Steer the physical transfer of ``env``.
+        """Steer the physical transfer of ``env``: ``(decision, overhead
+        ns)``, called once per send.
 
-        Return ``True`` to send normally, ``False`` to suppress it (the
-        destination already holds this message — Algorithm 1 line 7), or
-        the string ``"defer"`` to queue it until the protocol calls
-        ``runtime.release_deferred`` (used right after a restart while the
-        peer's ``lastMessage`` response is still in flight)."""
-        return True
-
-    def send_overhead_ns(self, runtime: "MPIRuntime", env: "Envelope") -> int:
-        return 0
-
-    def on_send_with_cost(self, runtime: "MPIRuntime", env: "Envelope"):
-        """Combined send-path hook: ``(on_send decision, overhead ns)``.
-
-        The runtime calls this once per send; the default composes the
-        two simple hooks, so subclasses overriding ``on_send`` /
-        ``send_overhead_ns`` keep working.  A protocol may install a
-        fused implementation to avoid the double dispatch (and double
-        cluster resolution) on the hottest path — see SPBC."""
-        return self.on_send(runtime, env), self.send_overhead_ns(runtime, env)
+        The decision is ``True`` to send normally, ``False`` to suppress
+        it (the destination already holds this message — Algorithm 1
+        line 7), or the string ``"defer"`` to queue it until the protocol
+        calls ``runtime.release_deferred`` (used right after a restart
+        while the peer's ``lastMessage`` response is still in flight).
+        The overhead is the CPU time the protocol's work costs the
+        sender."""
+        return True, 0
 
     # -- receive path --------------------------------------------------
     def on_arrival(

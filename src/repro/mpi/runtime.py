@@ -273,7 +273,7 @@ class MPIRuntime:
                 KIND_SEND, self.rank, self.engine.now, self.rank, dst, comm_id,
                 seqnum, tag, nbytes, -1, ident[0], ident[1],
             ))
-        decision, overhead = self.hooks.on_send_with_cost(self, env)
+        decision, overhead = self.hooks.on_send(self, env)
         if overhead:
             self.cpu_debt_ns += overhead
             self.overhead_total_ns += overhead
@@ -397,12 +397,13 @@ class MPIRuntime:
         """Flush sends queued while LS of (comm_id, dst) was unknown.
 
         Called by the protocol once the peer's lastMessage (or Rollback)
-        fixed LS; each queued send is re-submitted to ``on_send`` which
-        now either suppresses or transmits it.
+        fixed LS; each queued send is re-submitted to ``on_send``, whose
+        decision now either suppresses or transmits it (its cost was
+        charged when the send was first posted).
         """
         queue = self._deferred_sends.pop((comm_id, dst), [])
         for req in queue:
-            decision = self.hooks.on_send(self, req.env)
+            decision, _ = self.hooks.on_send(self, req.env)
             if decision is False:
                 req.suppressed = True
                 self._complete_send(req)
@@ -1016,14 +1017,3 @@ class World:
     def run(self, until_ns: Optional[int] = None, detect_deadlock: bool = True) -> int:
         with sim_gc(self.nranks):
             return self.engine.run(until_ns=until_ns, detect_deadlock=detect_deadlock)
-
-    def all_done(self) -> bool:
-        from repro.sim.process import ProcessStatus
-
-        return all(p.status is ProcessStatus.DONE for p in self.processes.values())
-
-    def max_finish_time(self) -> int:
-        times = [p.finish_time for p in self.processes.values() if p.finish_time is not None]
-        if not times:
-            raise SimError("no process finished")
-        return max(times)

@@ -258,9 +258,6 @@ class Network:
             del self._in_flight[fid]
         return len(doomed)
 
-    def in_flight_count(self) -> int:
-        return len(self._in_flight)
-
     def chan_state_items(self):
         """Directed pairs that have sent, as ((src, dst), [last_arrival,
         seq]) in ascending (src, dst) order (warp snapshot/apply helper)."""

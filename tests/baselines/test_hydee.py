@@ -161,17 +161,3 @@ def test_grant_window_validation():
     plan = HydEEPlan.from_run(res.hooks, res.trace, res.makespan_ns)
     with pytest.raises(RuntimeError):
         run_hydee_recovery(app, 4, clusters, plan, grant_window=0, ranks_per_node=2)
-
-
-def test_classic_baselines():
-    from repro.baselines.classic import (
-        coordinated_rollback_cost,
-        pure_logging_clusters,
-        single_cluster,
-    )
-
-    assert single_cluster(8).nclusters == 1
-    assert pure_logging_clusters(8).nclusters == 8
-    cost = coordinated_rollback_cost(512, 10_000)
-    assert cost["processes_rolled_back"] == 512
-    assert cost["wasted_cpu_ns"] == 512 * 10_000

@@ -44,3 +44,19 @@ def test_default_window_handles_it():
     rec = run_emulated_recovery(app, 4, CLUSTERS, plan, ranks_per_node=2)  # 50
     for r in plan.recovering_ranks:
         assert rec.results[r] == res.results[r]
+
+
+@pytest.mark.parametrize("window,recovers", [(1, False), (5, False), (9, True), (50, True)])
+def test_windows_below_the_reordering_depth_deadlock(window, recovers):
+    """Eight small messages behind one rendezvous: a reordering depth of
+    nine, which the window must reach for the replay to finish."""
+    app = window_stress_app(iters=3, nsmall=8)
+    res = run_spbc(app, 4, CLUSTERS, ranks_per_node=2)
+    plan = ReplayPlan.from_run(res.hooks, res.makespan_ns)
+    if not recovers:
+        with pytest.raises(DeadlockError):
+            run_emulated_recovery(app, 4, CLUSTERS, plan, window=window, ranks_per_node=2)
+        return
+    rec = run_emulated_recovery(app, 4, CLUSTERS, plan, window=window, ranks_per_node=2)
+    for r in plan.recovering_ranks:
+        assert rec.results[r] == res.results[r]

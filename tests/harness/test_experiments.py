@@ -1,6 +1,9 @@
 """Experiment-driver helpers: scaled cluster sweeps, post-hoc log
 accounting from a single logging run."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from repro.harness.experiments import (
     cluster_counts,
     fig6_hydee_vs_spbc,
     make_logging_run,
+    online_comparison,
     table1_log_growth,
     Fig5Row,
     Table1Row,
@@ -130,3 +134,58 @@ def test_sent_bytes_matrix_refuses_a_collected_log():
     assert log.collect(comm_id, dst, 1) == 1
     with pytest.raises(ValueError, match="rank 5"):
         _sent_bytes_matrix(hooks, 8)
+
+
+def test_online_ablation_runs_at_the_scale_it_is_given():
+    """Global rollback restarts every rank of the world it is given (the
+    driver used to clamp itself to 32 ranks)."""
+    rows = online_comparison(nranks=64, ranks_per_node=8)
+    assert [(r.clusters, r.restarted) for r in rows] == [
+        (1, 64), (2, 32), (4, 16), (8, 8)
+    ]
+
+
+def test_an_ablation_studies_one_app():
+    with pytest.raises(ValueError, match="one app"):
+        EXPERIMENTS["ablation_window"].run(apps=("milc", "amg"))
+
+
+RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+
+
+def _committed() -> dict:
+    return {p.stem: json.loads(p.read_text()) for p in RESULTS.glob("*.json")}
+
+
+def test_every_committed_artefact_is_an_experiment_row():
+    """``pytest benchmarks/`` writes results only through the table, so a
+    JSON no row names was written some other way."""
+    assert set(_committed()) == {
+        row.artefact or name for name, row in EXPERIMENTS.items()
+    }
+
+
+def _ranks_in_rows(stem: str, rows: list) -> set:
+    """The rank counts a committed artefact's rows show, where they show
+    any."""
+    if stem == "table1":
+        return {max(r["clusters"] for r in rows)}  # pure message logging
+    if stem == "ablation_containment":
+        return {r["clusters"] * r["rolled_back"] for r in rows}
+    if stem == "ablation_online":  # block maps: k clusters of n/k ranks
+        return {r["clusters"] * r["restarted"] for r in rows}
+    return {r["nranks"] for r in rows if "nranks" in r}
+
+
+def test_committed_header_is_the_rank_count_the_rows_ran_at():
+    shown = {
+        stem: _ranks_in_rows(stem, data["rows"])
+        for stem, data in _committed().items()
+    }
+    assert {stem for stem, ranks in shown.items() if ranks} >= {
+        "table1", "checkpoint_cost", "blastradius", "deltachain", "ioverlap",
+        "ablation_containment", "ablation_online",
+    }
+    for stem, data in _committed().items():
+        if shown[stem]:
+            assert shown[stem] == {data["nranks"]}, stem

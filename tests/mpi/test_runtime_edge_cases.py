@@ -62,7 +62,7 @@ class DeferAll(ProtocolHooks):
         self.deferring = True
 
     def on_send(self, runtime, env):
-        return "defer" if self.deferring else True
+        return ("defer" if self.deferring else True), 0
 
 
 def test_release_deferred_flushes_in_order():

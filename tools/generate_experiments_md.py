@@ -9,11 +9,11 @@ then:
 
     PYTHONPATH=src python tools/generate_experiments_md.py
 
-One section per committed artefact: every row of the experiment table
-(``repro.harness.experiments.EXPERIMENTS``) and the four ablations.  The
-paper's own artefacts carry the paper's numbers and the shape checks;
-the others print their rendered table under the command that
-regenerates it.
+One section per committed artefact, that is per row of the experiment
+table (``repro.harness.experiments.EXPERIMENTS``).  The paper's own
+artefacts carry the paper's numbers and the shape checks; the others
+print their rendered table under the command that regenerates it.  A
+row without its results JSON is an error (exit status 1).
 """
 
 from __future__ import annotations
@@ -39,15 +39,6 @@ clusters   AMG        CM1        GTC        MILC       MiniFE     MiniGhost
 
 PAPER_TABLE2 = """\
 AMG 0.26%   CM1 0.63%   GTC 1.14%   MILC 0.07%   MiniFE 0.08%   MiniGhost 0.36%"""
-
-#: Ablation results (written by benchmarks/test_ablation_*.py, not rows
-#: of the experiment table) and their section titles.
-ABLATIONS = {
-    "ablation_window": "Ablation — replay pre-post window (section 5.2.2)",
-    "ablation_clustering": "Ablation — clustering strategy (sections 6.2/6.6)",
-    "ablation_containment": "Ablation — containment vs logging trade-off",
-    "ablation_online": "Ablation — online recovery, contained vs global rollback",
-}
 
 
 def load(name: str):
@@ -144,11 +135,10 @@ PAPER_SECTIONS = {
 
 def artefacts():
     """``(results JSON stem, generic section title)`` of every committed
-    artefact: the experiment table's rows, then the ablations."""
+    artefact: one per row of the experiment table."""
     for name, exp in EXPERIMENTS.items():
-        heading = exp.title.split(":")[0]
+        heading = exp.title.split(" (")[0]
         yield exp.artefact or name, f"{heading} (`python -m repro {name}`)"
-    yield from ABLATIONS.items()
 
 
 def main() -> int:
@@ -178,8 +168,9 @@ def main() -> int:
     out.write_text("\n".join(sections))
     print(f"wrote {out} ({len(sections)-1} result sections)")
     if missing:
-        print(f"note: no results yet for: {', '.join(missing)} "
-              "(run pytest benchmarks/ --benchmark-only)")
+        print(f"error: no results for: {', '.join(missing)} "
+              "(run pytest benchmarks/ --benchmark-only)", file=sys.stderr)
+        return 1
     return 0
 
 
