@@ -51,11 +51,35 @@ class Checkpoint:
     # None (the default) keeps the seed's opaque-blob model: the backends
     # charge ``nbytes`` and every round stands alone.
     payload: Optional[CkptPayload] = None
+    # True once the backend dropped the restart body (``app_state``
+    # through ``coll_seq``): see release().
+    released: bool = False
 
     @property
     def stored_bytes(self) -> int:
         """Bytes the storage tiers are charged for this round."""
         return self.payload.stored_bytes if self.payload is not None else self.nbytes
+
+    def release(self) -> None:
+        """Drop the restart body of a round no restart can target any
+        more (below its rank's log-GC floor chain).  ``round_no``,
+        ``taken_at_ns``, ``nbytes`` and ``payload`` stay: commit history,
+        delta-chain walks and write/read costs never read the body."""
+        self.app_state = None
+        self.chan_seq = self.lr = self.arrived = self.ls = None
+        self.pattern_state = self.log_snapshot = None
+        self.unexpected = None
+        self.coll_seq = None
+        self.released = True
+
+    def require_body(self) -> None:
+        """Raise ``ValueError`` if this checkpoint's body was released
+        (a restart below a restorable floor)."""
+        if self.released:
+            raise ValueError(
+                f"rank {self.rank}: checkpoint round {self.round_no} was "
+                "released below the log-GC floor and cannot be restored"
+            )
 
 
 # Reliable, cost-free checkpoint store (survives any failure) — the

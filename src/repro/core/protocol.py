@@ -786,8 +786,7 @@ class SPBC(ProtocolHooks):
             # unsound: a failure between one member's save and another's
             # restarts the cluster from the previous round, whose LR the
             # senders' logs must still serve.
-            st.gc_round_sent = st.ckpt_round
-            self._send_gc_notices(runtime, st, ckpt)
+            self._advance_gc_floor(runtime, st, ckpt)
         elif async_mode:
             self._deferred_gc(runtime, st, members)
         self.ckpt_stall_ns[runtime.rank] = (
@@ -839,9 +838,17 @@ class SPBC(ProtocolHooks):
         drained = self.storage.load_round(runtime.rank, g)
         if drained is None:  # pragma: no cover - defensive
             return
-        st.gc_round_sent = g
         st.log.truncate()
-        self._send_gc_notices(runtime, st, drained)
+        self._advance_gc_floor(runtime, st, drained)
+
+    def _advance_gc_floor(self, runtime, st: _RankState, ckpt: Checkpoint) -> None:
+        """Raise this rank's log-GC floor to ``ckpt``'s round (Algorithm 1
+        line 15): announce it to the senders, and release the checkpoint
+        bodies below the floor round's delta chain — no restart can
+        target them any more."""
+        st.gc_round_sent = ckpt.round_no
+        self._send_gc_notices(runtime, st, ckpt)
+        self.storage.release_below(runtime.rank, ckpt.round_no)
 
     def _send_gc_notices(self, runtime, st: _RankState, ckpt: Checkpoint) -> None:
         by_peer: Dict[int, Dict[int, int]] = {}
@@ -873,8 +880,9 @@ class SPBC(ProtocolHooks):
     def _drained(ccomm, counters) -> bool:
         """True when, for every ordered intra-cluster pair, the sender's
         count equals the receiver's arrival count."""
-        sent_of = {ccomm.world_rank(i): c[0] for i, c in enumerate(counters)}
-        arr_of = {ccomm.world_rank(i): c[1] for i, c in enumerate(counters)}
+        wr = ccomm.world_ranks
+        sent_of = {wr[i]: c[0] for i, c in enumerate(counters)}
+        arr_of = {wr[i]: c[1] for i, c in enumerate(counters)}
         for a, sends in sent_of.items():
             for b, n in sends.items():
                 if arr_of[b].get(a, 0) != n:
@@ -988,6 +996,7 @@ class SPBC(ProtocolHooks):
         state knows no channels yet) and available via
         ``rollback_scope="all"`` for apps whose communication graph grows
         between checkpoint and failure."""
+        ckpt.require_body()
         prev = self.state.get(runtime.rank)
         st = _RankState(runtime.rank, self.clusters.cluster(runtime.rank))
         self.state[runtime.rank] = st
@@ -1060,20 +1069,20 @@ class SPBC(ProtocolHooks):
                 for r in range(self._world.nranks)
                 if self.clusters.is_intercluster(runtime.rank, r)
             }
+        comm_ids = self._comm_ids_by_peer(st)
         for peer in sorted(peers):
-            self._send_rollback_to(runtime, st, peer)
+            self._send_rollback_to(runtime, st, peer, comm_ids)
         st.rollbacks_handled += 1
 
-    def _send_rollback_to(self, runtime, st: _RankState, peer: int) -> None:
+    def _send_rollback_to(
+        self, runtime, st: _RankState, peer: int, comm_ids: Callable[[int], Set[int]]
+    ) -> None:
         if peer in st.rollback_sent:
             return
         if st.rollback_sent is _NO_KEYS:
             st.rollback_sent = set()
         st.rollback_sent.add(peer)
-        lr_map = {
-            cid: st.lr.get((cid, peer), 0)
-            for cid in self._comm_ids_with(st, peer)
-        }
+        lr_map = {cid: st.lr.get((cid, peer), 0) for cid in comm_ids(peer)}
         runtime.control_send(peer, ROLLBACK, {"lr": lr_map}, nbytes=64)
 
     def notify_failure(self, runtime, failed_ranks: Set[int]) -> None:
@@ -1095,14 +1104,31 @@ class SPBC(ProtocolHooks):
         for peer in sorted(known):
             runtime.control_send(peer, PEER_HELLO, {}, nbytes=16)
 
-    def _comm_ids_with(self, st: _RankState, peer: int) -> Set[int]:
-        cids = {cid for cid, p in st.lr if p == peer}
-        cids |= {cid for cid, p in st.inbound if p == peer}
-        cids |= {cid for cid, p in st.log.channel_keys() if p == peer}
-        cids |= {cid for cid, p in st.ls if p == peer}
-        cids |= {cid for cid, p in st.gated if p == peer}
-        cids.add(self._world.comm_world.comm_id)
-        return cids
+    def _comm_ids_by_peer(self, st: _RankState) -> Callable[[int], Set[int]]:
+        """The comm ids of every channel ``st`` knows with a peer (plus
+        ``MPI_COMM_WORLD``), indexed by one scan of its channel tables so
+        a rollback broadcast does not rescan them per peer.  A set's
+        iteration order fixes the Rollback's ``lr_map`` order and the
+        replay order it drives, so each is built by one fixed insertion
+        sequence: the peer's ids in ``lr``, then ``|=`` those of each
+        later table."""
+        tables: List[Dict[int, List[int]]] = []
+        for table in (st.lr, st.inbound, st.log.channel_keys(), st.ls, st.gated):
+            by_peer: Dict[int, List[int]] = {}
+            for cid, p in table:
+                by_peer.setdefault(p, []).append(cid)
+            tables.append(by_peer)
+        first, *rest = tables
+        wcid = self._world.comm_world.comm_id
+
+        def comm_ids(peer: int) -> Set[int]:
+            cids = set(first.get(peer, ()))
+            for by_peer in rest:
+                cids |= set(by_peer.get(peer, ()))
+            cids.add(wcid)
+            return cids
+
+        return comm_ids
 
     @staticmethod
     def _record_to_env(rec: LogRecord, src: int, dst: int) -> Envelope:
@@ -1128,7 +1154,9 @@ class SPBC(ProtocolHooks):
         elif msg.kind == PEER_HELLO:
             st = self.state[runtime.rank]
             if st.recovering:
-                self._send_rollback_to(runtime, st, msg.src)
+                self._send_rollback_to(
+                    runtime, st, msg.src, self._comm_ids_by_peer(st)
+                )
         elif msg.kind == LOG_GC:
             # The peer durably checkpointed its deliveries on these
             # channels: records at or below its LR can never be replayed
@@ -1146,7 +1174,7 @@ class SPBC(ProtocolHooks):
         #    acknowledge) and our own rendezvous sends stuck waiting for a
         #    CTS that will never come (replay carries their payload).
         received: Dict[int, int] = {}
-        for cid in self._comm_ids_with(st, peer) | set(peer_lr):
+        for cid in self._comm_ids_by_peer(st)(peer) | set(peer_lr):
             key = (cid, peer)
             prefix = self._scrub_inbound(runtime, key)
             received[cid] = prefix

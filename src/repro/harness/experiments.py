@@ -19,14 +19,21 @@ communication statistics once and clusters offline ([30], section 6.1).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import AbstractSet, Any, Callable, Dict, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.apps.base import get_app
 from repro.apps.calibration import PAPER_NET
 from repro.baselines.hydee import HydEEPlan, run_hydee_recovery
-from repro.clustering.partition import cluster_by_communication, cut_bytes
 from repro.core.clusters import ClusterMap
 from repro.core.emulated import ReplayPlan
 from repro.core.protocol import SPBCConfig
@@ -44,6 +51,9 @@ from repro.storage.multilevel import MultiLevelPlan, optimal_interval_rounds
 from repro.util.stats import summarize
 from repro.util.table import format_table
 from repro.util.units import SEC, mb_per_s
+
+if TYPE_CHECKING:  # pragma: no cover - numpy loads only where a matrix is built
+    import numpy as np
 
 PAPER_APPS = ["amg", "cm1", "gtc", "milc", "minife", "minighost"]
 NAS_APPS = ["bt", "lu", "mg", "sp"]
@@ -131,6 +141,8 @@ class LoggingRun:
         logged volume; k == nranks means pure message logging."""
         cm = self.maps.get(k)
         if cm is None:
+            from repro.clustering.partition import cluster_by_communication
+
             nnodes = self.nranks // self.ranks_per_node
             sym = self.bytes_matrix + self.bytes_matrix.T
             if k >= self.nranks:
@@ -147,6 +159,8 @@ class LoggingRun:
 
     def per_rank_logged_bytes(self, cm: ClusterMap) -> np.ndarray:
         """Bytes each rank would log under cluster map ``cm``."""
+        import numpy as np
+
         assign = np.asarray(cm.cluster_of)
         cross = assign[:, None] != assign[None, :]
         return (self.bytes_matrix * cross).sum(axis=1)
@@ -158,6 +172,8 @@ def _sent_bytes_matrix(hooks, nranks: int) -> np.ndarray:
     Exact only while each log still holds every record it appended:
     receiver garbage collection deletes records, so a log with
     ``collected_records > 0`` is refused rather than undercounted."""
+    import numpy as np
+
     mat = np.zeros((nranks, nranks), dtype=np.float64)
     for r in range(nranks):
         log = hooks.state[r].log
@@ -933,6 +949,8 @@ def clustering_comparison(
 ) -> List[ClusteringRow]:
     """The communication-driven partitioner against naive block and
     round-robin-over-nodes maps of ``k`` clusters, on the logged volume."""
+    from repro.clustering.partition import cut_bytes
+
     run = make_logging_run(_one_app(apps), nranks, ranks_per_node)
     sym = run.bytes_matrix + run.bytes_matrix.T
     strategies = {

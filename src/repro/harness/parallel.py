@@ -58,9 +58,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.clusters import ClusterMap
 from repro.core.protocol import SPBCConfig, peak_overlap
@@ -71,6 +69,9 @@ from repro.obs import NULL_TELEMETRY, Telemetry, resolve_telemetry
 from repro.sim.network import NetworkParams, Topology
 from repro.sim.shard import lookahead_ns, shard_worker_main
 from repro.util.units import mb_per_s
+
+if TYPE_CHECKING:  # pragma: no cover - numpy loads only when densifying
+    import numpy as np
 
 
 @dataclass
@@ -206,6 +207,8 @@ class _TraceShim:
     def comm_bytes_matrix(self, nranks: int) -> np.ndarray:
         if self._pairs is None:
             raise RuntimeError("run was traced with trace=False")
+        import numpy as np
+
         mat = np.zeros((nranks, nranks), dtype=np.int64)
         for (src, dst), nbytes in self._pairs.items():
             mat[src, dst] += nbytes

@@ -304,9 +304,10 @@ class RankContext:
         return self.rt.compute(ns)
 
     def maybe_checkpoint(self, state_fn: Callable[[], dict]) -> Generator:
-        """Offer the protocol a checkpoint opportunity (app is quiescent)."""
-        result = yield from self.rt.maybe_checkpoint(state_fn)
-        return result
+        """Offer the protocol a checkpoint opportunity (app is quiescent).
+
+        Returns the runtime's generator, as :meth:`compute` does."""
+        return self.rt.maybe_checkpoint(state_fn)
 
     # ------------------------------------------------------------------
     # Steady-state warp cooperation (repro.sim.warp)

@@ -67,7 +67,7 @@ from bisect import bisect_left, bisect_right, insort
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.sim.engine import Engine, EventHandle, Trigger
+from repro.sim.engine import Engine, EventHandle
 
 #: Sub-byte slack absorbing float drift when deciding a flow finished.
 _EPS_BYTES = 1e-3
@@ -89,7 +89,6 @@ class Flow:
         "admit_at_ns",
         "admit_seq",
         "cancelled",
-        "done",
         "on_done",
         "meta",
         "gid",
@@ -117,7 +116,6 @@ class Flow:
         # the sharing pool, None before admission and after leaving it.
         self.admit_seq: Optional[int] = None
         self.cancelled = False
-        self.done = Trigger(name=resource._trigger_name)
         self.on_done = on_done
         self.meta = meta or {}
         # Cross-shard identity of an exported flow (owner shard, seq) —
@@ -162,7 +160,6 @@ class BandwidthResource:
         self.name = name
         self.bandwidth_bytes_per_s = bandwidth_bytes_per_s
         self.shared = shared
-        self._trigger_name = f"flow.{name}"
         # The sharing pool, ascending by ``remaining`` (module docstring).
         self._active: List[Flow] = []
         self._admit_seq = 0
@@ -376,6 +373,5 @@ class BandwidthResource:
         if not flow.mirror:
             self.flows_completed += 1
             self.bytes_completed += flow.nbytes
-        flow.done.fire(flow)
         if flow.on_done is not None:
             flow.on_done(flow)

@@ -395,18 +395,21 @@ def _shard_worker_loop(conn, plan) -> None:
             done = all(
                 world.processes[r].status is ProcessStatus.DONE for r in owned
             )
+            next_ns = engine.next_event_time()
+            # Only the coordinator's deadlock error reads the blocked
+            # names, and it can fire only when no shard has a next event.
             blocked = (
                 [
                     world.processes[r].name
                     for r in sorted(owned)
                     if world.processes[r].status is not ProcessStatus.DONE
                 ]
-                if not done
+                if next_ns is None and not done
                 else []
             )
             exports, net.outbox = net.outbox, []
             return {
-                "next_ns": engine.next_event_time(),
+                "next_ns": next_ns,
                 "hold_ns": manager.hold_ns(),
                 "exports": exports,
                 "milestones": manager.drain_milestones(),

@@ -220,6 +220,15 @@ class StorageBackend(ABC):
         round."""
         return 0
 
+    @abstractmethod
+    def release_below(self, rank: int, floor: int) -> None:
+        """``rank``'s log-GC floor reached round ``floor``: no restart
+        can target a round below the first round of ``floor``'s delta
+        chain, so drop those rounds' restart bodies
+        (:meth:`~repro.core.checkpoint.Checkpoint.release`).  Round
+        numbers, timestamps, sizes and payloads stay, so commit history,
+        chain walks, costs and :meth:`restorable_rounds` do not change."""
+
     # -- read path -----------------------------------------------------
     @abstractmethod
     def surviving_rounds(self, rank: int) -> List[int]:
@@ -261,6 +270,8 @@ class InMemoryBackend(StorageBackend):
         super().__init__()
         self._latest: Dict[int, "Checkpoint"] = {}
         self._history: Dict[int, List["Checkpoint"]] = {}
+        # rank -> leading entries of its history release_below has passed
+        self._released: Dict[int, int] = {}
 
     def save(self, ckpt: "Checkpoint", concurrent_writers: int = 1) -> SaveReceipt:
         self._latest[ckpt.rank] = ckpt
@@ -277,6 +288,19 @@ class InMemoryBackend(StorageBackend):
     def guaranteed_round(self, rank: int) -> int:
         rounds = self.rounds_of(rank)
         return rounds[-1] if rounds else 0  # indestructible store
+
+    def release_below(self, rank: int, floor: int) -> None:
+        # An opaque store reads one round per restart: the floor round's
+        # chain is the round itself.  The history is in save order, which
+        # is ascending except for the rounds a rollback re-takes; stopping
+        # at the first round >= floor can defer a release, never make one
+        # early.
+        history = self._history.get(rank, ())
+        i = self._released.get(rank, 0)
+        while i < len(history) and history[i].round_no < floor:
+            history[i].release()
+            i += 1
+        self._released[rank] = i
 
     def surviving_rounds(self, rank: int) -> List[int]:
         return self.rounds_of(rank)
@@ -344,6 +368,8 @@ class TieredBackend(StorageBackend):
         # the rank's entry (save, _flow_landed, invalidate_node_copies).
         self._guaranteed: Dict[int, int] = {}
         self._all_rounds: Dict[int, List[int]] = {}
+        # rank -> every round below this one has had its body released
+        self._released_below: Dict[int, int] = {}
         self.tier_writes: Dict[str, int] = {t.name: 0 for t in plan.tiers}
         self.tier_bytes: Dict[str, int] = {t.name: 0 for t in plan.tiers}
         self.invalidated_copies = 0
@@ -703,6 +729,15 @@ class TieredBackend(StorageBackend):
                     f"(base {payload.base_round} cycles)"
                 )
             rnd = payload.base_round
+
+    def release_below(self, rank: int, floor: int) -> None:
+        base = self._chain_rounds(rank, floor)[0]  # a floor round is durable
+        start = self._released_below.get(rank, 1)
+        per_rank = self._copies[rank]
+        for rnd in range(start, base):
+            for ckpt in (per_rank.get(rnd) or {}).values():
+                ckpt.release()
+        self._released_below[rank] = max(start, base)
 
     def guaranteed_round(self, rank: int) -> int:
         """Latest round whose *whole chain* sits on tiers that survive

@@ -7,14 +7,20 @@ their first writer.  These tests pin the bytes per rank of a built
 world, that a failure-free run never creates a lazy container, that the
 rare paths still create what they need and reproduce their reference
 results, and that no per-rank class regains an instance ``__dict__``.
+Beyond the per-rank state: the run path loads no numpy, and a completed
+storage flow leaves nothing behind but its callback's effects.
 """
 
 from __future__ import annotations
 
 import gc
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +44,7 @@ from repro.mpi.runtime import MPIRuntime
 from repro.sim.engine import Trigger
 from repro.sim.network import Network
 from repro.sim.process import SimProcess
+from repro.sim.resources import Flow
 from repro.util.empty import EMPTY_DICT
 
 #: Traced bytes per rank of the built 1024-rank world below.  It read
@@ -211,3 +218,40 @@ def test_per_rank_classes_have_no_instance_dict():
         world.runtimes[0].matching, world.network,
     ):
         assert not hasattr(obj, "__dict__"), type(obj).__qualname__
+
+
+_NO_NUMPY_RUN = """
+import sys
+import repro, repro.harness.experiments, repro.harness.parallel
+from repro.apps.synthetic import ring_app
+from repro.core.clusters import ClusterMap
+from repro.harness.runner import run_spbc
+
+app = ring_app(iters=4, msg_bytes=4096, compute_ns=100_000)
+cm = ClusterMap.block(8, 4)
+seq = run_spbc(app, 8, cm, trace=False)
+sharded = run_spbc(app, 8, cm, trace=False, shards=2)
+assert sharded.results == seq.results
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy")[:3])
+"""
+
+
+def test_run_path_loads_no_numpy():
+    """numpy costs ~14 MiB of resident memory; only the analysis paths
+    (traced matrices, clustering) may load it.  Checked in a fresh
+    interpreter: the pytest process has numpy loaded already."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_RUN], env=env, capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_flow_has_no_completion_trigger():
+    """Nothing waits on a flow: completion is its ``on_done`` callback,
+    and a per-flow trigger fired with the flow as its value only left a
+    reference cycle behind every flush."""
+    assert "done" not in Flow.__slots__
