@@ -26,7 +26,7 @@ from repro.ckptdata.plane import CkptPayload
 from repro.storage.backend import InMemoryBackend
 
 
-@dataclass
+@dataclass(slots=True)
 class Checkpoint:
     """Everything rank ``rank`` needs to restart consistently."""
 

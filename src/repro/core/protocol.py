@@ -640,13 +640,18 @@ class SPBC(ProtocolHooks):
         to the committed round's actual cost)."""
         if self._plane is None:
             return None
-        full_period = None
+        full_period = self._plane.full_period
         if self._plane.full_on_durable:
             # The plan's durable rounds force fulls too: the effective
-            # full period is whichever comes more often.
-            durable_period = self.storage.durable_round_period()
-            if durable_period is not None:
-                full_period = min(self._plane.full_period, durable_period)
+            # full period is whichever comes first.
+            full_period = next(
+                (
+                    r
+                    for r in range(1, full_period)
+                    if self.storage.round_writes(r).durable_scheduled
+                ),
+                full_period,
+            )
         exp_bytes = self._plane.expected_stored_bytes(
             iters_per_round=max(1, cad.every), full_period=full_period
         )
@@ -695,7 +700,8 @@ class SPBC(ProtocolHooks):
             )
 
         st.ckpt_round += 1
-        async_mode = getattr(self.storage, "flows_active", False)
+        writes = self.storage.round_writes(st.ckpt_round)
+        async_mode = self.storage.flows_active
         # Cross-cluster staggering of shared-tier rounds: cluster c
         # starts its durable burst c * pfs_stagger_ns later, so the
         # shared medium sees the clusters one after another instead of
@@ -704,23 +710,24 @@ class SPBC(ProtocolHooks):
         # async flush the offset delays the background *flow* instead of
         # stalling the rank, and no concurrency has to be assumed at
         # all: the flows share the PFS bandwidth for real.
-        shared_round = self.storage.shared_tier_scheduled(st.ckpt_round)
         writers = self._world.nranks
         flush_delay_ns = 0
-        if shared_round and self.config.pfs_stagger_ns > 0:
+        if writes.shared_scheduled and self.config.pfs_stagger_ns > 0:
             writers = len(members)
             offset = st.cluster * self.config.pfs_stagger_ns
             if async_mode:
                 flush_delay_ns = offset
             elif offset > 0:
                 yield from runtime.compute(offset)
-        ckpt = self._build_checkpoint(runtime, st, state_fn())
+        ckpt = self._build_checkpoint(
+            runtime, st, state_fn(), durable_round=writes.durable_scheduled
+        )
         if ckpt.payload is not None and ckpt.payload.compress_ns > 0:
             # The data plane's compression stage runs on the CPU before
             # any bytes move toward storage.
             yield from runtime.compute(ckpt.payload.compress_ns)
         write_start_ns = runtime.engine.now
-        write_ns = self.storage.write_cost_ns(ckpt, concurrent_writers=writers)
+        write_ns = writes.commit_ns(ckpt.stored_bytes, writers)
         if write_ns > 0:
             # Charge the storage backend's modeled write time to the
             # simulation clock (every cluster checkpoints on the same
@@ -729,16 +736,14 @@ class SPBC(ProtocolHooks):
             # shared tier drains in the background.
             yield from runtime.compute(write_ns)
         write_end_ns = runtime.engine.now
-        if shared_round and write_ns > 0 and not async_mode:
+        if writes.shared_scheduled and write_ns > 0 and not async_mode:
             # Within the burst the local tiers are modeled first, so the
             # shared-tier (PFS) phase is the tail — record only it: the
             # peak-writers measurement must not count a rank as a PFS
             # writer while it is still writing its local SSD.  (Async
             # bursts are measured from the actual flow timeline instead:
             # see StorageBackend.shared_flow_windows.)
-            shared_ns = self.storage.shared_write_cost_ns(
-                ckpt, concurrent_writers=writers
-            )
+            shared_ns = writes.shared_commit_ns(ckpt.stored_bytes, writers)
             end_ns = runtime.engine.now
             self.pfs_write_windows.append(
                 (max(write_start_ns, end_ns - shared_ns), end_ns, st.cluster)
@@ -890,7 +895,7 @@ class SPBC(ProtocolHooks):
         return True
 
     def _build_checkpoint(
-        self, runtime, st: _RankState, app_state: dict
+        self, runtime, st: _RankState, app_state: dict, durable_round: bool
     ) -> Checkpoint:
         # Snapshot the unexpected queue: intra-cluster envelopes are part
         # of the library state; inter-cluster ones are *excluded* — after
@@ -941,7 +946,7 @@ class SPBC(ProtocolHooks):
                 st.ckpt_round,
                 iters_since_prev=max(1, st.ckpt_calls - st.calls_at_last_ckpt),
                 log_bytes=log_bytes,
-                durable_round=self.storage.durable_tier_scheduled(st.ckpt_round),
+                durable_round=durable_round,
                 state_bytes=state_bytes or None,
             )
             nbytes = payload.full_bytes + log_bytes

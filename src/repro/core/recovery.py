@@ -297,7 +297,7 @@ class RecoveryManager:
             rounds = set(self.spbc.storage.restorable_rounds(r))
             common = rounds if common is None else common & rounds
         round_no = max(common) if common else 0
-        if round_no > 0 and getattr(self.spbc.storage, "flows_active", False):
+        if round_no > 0 and self.spbc.storage.flows_active:
             # Event-driven backends read the chains back as overlapping
             # flows: every member's pipeline is in flight concurrently,
             # genuinely sharing the tiers' read bandwidth, and the
@@ -311,7 +311,7 @@ class RecoveryManager:
         read_ns = 0
         delay_ns = 0
         decompress_ns = 0
-        charge_decompress = getattr(self.spbc.storage, "charge_decompress", False)
+        charge_decompress = self.spbc.storage.charge_decompress
         for r in members:
             rec = (
                 self.spbc.storage.retrieve(
@@ -516,10 +516,8 @@ class _FlowRestore:
             # Snapshot the plan the pipeline will execute, so a later
             # failure elsewhere can check whether a source copy died
             # under an in-flight read (still_valid below).
-            self.plans[r] = storage.restore_plan(r, self.round_no)
-            handle = storage.start_restore(
-                r, self.round_no, on_done=partial(self._member_done, r)
-            )
+            self.plans[r] = plan = storage.restore_plan(r, self.round_no)
+            handle = storage.start_restore(plan, partial(self._member_done, r))
             if handle is not None:
                 self.handles[r] = handle
 

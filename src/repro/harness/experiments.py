@@ -576,7 +576,7 @@ def blastradius(
             # failure run could actually have restored.
             rounds_before = []
             for rnd in backend.rounds_of(fail_rank):
-                ckpt = backend.retrieve(fail_rank, rnd).ckpt
+                ckpt = backend.restore_plan(fail_rank, rnd).ckpt
                 committed_at = ckpt.taken_at_ns + backend.write_cost_ns(
                     ckpt, concurrent_writers=nranks
                 )

@@ -297,9 +297,9 @@ def commit_history_of(hooks, ranks=None) -> Dict[int, List[Tuple[int, int]]]:
     for r in sorted(hooks.state if ranks is None else ranks):
         history = []
         for rnd in storage.rounds_of(r):
-            rec = storage.retrieve(r, rnd)
-            if rec is not None and rec.ckpt is not None:
-                history.append((rnd, rec.ckpt.taken_at_ns))
+            plan = storage.restore_plan(r, rnd)
+            if plan is not None:
+                history.append((rnd, plan.ckpt.taken_at_ns))
         out[r] = history
     return out
 

@@ -288,7 +288,7 @@ def build_shard_world(plan) -> Tuple[World, ShardRecoveryManager]:
         ),
     )
     storage = world.hooks.storage
-    if storage is not None and getattr(storage, "flows_active", False):
+    if storage is not None and storage.flows_active:
         # Async tiered storage: this shard's flows on shared lanes are
         # exported to (and mirrored from) the other shards, so every
         # shard computes the same piecewise-constant bandwidth shares.

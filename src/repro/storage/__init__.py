@@ -16,6 +16,7 @@ from repro.storage.backend import (
     RestoreLink,
     RestorePlan,
     RestoreReceipt,
+    RoundWrites,
     SaveReceipt,
     StorageBackend,
     TieredBackend,
@@ -54,6 +55,7 @@ __all__ = [
     "TieredBackend",
     "PartnerCopyBackend",
     "SaveReceipt",
+    "RoundWrites",
     "RestoreReceipt",
     "RestorePlan",
     "RestoreLink",

@@ -70,6 +70,43 @@ class SaveReceipt:
 
 
 @dataclass(frozen=True)
+class RoundWrites:
+    """What one checkpoint round writes under a backend's plan.
+
+    Decided once per residue of the plan's cycle
+    (:meth:`StorageBackend.round_writes`); the closed-form charge, the
+    save and the background flushes only execute it."""
+
+    committed: Tuple[StorageTier, ...] = ()  # written inside the commit
+    # Drained behind the commit under async flush: the shared tiers and
+    # the ``background_drain`` ones.
+    deferred: Tuple[StorageTier, ...] = ()
+    # Some tier this round writes, deferred ones included, survives node
+    # failure (the data plane forces a full payload on such rounds).
+    # Not SaveReceipt.durable, which counts only the committed tiers.
+    durable_scheduled: bool = False
+    # Some tier this round writes is shared (the PFS): the rounds
+    # cross-cluster staggering spreads out.
+    shared_scheduled: bool = False
+
+    def commit_ns(self, nbytes: int, concurrent_writers: int = 1) -> int:
+        """Closed-form time of the writes inside the commit."""
+        return sum(t.write_time_ns(nbytes, concurrent_writers) for t in self.committed)
+
+    def shared_commit_ns(self, nbytes: int, concurrent_writers: int = 1) -> int:
+        """The shared-tier (PFS) part of :meth:`commit_ns`."""
+        return sum(
+            t.write_time_ns(nbytes, concurrent_writers)
+            for t in self.committed
+            if t.shared
+        )
+
+
+#: A backend without a plan writes no tier on a plan's terms.
+NO_WRITES = RoundWrites()
+
+
+@dataclass(frozen=True)
 class RestoreReceipt:
     """Outcome of reading one checkpoint back at restart."""
 
@@ -114,7 +151,6 @@ class StorageBackend(ABC):
         self.writes = 0  # save() calls (checkpoint commits)
         self.bytes_written = 0  # modeled bytes across all copies
         self.write_ns_total = 0
-        self.read_ns_total = 0
 
     # -- write path ----------------------------------------------------
     def write_cost_ns(self, ckpt: "Checkpoint", concurrent_writers: int = 1) -> int:
@@ -124,7 +160,9 @@ class StorageBackend(ABC):
         calling :meth:`save`: a copy must not become restorable until
         its write has finished (a failure mid-write falls back to the
         previous round)."""
-        return 0
+        return self.round_writes(ckpt.round_no).commit_ns(
+            ckpt.stored_bytes, concurrent_writers
+        )
 
     @abstractmethod
     def save(self, ckpt: "Checkpoint", concurrent_writers: int = 1) -> SaveReceipt:
@@ -140,29 +178,11 @@ class StorageBackend(ABC):
         return 0
 
     # -- plan introspection (data plane + stagger hooks) ---------------
-    def durable_tier_scheduled(self, round_no: int) -> bool:
-        """True when round ``round_no`` writes a tier that survives node
-        failure.  The data plane forces a *full* payload on such rounds
-        (``full_on_durable``) so the durable copy is self-contained."""
-        return False
-
-    def durable_round_period(self) -> Optional[int]:
-        """Every how many rounds a durable tier is scheduled (None when
-        the plan has no durable tier).  Lets the auto cadence price the
-        fulls that ``full_on_durable`` forces on those rounds."""
-        return None
-
-    def shared_tier_scheduled(self, round_no: int) -> bool:
-        """True when round ``round_no`` writes a shared-bandwidth tier
-        (the PFS) — the rounds cross-cluster staggering spreads out."""
-        return False
-
-    def shared_write_cost_ns(
-        self, ckpt: "Checkpoint", concurrent_writers: int = 1
-    ) -> int:
-        """The shared-tier portion of :meth:`write_cost_ns` (0 when the
-        round writes no shared tier)."""
-        return 0
+    def round_writes(self, round_no: int) -> RoundWrites:
+        """The plan's decision for checkpoint round ``round_no``: which
+        tiers it writes inside the commit, which drain behind it, and
+        whether a durable or shared tier is scheduled."""
+        return NO_WRITES
 
     # -- topology ------------------------------------------------------
     def bind_topology(self, topology: "Topology") -> None:
@@ -242,11 +262,20 @@ class StorageBackend(ABC):
         return self.surviving_rounds(rank)
 
     @abstractmethod
+    def restore_plan(
+        self, rank: int, round_no: int, concurrent_readers: int = 1
+    ) -> Optional[RestorePlan]:
+        """The restart read of ``rank``'s ``round_no``: its delta chain,
+        each link from the cheapest surviving copy at
+        ``concurrent_readers`` (None when the round is not restorable).
+        Costs nothing, so it is also the inspection lookup."""
+
+    @abstractmethod
     def retrieve(
         self, rank: int, round_no: int, concurrent_readers: int = 1
     ) -> Optional[RestoreReceipt]:
-        """Read back ``rank``'s checkpoint of ``round_no`` from the
-        cheapest surviving copy."""
+        """:meth:`restore_plan` priced in closed form: the receipt of
+        reading ``round_no`` back with ``concurrent_readers`` readers."""
 
     # -- cost-free inspection (tests, reporting, failure events) -------
     @abstractmethod
@@ -305,13 +334,21 @@ class InMemoryBackend(StorageBackend):
     def surviving_rounds(self, rank: int) -> List[int]:
         return self.rounds_of(rank)
 
+    def restore_plan(
+        self, rank: int, round_no: int, concurrent_readers: int = 1
+    ) -> Optional[RestorePlan]:
+        for c in reversed(self._history.get(rank, [])):
+            if c.round_no == round_no:
+                return RestorePlan(ckpt=c, tier="memory", chain=())
+        return None
+
     def retrieve(
         self, rank: int, round_no: int, concurrent_readers: int = 1
     ) -> Optional[RestoreReceipt]:
-        for c in reversed(self._history.get(rank, [])):
-            if c.round_no == round_no:
-                return RestoreReceipt(ckpt=c, tier="memory", read_ns=0)
-        return None
+        plan = self.restore_plan(rank, round_no)
+        if plan is None:
+            return None
+        return RestoreReceipt(ckpt=plan.ckpt, tier=plan.tier, read_ns=0)
 
     def load_latest(self, rank: int) -> Optional["Checkpoint"]:
         return self._latest.get(rank)
@@ -363,6 +400,8 @@ class TieredBackend(StorageBackend):
         self._durable_tiers = frozenset(
             t.name for t in plan.tiers if t.survives_node_failure
         )
+        # residue of the plan's cycle -> that round's RoundWrites
+        self._writes: Dict[int, RoundWrites] = {}
         # rank -> guaranteed_round(rank), valid until ``_copies[rank]``
         # next changes: every site that writes or deletes a copy drops
         # the rank's entry (save, _flow_landed, invalidate_node_copies).
@@ -424,78 +463,41 @@ class TieredBackend(StorageBackend):
             return (node + 1) % self._topology.nnodes
         return node
 
-    def scheduled_tiers(self, round_no: int) -> List[StorageTier]:
-        """Tiers the plan writes on checkpoint round ``round_no``."""
-        return [
-            t
-            for t, period in zip(self.plan.tiers, self.plan.periods)
-            if round_no % period == 0
-        ]
-
-    def durable_tier_scheduled(self, round_no: int) -> bool:
-        return any(
-            t.survives_node_failure for t in self.scheduled_tiers(round_no)
-        )
-
-    def durable_round_period(self) -> Optional[int]:
-        periods = [
-            period
-            for t, period in zip(self.plan.tiers, self.plan.periods)
-            if t.survives_node_failure
-        ]
-        return min(periods) if periods else None
-
-    def shared_tier_scheduled(self, round_no: int) -> bool:
-        return any(t.shared for t in self.scheduled_tiers(round_no))
-
-    def deferred_tiers(self, round_no: int) -> List[StorageTier]:
-        """Tiers this round flushes in the background instead of inside
-        the commit barrier, under async flush: the shared (PFS) tiers,
-        plus node-local tiers that declare ``background_drain`` (the
-        local SSD — its copy drains behind the commit exactly like a PFS
-        flush, and a node loss mid-drain cancels it)."""
-        if not self.async_flush:
-            return []
-        return [
-            t
-            for t in self.scheduled_tiers(round_no)
-            if t.shared or t.background_drain
-        ]
-
-    def shared_write_cost_ns(
-        self, ckpt: "Checkpoint", concurrent_writers: int = 1
-    ) -> int:
-        return sum(
-            t.write_time_ns(ckpt.stored_bytes, concurrent_writers)
-            for t in self.scheduled_tiers(ckpt.round_no)
-            if t.shared
-        )
+    def round_writes(self, round_no: int) -> RoundWrites:
+        """Built once per residue of the plan's cycle from
+        :meth:`MultiLevelPlan.tiers_written`.  Under async flush the
+        shared tiers, plus node-local tiers that declare
+        ``background_drain`` (the local SSD: its copy drains behind the
+        commit exactly like a PFS flush, and a node loss mid-drain
+        cancels it), move from the commit to the background."""
+        residue = round_no % self.plan.cycle
+        writes = self._writes.get(residue)
+        if writes is None:
+            written = self.plan.tiers_written(residue)
+            deferred = tuple(
+                t for t in written
+                if self.async_flush and (t.shared or t.background_drain)
+            )
+            writes = self._writes[residue] = RoundWrites(
+                committed=tuple(t for t in written if t not in deferred),
+                deferred=deferred,
+                durable_scheduled=any(t.survives_node_failure for t in written),
+                shared_scheduled=any(t.shared for t in written),
+            )
+        return writes
 
     def amortized_write_cost_ns(
         self, nbytes: int, concurrent_writers: int = 1
     ) -> int:
-        if not self.async_flush:
-            return int(self.plan.amortized_cost_ns(nbytes, concurrent_writers))
-        # Async flush: the app only stalls for the non-deferred tiers —
-        # the PFS/SSD drains overlap compute, so the Young/Daly cadence
-        # must optimize against the *stall* cost, not the hidden drain.
-        cycle = self.plan.periods[-1]
-        total = 0
-        for r in range(1, cycle + 1):
-            total += sum(
-                t.write_time_ns(nbytes, concurrent_writers)
-                for t, period in zip(self.plan.tiers, self.plan.periods)
-                if r % period == 0 and not (t.shared or t.background_drain)
-            )
-        return total // cycle
-
-    def write_cost_ns(self, ckpt: "Checkpoint", concurrent_writers: int = 1) -> int:
-        deferred = {t.name for t in self.deferred_tiers(ckpt.round_no)}
+        # Mean over one whole cycle of the plan.  Under async flush the
+        # app only stalls for the committed tiers — the PFS/SSD drains
+        # overlap compute, so the Young/Daly cadence optimizes against
+        # the *stall* cost, not the hidden drain.
+        cycle = self.plan.cycle
         return sum(
-            t.write_time_ns(ckpt.stored_bytes, concurrent_writers)
-            for t in self.scheduled_tiers(ckpt.round_no)
-            if t.name not in deferred
-        )
+            self.round_writes(r).commit_ns(nbytes, concurrent_writers)
+            for r in range(1, cycle + 1)
+        ) // cycle
 
     def save(
         self,
@@ -503,9 +505,8 @@ class TieredBackend(StorageBackend):
         concurrent_writers: int = 1,
         flush_delay_ns: int = 0,
     ) -> SaveReceipt:
-        tiers = self.scheduled_tiers(ckpt.round_no)
-        deferred = {t.name for t in self.deferred_tiers(ckpt.round_no)}
-        if deferred and self.iosched is None:
+        writes = self.round_writes(ckpt.round_no)
+        if writes.deferred and self.iosched is None:
             raise RuntimeError(
                 "async flush needs the simulation engine for its I/O "
                 "scheduler; the protocol binds one at attach() — call "
@@ -517,10 +518,7 @@ class TieredBackend(StorageBackend):
             ckpt.round_no, {}
         )
         tele = self._telemetry()
-        for t in tiers:
-            if t.name in deferred:
-                self._start_flush(t, ckpt, flush_delay_ns)
-                continue
+        for t in writes.committed:
             write_ns += t.write_time_ns(ckpt.stored_bytes, concurrent_writers)
             per_round[t.name] = ckpt
             self.tier_writes[t.name] += 1
@@ -528,6 +526,8 @@ class TieredBackend(StorageBackend):
             self.bytes_written += ckpt.stored_bytes
             if tele.enabled:
                 tele.inc("storage.tier_bytes", ckpt.stored_bytes, tier=t.name)
+        for t in writes.deferred:
+            self._start_flush(t, ckpt, flush_delay_ns)
         self._guaranteed.pop(ckpt.rank, None)
         self.writes += 1
         self.write_ns_total += write_ns
@@ -539,13 +539,9 @@ class TieredBackend(StorageBackend):
         return SaveReceipt(
             round_no=ckpt.round_no,
             write_ns=write_ns,
-            tiers=tuple(t.name for t in tiers if t.name not in deferred),
-            durable=any(
-                t.survives_node_failure
-                for t in tiers
-                if t.name not in deferred
-            ),
-            pending_tiers=tuple(sorted(deferred)),
+            tiers=tuple(t.name for t in writes.committed),
+            durable=any(t.survives_node_failure for t in writes.committed),
+            pending_tiers=tuple(sorted(t.name for t in writes.deferred)),
         )
 
     # -- background flushes (async mode) -------------------------------
@@ -782,22 +778,6 @@ class TieredBackend(StorageBackend):
             if self._chain_rounds(rank, rnd) is not None
         ]
 
-    def _cheapest_read(
-        self, rank: int, round_no: int, concurrent_readers: int
-    ) -> Tuple[str, "Checkpoint", int]:
-        copies = self._copies[rank][round_no]
-        best_name = min(
-            copies,
-            key=lambda n: self._tier(n).read_time_ns(
-                copies[n].stored_bytes, concurrent_readers
-            ),
-        )
-        ckpt = copies[best_name]
-        read_ns = self._tier(best_name).read_time_ns(
-            ckpt.stored_bytes, concurrent_readers
-        )
-        return best_name, ckpt, read_ns
-
     @staticmethod
     def _link_decompress_ns(ckpt: "Checkpoint") -> int:
         """Modeled CPU time to reinflate one chain link's payload on the
@@ -808,45 +788,23 @@ class TieredBackend(StorageBackend):
         model = compression_model(payload.compression)
         return model.decompress_cost_ns(payload.delta_bytes)
 
-    def retrieve(
+    def restore_plan(
         self, rank: int, round_no: int, concurrent_readers: int = 1
-    ) -> Optional[RestoreReceipt]:
+    ) -> Optional[RestorePlan]:
         chain = self._chain_rounds(rank, round_no)
         if chain is None:
             return None
-        read_ns = 0
-        decompress_ns = 0
-        tier_of_target = ""
-        target: Optional["Checkpoint"] = None
-        for link in chain:
-            name, ckpt, link_ns = self._cheapest_read(
-                rank, link, concurrent_readers
-            )
-            read_ns += link_ns
-            decompress_ns += self._link_decompress_ns(ckpt)
-            if link == round_no:
-                tier_of_target, target = name, ckpt
-        self.read_ns_total += read_ns
-        return RestoreReceipt(
-            ckpt=target,
-            tier=tier_of_target,
-            read_ns=read_ns,
-            chain=tuple(chain) if len(chain) > 1 else (),
-            decompress_ns=decompress_ns,
-        )
-
-    def restore_plan(self, rank: int, round_no: int) -> Optional[RestorePlan]:
-        """The restart read as per-link stages, for the flow-based path
-        (each link: cheapest surviving tier, stored bytes, modeled
-        decompression)."""
-        chain = self._chain_rounds(rank, round_no)
-        if chain is None:
-            return None
+        per_rank = self._copies[rank]
         links: List[RestoreLink] = []
-        tier_of_target = ""
-        target: Optional["Checkpoint"] = None
         for link in chain:
-            name, ckpt, _ns = self._cheapest_read(rank, link, 1)
+            copies = per_rank[link]
+            name = min(
+                copies,
+                key=lambda n: self._tier(n).read_time_ns(
+                    copies[n].stored_bytes, concurrent_readers
+                ),
+            )
+            ckpt = copies[name]
             links.append(
                 RestoreLink(
                     round_no=link,
@@ -855,25 +813,40 @@ class TieredBackend(StorageBackend):
                     decompress_ns=self._link_decompress_ns(ckpt),
                 )
             )
-            if link == round_no:
-                tier_of_target, target = name, ckpt
         return RestorePlan(
-            ckpt=target,
-            tier=tier_of_target,
+            ckpt=ckpt,  # the last link is the target round
+            tier=name,
             chain=tuple(chain) if len(chain) > 1 else (),
             links=tuple(links),
         )
 
+    def retrieve(
+        self, rank: int, round_no: int, concurrent_readers: int = 1
+    ) -> Optional[RestoreReceipt]:
+        plan = self.restore_plan(rank, round_no, concurrent_readers)
+        if plan is None:
+            return None
+        return RestoreReceipt(
+            ckpt=plan.ckpt,
+            tier=plan.tier,
+            read_ns=sum(
+                self._tier(link.tier).read_time_ns(link.nbytes, concurrent_readers)
+                for link in plan.links
+            ),
+            chain=plan.chain,
+            decompress_ns=sum(link.decompress_ns for link in plan.links),
+        )
+
     def start_restore(
         self,
-        rank: int,
-        round_no: int,
+        plan: Optional[RestorePlan],
         on_done: Callable[[Optional[RestoreReceipt]], None],
     ) -> Optional[ChainRead]:
-        """Run ``rank``'s restart read as an overlapping flow pipeline.
+        """Run a :meth:`restore_plan` as an overlapping flow pipeline.
 
-        Returns the cancellable :class:`ChainRead` (None when the round
-        is not restorable — ``on_done(None)`` fires synchronously then).
+        Returns the cancellable :class:`ChainRead` (None when the plan
+        is None, i.e. the round is not restorable — ``on_done(None)``
+        fires synchronously then).
         The receipt's ``read_ns`` is *measured* from the flow timeline,
         so concurrent restores genuinely contend for the tiers' read
         bandwidth instead of assuming a reader count."""
@@ -882,19 +855,16 @@ class TieredBackend(StorageBackend):
                 "flow-based restores need the simulation engine; call "
                 "bind_engine(engine) first"
             )
-        plan = self.restore_plan(rank, round_no)
         if plan is None:
             on_done(None)
             return None
 
         def _finish(chain_read: ChainRead) -> None:
-            read_ns = chain_read.read_ns
-            self.read_ns_total += read_ns
             on_done(
                 RestoreReceipt(
                     ckpt=plan.ckpt,
                     tier=plan.tier,
-                    read_ns=read_ns,
+                    read_ns=chain_read.read_ns,
                     chain=plan.chain,
                     # Always *reported* (matching the closed-form path),
                     # even when charge_decompress leaves the pipeline's
@@ -914,7 +884,7 @@ class TieredBackend(StorageBackend):
                 for link in plan.links
             ],
             on_done=_finish,
-            meta={"rank": rank, "round_no": round_no},
+            meta={"rank": plan.ckpt.rank, "round_no": plan.ckpt.round_no},
         )
 
     # -- partner rebuild (after a failed node returns) ------------------
@@ -982,9 +952,7 @@ class TieredBackend(StorageBackend):
         rounds = self.restorable_rounds(rank)
         if not rounds:
             return None
-        receipt = self.retrieve(rank, rounds[-1])
-        self.read_ns_total -= receipt.read_ns  # inspection is cost-free
-        return receipt.ckpt
+        return self.restore_plan(rank, rounds[-1]).ckpt
 
     def rounds_of(self, rank: int) -> List[int]:
         return list(self._all_rounds.get(rank, []))

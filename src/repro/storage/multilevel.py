@@ -2,19 +2,19 @@
 
 SPBC composes with multi-level checkpointing (paper reference [4]):
 cluster checkpoints and logs go to fast local tiers at high frequency,
-with periodic propagation to the PFS.  The planner here computes write
-times per tier and a Young/Daly-style optimal interval, used by the
-clustering-trade-off example to put the log-size numbers in context.
+with periodic propagation to the PFS.  The plan here decides which
+tiers each round writes (the storage backends only execute that
+decision), and the Young/Daly-style optimal interval puts the
+clustering trade-off's log-size numbers in context.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Sequence, Tuple
 
 from repro.storage.model import StorageTier
-from repro.util.units import SEC
 
 
 @dataclass
@@ -24,6 +24,8 @@ class MultiLevelPlan:
     tiers: Sequence[StorageTier]
     # every level-i checkpoint happens once per `period[i]` level-0 rounds
     periods: Sequence[int]
+    # Rounds after which the write pattern repeats: lcm(periods).
+    cycle: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.tiers) != len(self.periods):
@@ -34,25 +36,17 @@ class MultiLevelPlan:
             raise ValueError("periods must be non-decreasing (rarer upward)")
         if self.periods[0] != 1:
             raise ValueError("the first tier runs every round")
+        self.cycle = math.lcm(*self.periods)
 
-    def round_cost_ns(
-        self, ckpt_bytes: int, round_no: int, concurrent_writers: int = 1
-    ) -> int:
-        """Write cost of checkpoint round ``round_no`` (1-based)."""
-        cost = 0
-        for tier, period in zip(self.tiers, self.periods):
-            if round_no % period == 0:
-                cost += tier.write_time_ns(ckpt_bytes, concurrent_writers)
-        return cost
-
-    def amortized_cost_ns(self, ckpt_bytes: int, concurrent_writers: int = 1) -> float:
-        """Average per-round write cost over a full cycle."""
-        cycle = self.periods[-1]
-        total = sum(
-            self.round_cost_ns(ckpt_bytes, r, concurrent_writers)
-            for r in range(1, cycle + 1)
+    def tiers_written(self, round_no: int) -> Tuple[StorageTier, ...]:
+        """Tiers checkpoint round ``round_no`` (1-based) writes: every
+        tier whose period divides the round.  The one place this rule
+        lives; it depends only on ``round_no % cycle``, so callers that
+        ask per round memoise its answer per residue."""
+        return tuple(
+            t for t, period in zip(self.tiers, self.periods)
+            if round_no % period == 0
         )
-        return total / cycle
 
 
 def optimal_interval_ns(ckpt_cost_ns: int, mtbf_ns: int) -> int:

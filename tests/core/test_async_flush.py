@@ -232,8 +232,8 @@ def test_async_ssd_drain_defers_the_local_copy():
     b = make_backend(spec + ":async")
     # Round 2 schedules ram+ssd, round 4 ram+ssd+pfs: the SSD defers
     # alongside the PFS, the RAM copy never does.
-    assert [t.name for t in b.deferred_tiers(2)] == ["local-ssd"]
-    assert [t.name for t in b.deferred_tiers(4)] == ["local-ssd", "pfs"]
+    assert [t.name for t in b.round_writes(2).deferred] == ["local-ssd"]
+    assert [t.name for t in b.round_writes(4).deferred] == ["local-ssd", "pfs"]
     assert b.amortized_write_cost_ns(STATE) < make_backend(
         spec
     ).amortized_write_cost_ns(STATE)

@@ -137,14 +137,16 @@ def test_flow_restore_measures_contention():
 
     engine, b = setup()
     got = {}
-    b.start_restore(0, 1, on_done=lambda rec: got.setdefault(0, rec))
+    b.start_restore(b.restore_plan(0, 1), on_done=lambda rec: got.setdefault(0, rec))
     engine.run()
     solo_ns = got[0].read_ns
 
     engine, b = setup()
     got = {}
     for r in (0, 1):
-        b.start_restore(r, 1, on_done=lambda rec, r=r: got.setdefault(r, rec))
+        b.start_restore(
+            b.restore_plan(r, 1), on_done=lambda rec, r=r: got.setdefault(r, rec)
+        )
     engine.run()
     assert got[0].read_ns > solo_ns  # shared read bandwidth split
 
@@ -168,7 +170,9 @@ def test_unified_lane_restore_read_steals_bandwidth_from_a_flush():
         engine.run(until_ns=engine.now + 1)  # admit the flush flow
         # Rank 0 starts restoring while rank 1's flush still drains.
         got = {}
-        b.start_restore(0, 1, on_done=lambda rec: got.setdefault(0, rec))
+        b.start_restore(
+            b.restore_plan(0, 1), on_done=lambda rec: got.setdefault(0, rec)
+        )
         flush_start = engine.now
         engine.run()
         flush_end = max(e for _s, e, _r, _n in b.shared_flow_windows())
@@ -202,7 +206,9 @@ def test_asymmetric_pfs_read_bandwidth_speeds_up_restores():
         b.save(ckpt(0, 1, nbytes=100 * MB))
         engine.run()
         got = {}
-        b.start_restore(0, 1, on_done=lambda rec: got.setdefault(0, rec))
+        b.start_restore(
+            b.restore_plan(0, 1), on_done=lambda rec: got.setdefault(0, rec)
+        )
         engine.run()
         return got[0].read_ns
 

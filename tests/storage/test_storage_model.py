@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.storage.backend import TieredBackend
 from repro.storage.model import StorageTier, local_ssd_tier, pfs_tier, ram_tier
 from repro.storage.multilevel import MultiLevelPlan, optimal_interval_ns
 from repro.util.units import GB, MB, SEC
@@ -54,14 +55,19 @@ def test_multilevel_plan_costs():
         tiers=[ram_tier(), local_ssd_tier(), pfs_tier()],
         periods=[1, 4, 16],
     )
+    backend = TieredBackend(plan)
     n = 100 * MB
+
+    def round_cost_ns(round_no):
+        return backend.round_writes(round_no).commit_ns(n)
+
     # rounds not hitting upper tiers only pay the RAM cost
-    assert plan.round_cost_ns(n, 1) == ram_tier().write_time_ns(n)
+    assert round_cost_ns(1) == ram_tier().write_time_ns(n)
     # round 16 pays all three
-    all_three = plan.round_cost_ns(n, 16)
-    assert all_three > plan.round_cost_ns(n, 4) > plan.round_cost_ns(n, 1)
-    amort = plan.amortized_cost_ns(n)
-    assert plan.round_cost_ns(n, 1) < amort < all_three
+    all_three = round_cost_ns(16)
+    assert all_three > round_cost_ns(4) > round_cost_ns(1)
+    amort = backend.amortized_write_cost_ns(n)
+    assert round_cost_ns(1) < amort < all_three
 
 
 def test_multilevel_validation():
