@@ -30,7 +30,6 @@ from repro.core import (
     LogCostModel,
     RecoveryManager,
     ReplayPlan,
-    StableStorage,
 )
 from repro.harness import (
     RunSpec,
@@ -43,13 +42,7 @@ from repro.harness import (
     run_online_failure,
 )
 from repro.mpi import ANY_SOURCE, ANY_TAG, RankContext, World
-from repro.storage import (
-    InMemoryBackend,
-    MultiLevelPlan,
-    StorageBackend,
-    TieredBackend,
-    make_backend,
-)
+from repro.storage import MultiLevelPlan, TieredBackend, make_backend
 
 __version__ = "1.0.0"
 
@@ -60,7 +53,6 @@ __all__ = [
     "LogCostModel",
     "RecoveryManager",
     "ReplayPlan",
-    "StableStorage",
     "RunSpec",
     "execute",
     "run_app",
@@ -73,8 +65,6 @@ __all__ = [
     "ANY_TAG",
     "RankContext",
     "World",
-    "StorageBackend",
-    "InMemoryBackend",
     "TieredBackend",
     "MultiLevelPlan",
     "make_backend",

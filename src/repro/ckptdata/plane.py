@@ -17,8 +17,10 @@ Chain semantics
   ``full_period`` rounds, when the chain would exceed ``chain_cap``
   deltas, after a restart (a delta must never span a rollback — the
   re-executed state has no committed base), and — unless
-  ``full_on_durable=False`` — on rounds the storage plan propagates to a
-  durable tier (so a PFS round is self-contained, FTI/SCR style).
+  ``full_on_durable=False`` — on rounds the storage plan propagates to
+  the shared durable tier (so a PFS round is self-contained, FTI/SCR
+  style; the free ``memory`` tier is durable but not shared, so it
+  keeps writing deltas).
 * Restoring round ``n`` means reading the whole chain ``full..n``; a
   delta whose base copy was lost with a node is unusable (the storage
   backend enforces this, see ``TieredBackend.restorable_rounds``).
@@ -167,7 +169,8 @@ class CkptDataPlane:
         covered since the previous checkpoint (the dirty-region window);
         ``log_bytes`` rides along uncompressed-size-wise and is
         compressed with the state blob; ``durable_round`` tells the plane
-        the storage plan writes a durable tier this round."""
+        the storage plan writes its shared durable tier (the PFS) this
+        round."""
         full_bytes = state_bytes if state_bytes else self.profile.total_bytes
         ch = self._chain(rank)
         if self._wants_full(ch, round_no, durable_round):
@@ -219,7 +222,7 @@ class CkptDataPlane:
 
         ``full_period`` overrides the configured one with the *effective*
         full cadence when something forces fulls more often (the caller
-        knows the storage plan's durable-round density; ``chain_cap`` is
+        knows the storage plan's PFS-round density; ``chain_cap`` is
         applied here)."""
         period = full_period if full_period is not None else self.full_period
         period = max(1, min(period, self.chain_cap + 1))

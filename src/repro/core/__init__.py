@@ -18,7 +18,7 @@ The protocol (paper section 4, Algorithm 1):
 from repro.core.clusters import ClusterMap
 from repro.core.logstore import LogRecord, LogStore
 from repro.core.protocol import SPBC, SPBCConfig, LogCostModel
-from repro.core.checkpoint import Checkpoint, StableStorage
+from repro.core.checkpoint import Checkpoint
 from repro.core.recovery import RecoveryManager
 from repro.core.emulated import ReplayPlan, replayer_process
 
@@ -30,7 +30,6 @@ __all__ = [
     "SPBCConfig",
     "LogCostModel",
     "Checkpoint",
-    "StableStorage",
     "RecoveryManager",
     "ReplayPlan",
     "replayer_process",

@@ -9,12 +9,10 @@ A checkpoint of one rank bundles (Algorithm 1 line 15):
   counters, the unexpected-message queue, pattern-API counters;
 * the sender-side message ``Logs``.
 
-Where checkpoints *live* is pluggable: :mod:`repro.storage.backend`
-defines the ``StorageBackend`` layer.  ``StableStorage`` — the free
-in-memory medium the paper's experiments assume — is an alias of
-:class:`~repro.storage.backend.InMemoryBackend` and remains the default;
-``TieredBackend`` executes a multi-level plan with modeled write/read
-costs and per-tier survivability.
+Where checkpoints *live* is :class:`~repro.storage.backend.TieredBackend`:
+it executes a multi-level plan with modeled write/read costs and
+per-tier survivability.  Its default ``memory`` plan is the free,
+indestructible medium the paper's experiments assume.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ckptdata.plane import CkptPayload
-from repro.storage.backend import InMemoryBackend
 
 
 @dataclass(slots=True)
@@ -80,8 +77,3 @@ class Checkpoint:
                 f"rank {self.rank}: checkpoint round {self.round_no} was "
                 "released below the log-GC floor and cannot be restored"
             )
-
-
-# Reliable, cost-free checkpoint store (survives any failure) — the
-# historical name for the in-memory backend, kept as the public alias.
-StableStorage = InMemoryBackend

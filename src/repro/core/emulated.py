@@ -101,7 +101,6 @@ def replayer_process(
     ctx: RankContext,
     records: List[LogRecord],
     window: int = DEFAULT_PREPOST_WINDOW,
-    log_read_ns_per_record: int = 0,
 ) -> Generator:
     """One non-failed rank during emulated recovery.
 
@@ -110,9 +109,6 @@ def replayer_process(
     """
     if window < 1:
         raise ValueError("pre-post window must be >= 1")
-    if log_read_ns_per_record:
-        # Model for reading the log from node-local storage up front.
-        yield from ctx.compute(log_read_ns_per_record * len(records))
     inflight: deque = deque()
     sent = 0
     for rec in records:

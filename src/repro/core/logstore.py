@@ -237,7 +237,7 @@ class LogStore:
         Legal only when the receiver certified it can never again request
         them — it delivered them and saved that delivery (the LR) in a
         checkpoint it is guaranteed never to roll back past (see
-        ``StorageBackend.guaranteed_round``).  Unlike :meth:`truncate`,
+        ``TieredBackend.guaranteed_round``).  Unlike :meth:`truncate`,
         which moves records into the checkpointed stable area, this frees
         them everywhere: the resident memory *and* every future snapshot
         shrink.  Returns the number of records deleted."""

@@ -41,7 +41,7 @@ from typing import (
 from repro.ckptdata.plane import CkptDataPlane
 from repro.core.checkpoint import Checkpoint
 from repro.core.mtbf import MTBFEstimator
-from repro.storage.backend import InMemoryBackend, SaveReceipt, StorageBackend
+from repro.storage.backend import SaveReceipt, TieredBackend, make_backend
 from repro.storage.multilevel import optimal_interval_ns, optimal_interval_rounds
 from repro.core.clusters import ClusterMap
 from repro.core.logstore import LogRecord, LogStore
@@ -114,7 +114,7 @@ class SPBCConfig:
     # "auto" derives the cadence per cluster from the Young/Daly optimal
     # interval over the storage backend's modeled write cost, the
     # configured MTBF, and the measured iteration time — it needs a
-    # cost-modeled backend (TieredBackend/PartnerCopyBackend).
+    # storage plan with a write cost (any plan but "memory").
     checkpoint_every: Union[int, str, None] = None
     # Node MTBF driving the "auto" cadence (Young: sqrt(2*C*MTBF)).
     # "observed" estimates it per cluster from injected failures
@@ -124,11 +124,12 @@ class SPBCConfig:
     # Starting estimate for mtbf_ns="observed" until the second failure
     # provides the first inter-failure gap.
     mtbf_prior_ns: int = 60 * SEC
-    # Where checkpoints are persisted and what that costs.  The default
-    # InMemoryBackend charges nothing (the paper's configuration); a
-    # TieredBackend executes a multi-level plan and its write time is
-    # charged to the simulation clock inside the coordinated checkpoint.
-    storage: Optional[StorageBackend] = None
+    # Where checkpoints are persisted and what that costs: the store
+    # executes a multi-level plan and its write time is charged to the
+    # simulation clock inside the coordinated checkpoint.  The default
+    # (None) is the one-tier "memory" plan, which charges nothing (the
+    # paper's configuration).
+    storage: Optional[TieredBackend] = None
     # The incremental checkpoint data plane (repro.ckptdata): turns each
     # round into a full or delta payload with modeled compression, and
     # maintains per-rank delta chains.  None keeps the seed's
@@ -343,7 +344,7 @@ class SPBC(ProtocolHooks):
         self.journal = None
         self._world = None
         self._cluster_comms: Dict[int, Any] = {}
-        self.storage: StorageBackend = config.storage or InMemoryBackend()
+        self.storage: TieredBackend = config.storage or make_backend("memory")
         self._emulated = config.emulated_recovering
         self._cadences: Dict[int, _AutoCadence] = {}  # cluster -> cadence
         self._plane: Optional[CkptDataPlane] = config.ckpt_data
@@ -390,7 +391,7 @@ class SPBC(ProtocolHooks):
                     f"checkpoint_every accepts an int, None, or 'auto', "
                     f"got {every!r}"
                 )
-            if isinstance(self.storage, InMemoryBackend):
+            if self.storage.writes_free:
                 raise ValueError(
                     "checkpoint_every='auto' needs a cost-modeled storage "
                     "backend (e.g. --storage tiered): the free in-memory "
@@ -642,13 +643,13 @@ class SPBC(ProtocolHooks):
             return None
         full_period = self._plane.full_period
         if self._plane.full_on_durable:
-            # The plan's durable rounds force fulls too: the effective
-            # full period is whichever comes first.
+            # The plan's shared-tier (PFS) rounds force fulls too: the
+            # effective full period is whichever comes first.
             full_period = next(
                 (
                     r
                     for r in range(1, full_period)
-                    if self.storage.round_writes(r).durable_scheduled
+                    if self.storage.round_writes(r).shared_scheduled
                 ),
                 full_period,
             )
@@ -720,7 +721,7 @@ class SPBC(ProtocolHooks):
             elif offset > 0:
                 yield from runtime.compute(offset)
         ckpt = self._build_checkpoint(
-            runtime, st, state_fn(), durable_round=writes.durable_scheduled
+            runtime, st, state_fn(), durable_round=writes.shared_scheduled
         )
         if ckpt.payload is not None and ckpt.payload.compress_ns > 0:
             # The data plane's compression stage runs on the CPU before
@@ -742,7 +743,7 @@ class SPBC(ProtocolHooks):
             # peak-writers measurement must not count a rank as a PFS
             # writer while it is still writing its local SSD.  (Async
             # bursts are measured from the actual flow timeline instead:
-            # see StorageBackend.shared_flow_windows.)
+            # see TieredBackend.shared_flow_windows.)
             shared_ns = writes.shared_commit_ns(ckpt.stored_bytes, writers)
             end_ns = runtime.engine.now
             self.pfs_write_windows.append(
@@ -956,7 +957,7 @@ class SPBC(ProtocolHooks):
         if (
             nbytes == 0
             and not self._warned_zero_bytes
-            and not isinstance(self.storage, InMemoryBackend)
+            and not self.storage.writes_free
         ):
             # A cost-modeled backend charging for zero bytes silently
             # models free checkpoints — almost always a harness bug

@@ -90,8 +90,8 @@ class FailureEvent:
     restored_tier: Optional[str] = None
     # Modeled restart-read time added before the cluster comes back.
     restore_read_ns: int = 0
-    # Modeled decompression time on the restart path (charged only by
-    # backends with charge_decompress; always reported).
+    # Modeled decompression time on the restart path (charged only
+    # under the store's charge_decompress; always reported).
     restore_decompress_ns: int = 0
     # Background flushes aborted by this failure (async mode): in-flight
     # PFS copies of the dead node never land, so recovery restarts from
@@ -196,17 +196,14 @@ class RecoveryManager:
             self.world.runtimes[r].kill()
         purged = self.world.network.purge_involving(members_all)
         invalidated = 0
-        flushes_before = getattr(self.spbc.storage, "flush_flows_cancelled", 0)
+        flushes_before = self.spbc.storage.flush_flows_cancelled
         if kind == "node":
             # Per-node blast radius: only copies hosted on the dead node
             # die (partner copies placed on a live buddy node survive),
             # and background flushes sourced from it are aborted — an
             # in-flight PFS copy is not yet a restorable copy.
             invalidated = self.spbc.storage.invalidate_node_copies(dead_ranks)
-        cancelled_flushes = (
-            getattr(self.spbc.storage, "flush_flows_cancelled", 0)
-            - flushes_before
-        )
+        cancelled_flushes = self.spbc.storage.flush_flows_cancelled - flushes_before
         if kind == "node":
             # A node loss can strand *other* clusters' in-flight restore
             # reads: a pipeline sourced from a copy that just died (e.g.
@@ -411,7 +408,6 @@ class RecoveryManager:
             event is not None
             and event.kind == "node"
             and event.node is not None
-            and hasattr(self.spbc.storage, "rebuild_partner_copies")
         ):
             event.partner_rebuilds = self.spbc.storage.rebuild_partner_copies(
                 event.node

@@ -45,7 +45,7 @@ from repro.harness.runner import (
     run_spbc,
 )
 from repro.sim.network import Topology
-from repro.storage.backend import StorageBackend, TieredBackend, make_backend
+from repro.storage.backend import TieredBackend, make_backend
 from repro.storage.model import pfs_tier, ram_tier
 from repro.storage.multilevel import MultiLevelPlan, optimal_interval_rounds
 from repro.util.stats import summarize
@@ -97,7 +97,7 @@ def _paper_world(ranks_per_node: int) -> dict:
 
 
 def _checkpointing(
-    name: str, cm: ClusterMap, storage: Union[str, StorageBackend], **cfg
+    name: str, cm: ClusterMap, storage: Union[str, TieredBackend], **cfg
 ) -> SPBCConfig:
     """A checkpointing config on ``storage`` (a spec string or a fresh
     backend).  The modeled payload is app ``name``'s write-locality
@@ -111,7 +111,7 @@ def _checkpointing(
     )
 
 
-def _rounds(backend: StorageBackend, nranks: int) -> int:
+def _rounds(backend: TieredBackend, nranks: int) -> int:
     """Checkpoint rounds committed: the most any rank holds."""
     return max((len(backend.rounds_of(r)) for r in range(nranks)), default=0)
 
@@ -329,7 +329,7 @@ class CkptCostRow:
     ckpt_mb_avg: float  # modeled checkpoint size per rank (state + logs)
     write_ms_per_rank: float  # modeled write time charged per rank
     makespan_ns: int
-    baseline_ns: int  # same run on the free in-memory backend
+    baseline_ns: int  # same run on the free "memory" plan
 
     @property
     def slowdown_pct(self) -> float:
@@ -347,7 +347,7 @@ def checkpoint_cost(
     """Sweep tier plans × cluster counts with checkpointing enabled:
     :data:`CKPT_PLANS`, or the ``storage`` spec next to "memory".
 
-    Every configuration runs the same app; the in-memory backend is the
+    Every configuration runs the same app; the "memory" plan is the
     per-k baseline (identical to a run without any storage model), so a
     row's slowdown is purely the modeled checkpoint write time."""
     plans = CKPT_PLANS if storage is None else {"memory": "memory", storage: storage}
@@ -363,14 +363,7 @@ def checkpoint_cost(
             for plan_name, spec in plans.items():
                 cfg = _checkpointing(name, cm, spec, checkpoint_every=checkpoint_every)
                 results[plan_name] = run_spbc(app, nranks, cm, config=cfg, **world)
-            free = [
-                res.makespan_ns
-                for res in results.values()
-                if not isinstance(res.hooks.storage, TieredBackend)
-            ]
-            base_ns = min(free) if free else min(
-                res.makespan_ns for res in results.values()
-            )
+            base_ns = results["memory"].makespan_ns
             for plan_name, res in results.items():
                 backend = res.hooks.storage
                 rows.append(

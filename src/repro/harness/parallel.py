@@ -275,7 +275,7 @@ def _flow_lookahead_cap_ns(cfg: SPBCConfig) -> Optional[int]:
     failure and hold caps — they only happen at crash and restart
     milestones.)"""
     storage = cfg.storage
-    if storage is None or not getattr(storage, "async_flush", False):
+    if storage is None or not storage.async_flush:
         return None
     shared = [t.latency_ns for t in storage.plan.tiers if t.shared]
     if not shared:

@@ -42,11 +42,11 @@ from repro.obs import resolve_telemetry
 from repro.sim.network import NetworkParams
 from repro.sim.process import ProcessStatus
 from repro.sim.warp import WarpConfig, WarpController
-from repro.storage.backend import StorageBackend, make_backend
+from repro.storage.backend import TieredBackend, make_backend
 
 AppFactory = Callable[[RankContext, Optional[dict]], Generator]
 
-StorageSpec = Union[str, StorageBackend, None]
+StorageSpec = Union[str, TieredBackend, None]
 
 CkptDataSpec = Union[str, CkptDataPlane, None]
 
@@ -292,8 +292,8 @@ class RunSpec:
     means failure-free.  ``kind="node"`` kills the physical node hosting
     ``rank`` (see :class:`~repro.core.recovery.RecoveryManager`).
 
-    ``storage`` selects the checkpoint backend (a spec string like
-    ``"tiered:ram@1,pfs@4"`` or a ``StorageBackend``); ``ckpt_data``
+    ``storage`` selects the checkpoint store (a spec string like
+    ``"tiered:ram@1,pfs@4"`` or a ``TieredBackend``); ``ckpt_data``
     selects the incremental data plane (``"full"``/``"incr:4:zlib-like"``
     or a ``CkptDataPlane``) with ``profile`` as the app's write-locality
     regions.  Both only matter when ``config.checkpoint_every`` is set.

@@ -225,7 +225,6 @@ class Engine:
         self,
         until_ns: Optional[int] = None,
         detect_deadlock: bool = True,
-        max_events: Optional[int] = None,
     ) -> int:
         """Run events until the queue drains (or ``until_ns`` / ``stop()``).
 
@@ -241,9 +240,9 @@ class Engine:
         eq = self._eq
         pop = eq.pop
         try:
-            if until_ns is None and max_events is None:
-                # Hot loop: no deadline, no event budget — the common case
-                # for full-run simulations.
+            if until_ns is None:
+                # Hot loop: no deadline — the common case for full-run
+                # simulations.
                 while True:
                     if self._stopped:
                         break
@@ -256,9 +255,9 @@ class Engine:
                     self.now = time_ns
                     fn(*args)
                     executed += 1
-            elif max_events is None:
-                # Deadline-only loop (the windowed PDES shard hot path):
-                # a fused peek+pop keeps it at one queue call per event.
+            else:
+                # Deadline loop (the windowed PDES shard hot path): a
+                # fused peek+pop keeps it at one queue call per event.
                 pop_until = eq.pop_until
                 while True:
                     if self._stopped:
@@ -274,27 +273,6 @@ class Engine:
                     self.now = time_ns
                     fn(*args)
                     executed += 1
-            else:
-                peek = eq.peek_time
-                while True:
-                    if self._stopped:
-                        break
-                    time_ns = peek()
-                    if time_ns is None:
-                        break
-                    if until_ns is not None and time_ns > until_ns:
-                        self.now = until_ns
-                        break
-                    time_ns, _seq, handle, fn, args = pop()
-                    if handle is not None and handle.cancelled:
-                        continue
-                    self.now = time_ns
-                    fn(*args)
-                    executed += 1
-                    if executed >= max_events:
-                        raise SimError(
-                            f"exceeded max_events={max_events}; likely livelock"
-                        )
         finally:
             self._running = False
             self.events_executed += executed

@@ -230,7 +230,7 @@ class ShardRecoveryManager(RecoveryManager):
         merge sums to the sequential ``partner_rebuilds`` total."""
         failed = set(members)
         self._notify_survivors(failed)
-        if node is not None and hasattr(self.spbc.storage, "rebuild_partner_copies"):
+        if node is not None:
             started = self.spbc.storage.rebuild_partner_copies(node)
             if started:
                 event = self._last_event.get(cluster)
@@ -320,14 +320,11 @@ def _summarize(world, manager, owned_ranks: FrozenSet[int]) -> Dict[str, Any]:
         # Each shard counts only its own real flows, so the
         # coordinator's sums equal the sequential counters.
         "storage_counters": {
-            name: getattr(storage, name, 0)
-            for name in (
-                "flush_flows_started",
-                "flush_flows_completed",
-                "flush_flows_cancelled",
-                "rebuild_flows_started",
-                "rebuild_flows_completed",
-            )
+            "flush_flows_started": storage.flush_flows_started,
+            "flush_flows_completed": storage.flush_flows_completed,
+            "flush_flows_cancelled": storage.flush_flows_cancelled,
+            "rebuild_flows_started": storage.rebuild_flows_started,
+            "rebuild_flows_completed": storage.rebuild_flows_completed,
         },
         # Rounds each owned rank could restore at the end of the run —
         # the "drained rounds" observable (a flush that never landed is
@@ -388,7 +385,7 @@ def _shard_worker_loop(conn, plan) -> None:
         engine = world.engine
         net: ShardNetwork = world.network
         owned = plan.owned_ranks
-        iosched = getattr(world.hooks.storage, "iosched", None)
+        iosched = world.hooks.storage.iosched
         mirroring = iosched is not None and iosched.flow_outbox is not None
 
         def report() -> Dict[str, Any]:

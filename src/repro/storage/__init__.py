@@ -1,24 +1,21 @@
-"""Checkpoint storage: tier cost models and pluggable backends.
+"""Checkpoint storage: tier cost models and the store that runs them.
 
 The paper excludes checkpoint-writing time from its measurements and
 cites multi-level checkpointing work (FTI [3], SCR [27]) for that side
 of the problem; this package provides the corresponding cost models
-(PFS, node-local SSD, RAM) *and* the backends that execute them inside
-the protocol: the free :class:`InMemoryBackend` default and the
-:class:`TieredBackend` that runs a :class:`MultiLevelPlan` with write
-and restart-read time charged to the simulation clock (see
-``docs/storage.md``).
+(PFS, node-local SSD, RAM, partner copy) *and* the one store that
+executes them inside the protocol: :class:`TieredBackend` runs a
+:class:`MultiLevelPlan` with write and restart-read time charged to the
+simulation clock.  The default plan is the paper's free ``memory`` tier
+(see ``docs/storage.md``).
 """
 
 from repro.storage.backend import (
-    InMemoryBackend,
-    PartnerCopyBackend,
     RestoreLink,
     RestorePlan,
     RestoreReceipt,
     RoundWrites,
     SaveReceipt,
-    StorageBackend,
     TieredBackend,
     default_plan,
     make_backend,
@@ -29,6 +26,7 @@ from repro.storage.iosched import ChainRead, IOScheduler
 from repro.storage.model import (
     StorageTier,
     local_ssd_tier,
+    memory_tier,
     partner_tier,
     pfs_tier,
     ram_tier,
@@ -46,14 +44,12 @@ __all__ = [
     "local_ssd_tier",
     "ram_tier",
     "partner_tier",
+    "memory_tier",
     "MultiLevelPlan",
     "optimal_interval",
     "optimal_interval_ns",
     "optimal_interval_rounds",
-    "StorageBackend",
-    "InMemoryBackend",
     "TieredBackend",
-    "PartnerCopyBackend",
     "SaveReceipt",
     "RoundWrites",
     "RestoreReceipt",

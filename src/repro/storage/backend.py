@@ -1,28 +1,24 @@
-"""Pluggable checkpoint storage backends.
+"""The checkpoint store.
 
 The protocol's stable-storage abstraction ("save (State, Logs), read it
 back at restart") is decoupled here from *where* the bytes live and what
-that costs.  Two implementations:
+that costs.  One store, :class:`TieredBackend`, executes a
+:class:`~repro.storage.multilevel.MultiLevelPlan`: each checkpoint round
+writes to the tiers the plan schedules, write/read time comes from the
+:class:`~repro.storage.model.StorageTier` cost models (including
+shared-PFS contention), and every copy remembers which tier holds it so
+a node failure can invalidate the copies that died with the node.  The
+paper's experimental configuration (free writes, every copy survives any
+failure) is the one-tier ``memory`` plan, the default.
 
-* :class:`InMemoryBackend` — the paper's experimental configuration:
-  writes are free and every copy survives any failure.  This is the
-  default, so failure-free benchmark numbers are identical to a world
-  without any storage model.
-* :class:`TieredBackend` — executes a :class:`~repro.storage.multilevel.
-  MultiLevelPlan`: each checkpoint round writes to the tiers the plan
-  schedules, write/read time comes from the :class:`~repro.storage.model.
-  StorageTier` cost models (including shared-PFS contention), and every
-  copy remembers which tier holds it so a node failure can invalidate
-  the copies that died with the node.
-
-Backends return receipts instead of charging time themselves: the
-protocol charges ``SaveReceipt.write_ns`` to the simulation clock inside
-the coordinated checkpoint, and the recovery manager delays the restart
-by ``RestoreReceipt.read_ns`` (the paper's "IO burst when retrieving the
+The store returns receipts instead of charging time itself: the protocol
+charges ``SaveReceipt.write_ns`` to the simulation clock inside the
+coordinated checkpoint, and the recovery manager delays the restart by
+``RestoreReceipt.read_ns`` (the paper's "IO burst when retrieving the
 last checkpoint").
 
-With ``async_flush=True`` (spec suffix ``:async``) a ``TieredBackend``
-moves its shared-tier (PFS) writes onto the event-driven I/O scheduler
+With ``async_flush=True`` (spec suffix ``:async``) shared-tier (PFS)
+writes move onto the event-driven I/O scheduler
 (:mod:`repro.storage.iosched`): the receipt charges only the local
 tiers, the PFS copy drains as a background flow overlapping compute,
 and it becomes restorable only when the flow lands — see
@@ -31,7 +27,7 @@ and it becomes restorable only when the flow lands — see
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+import math
 from bisect import insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set, Tuple
@@ -42,6 +38,7 @@ from repro.storage.iosched import ChainRead, IOScheduler
 from repro.storage.model import (
     StorageTier,
     local_ssd_tier,
+    memory_tier,
     partner_tier,
     pfs_tier,
     ram_tier,
@@ -71,23 +68,20 @@ class SaveReceipt:
 
 @dataclass(frozen=True)
 class RoundWrites:
-    """What one checkpoint round writes under a backend's plan.
+    """What one checkpoint round writes under the store's plan.
 
     Decided once per residue of the plan's cycle
-    (:meth:`StorageBackend.round_writes`); the closed-form charge, the
+    (:meth:`TieredBackend.round_writes`); the closed-form charge, the
     save and the background flushes only execute it."""
 
-    committed: Tuple[StorageTier, ...] = ()  # written inside the commit
+    committed: Tuple[StorageTier, ...]  # written inside the commit
     # Drained behind the commit under async flush: the shared tiers and
     # the ``background_drain`` ones.
-    deferred: Tuple[StorageTier, ...] = ()
-    # Some tier this round writes, deferred ones included, survives node
-    # failure (the data plane forces a full payload on such rounds).
-    # Not SaveReceipt.durable, which counts only the committed tiers.
-    durable_scheduled: bool = False
-    # Some tier this round writes is shared (the PFS): the rounds
-    # cross-cluster staggering spreads out.
-    shared_scheduled: bool = False
+    deferred: Tuple[StorageTier, ...]
+    # Some tier this round writes, deferred ones included, is shared
+    # (the PFS): the rounds cross-cluster staggering spreads out and the
+    # data plane forces a full payload on.
+    shared_scheduled: bool
 
     def commit_ns(self, nbytes: int, concurrent_writers: int = 1) -> int:
         """Closed-form time of the writes inside the commit."""
@@ -102,10 +96,6 @@ class RoundWrites:
         )
 
 
-#: A backend without a plan writes no tier on a plan's terms.
-NO_WRITES = RoundWrites()
-
-
 @dataclass(frozen=True)
 class RestoreReceipt:
     """Outcome of reading one checkpoint back at restart."""
@@ -117,7 +107,7 @@ class RestoreReceipt:
     # payload-less checkpoints (the opaque-blob model reads one round).
     chain: Tuple[int, ...] = ()
     # Modeled decompression CPU time to reinflate the chain's payloads
-    # (charged to the restart only by backends with charge_decompress —
+    # (charged to the restart only under charge_decompress —
     # the seed's closed-form path keeps its original read-only delay).
     decompress_ns: int = 0
 
@@ -144,221 +134,9 @@ class RestorePlan:
     links: Tuple[RestoreLink, ...] = ()
 
 
-class StorageBackend(ABC):
-    """Where checkpoints live and what writing/reading them costs."""
-
-    def __init__(self) -> None:
-        self.writes = 0  # save() calls (checkpoint commits)
-        self.bytes_written = 0  # modeled bytes across all copies
-        self.write_ns_total = 0
-
-    # -- write path ----------------------------------------------------
-    def write_cost_ns(self, ckpt: "Checkpoint", concurrent_writers: int = 1) -> int:
-        """Modeled time to persist ``ckpt``, without committing it.
-
-        The protocol charges this to the simulation clock *before*
-        calling :meth:`save`: a copy must not become restorable until
-        its write has finished (a failure mid-write falls back to the
-        previous round)."""
-        return self.round_writes(ckpt.round_no).commit_ns(
-            ckpt.stored_bytes, concurrent_writers
-        )
-
-    @abstractmethod
-    def save(self, ckpt: "Checkpoint", concurrent_writers: int = 1) -> SaveReceipt:
-        """Persist ``ckpt`` and return the modeled cost receipt."""
-
-    def amortized_write_cost_ns(
-        self, nbytes: int, concurrent_writers: int = 1
-    ) -> int:
-        """Expected per-round cost of writing ``nbytes`` under this
-        backend's plan (averaged over a full tier cycle).  Feeds the
-        Young/Daly cadence when the data plane supplies an *expected*
-        payload size instead of the committed round's actual one."""
-        return 0
-
-    # -- plan introspection (data plane + stagger hooks) ---------------
-    def round_writes(self, round_no: int) -> RoundWrites:
-        """The plan's decision for checkpoint round ``round_no``: which
-        tiers it writes inside the commit, which drain behind it, and
-        whether a durable or shared tier is scheduled."""
-        return NO_WRITES
-
-    # -- topology ------------------------------------------------------
-    def bind_topology(self, topology: "Topology") -> None:
-        """Tell the backend where ranks physically live.  Called once
-        when the protocol attaches to a world; backends that place copies
-        by node (partner copies) need it, the rest ignore it."""
-
-    # -- event-driven I/O (async flush / flow-based restarts) ----------
-    def bind_engine(self, engine: "Engine") -> None:
-        """Give the backend the simulation engine.  Called once when the
-        protocol attaches to a world; backends that run background I/O
-        flows (async flush, partner rebuild, overlapped restart reads)
-        build their :class:`~repro.storage.iosched.IOScheduler` here."""
-
-    @property
-    def flows_active(self) -> bool:
-        """True when this backend runs restart reads / flushes as flows
-        on an I/O scheduler (async mode with a bound engine)."""
-        return False
-
-    @property
-    def charge_decompress(self) -> bool:
-        """True when the restart path charges the modeled decompression
-        time (``RestoreReceipt.decompress_ns``) to the restart delay."""
-        return False
-
-    def cancel_inflight_above(self, rank: int, round_no: int) -> int:
-        """A restarted rank is re-executing rounds above ``round_no``:
-        abort its in-flight background flushes for those rounds (the
-        re-execution will commit fresh copies; letting a stale flow land
-        would register a dead incarnation's cut).  Returns the number of
-        flows cancelled."""
-        return 0
-
-    def shared_flow_windows(self) -> List[Tuple[int, int, int, int]]:
-        """Completed background write bursts on shared tiers, as
-        ``(start_ns, end_ns, rank, round_no)`` — the *measured* PFS
-        timeline feeding ``SPBC.peak_concurrent_pfs_writers``."""
-        return []
-
-    # -- failure model -------------------------------------------------
-    @abstractmethod
-    def invalidate_node_copies(self, ranks: Iterable[int]) -> int:
-        """The node(s) hosting ``ranks`` were lost: drop every checkpoint
-        copy *hosted on those nodes* whose tier does not survive node
-        failure.  With a bound topology this includes copies owned by
-        ranks on other nodes but placed here (partner copies).  Returns
-        the number of copies invalidated."""
-
-    def guaranteed_round(self, rank: int) -> int:
-        """Latest round ``rank`` can never be forced to roll back past,
-        no matter what fails later (0 when only volatile copies exist).
-        Receiver-driven log GC keys off this: a sender may delete log
-        records a receiver has delivered and saved in a guaranteed
-        round."""
-        return 0
-
-    @abstractmethod
-    def release_below(self, rank: int, floor: int) -> None:
-        """``rank``'s log-GC floor reached round ``floor``: no restart
-        can target a round below the first round of ``floor``'s delta
-        chain, so drop those rounds' restart bodies
-        (:meth:`~repro.core.checkpoint.Checkpoint.release`).  Round
-        numbers, timestamps, sizes and payloads stay, so commit history,
-        chain walks, costs and :meth:`restorable_rounds` do not change."""
-
-    # -- read path -----------------------------------------------------
-    @abstractmethod
-    def surviving_rounds(self, rank: int) -> List[int]:
-        """Rounds of ``rank`` with at least one surviving copy, ascending."""
-
-    def restorable_rounds(self, rank: int) -> List[int]:
-        """Rounds a restart can actually reconstruct, ascending.  For
-        opaque blobs this is :meth:`surviving_rounds`; chain-aware
-        backends additionally require every base link of a delta round
-        to survive (a delta whose base was lost is unusable)."""
-        return self.surviving_rounds(rank)
-
-    @abstractmethod
-    def restore_plan(
-        self, rank: int, round_no: int, concurrent_readers: int = 1
-    ) -> Optional[RestorePlan]:
-        """The restart read of ``rank``'s ``round_no``: its delta chain,
-        each link from the cheapest surviving copy at
-        ``concurrent_readers`` (None when the round is not restorable).
-        Costs nothing, so it is also the inspection lookup."""
-
-    @abstractmethod
-    def retrieve(
-        self, rank: int, round_no: int, concurrent_readers: int = 1
-    ) -> Optional[RestoreReceipt]:
-        """:meth:`restore_plan` priced in closed form: the receipt of
-        reading ``round_no`` back with ``concurrent_readers`` readers."""
-
-    # -- cost-free inspection (tests, reporting, failure events) -------
-    @abstractmethod
-    def load_latest(self, rank: int) -> Optional["Checkpoint"]:
-        """Latest *surviving* checkpoint of ``rank`` (no cost charged)."""
-
-    @abstractmethod
-    def rounds_of(self, rank: int) -> List[int]:
-        """Every round ever saved for ``rank`` (including copies that
-        were later invalidated), ascending."""
-
-    def has_checkpoint(self, rank: int) -> bool:
-        return self.load_latest(rank) is not None
-
-
-class InMemoryBackend(StorageBackend):
-    """Free, indestructible checkpoint store (the paper's configuration:
-    "none of our experiments include checkpointing [I/O]")."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._latest: Dict[int, "Checkpoint"] = {}
-        self._history: Dict[int, List["Checkpoint"]] = {}
-        # rank -> leading entries of its history release_below has passed
-        self._released: Dict[int, int] = {}
-
-    def save(self, ckpt: "Checkpoint", concurrent_writers: int = 1) -> SaveReceipt:
-        self._latest[ckpt.rank] = ckpt
-        self._history.setdefault(ckpt.rank, []).append(ckpt)
-        self.writes += 1
-        self.bytes_written += ckpt.stored_bytes
-        return SaveReceipt(
-            round_no=ckpt.round_no, write_ns=0, tiers=("memory",), durable=True
-        )
-
-    def invalidate_node_copies(self, ranks: Iterable[int]) -> int:
-        return 0  # survives everything, by definition
-
-    def guaranteed_round(self, rank: int) -> int:
-        rounds = self.rounds_of(rank)
-        return rounds[-1] if rounds else 0  # indestructible store
-
-    def release_below(self, rank: int, floor: int) -> None:
-        # An opaque store reads one round per restart: the floor round's
-        # chain is the round itself.  The history is in save order, which
-        # is ascending except for the rounds a rollback re-takes; stopping
-        # at the first round >= floor can defer a release, never make one
-        # early.
-        history = self._history.get(rank, ())
-        i = self._released.get(rank, 0)
-        while i < len(history) and history[i].round_no < floor:
-            history[i].release()
-            i += 1
-        self._released[rank] = i
-
-    def surviving_rounds(self, rank: int) -> List[int]:
-        return self.rounds_of(rank)
-
-    def restore_plan(
-        self, rank: int, round_no: int, concurrent_readers: int = 1
-    ) -> Optional[RestorePlan]:
-        for c in reversed(self._history.get(rank, [])):
-            if c.round_no == round_no:
-                return RestorePlan(ckpt=c, tier="memory", chain=())
-        return None
-
-    def retrieve(
-        self, rank: int, round_no: int, concurrent_readers: int = 1
-    ) -> Optional[RestoreReceipt]:
-        plan = self.restore_plan(rank, round_no)
-        if plan is None:
-            return None
-        return RestoreReceipt(ckpt=plan.ckpt, tier=plan.tier, read_ns=0)
-
-    def load_latest(self, rank: int) -> Optional["Checkpoint"]:
-        return self._latest.get(rank)
-
-    def rounds_of(self, rank: int) -> List[int]:
-        return [c.round_no for c in self._history.get(rank, [])]
-
-
-class TieredBackend(StorageBackend):
-    """Executes a :class:`MultiLevelPlan` with per-tier cost accounting.
+class TieredBackend:
+    """Where checkpoints live and what writing/reading them costs:
+    executes a :class:`MultiLevelPlan` with per-tier cost accounting.
 
     With a bound :class:`~repro.sim.network.Topology`, copies are placed
     by *node*: regular volatile tiers (ram, ssd) live on the owner's
@@ -385,7 +163,6 @@ class TieredBackend(StorageBackend):
         partner_rebuild: bool = True,
         charge_decompress: Optional[bool] = None,
     ) -> None:
-        super().__init__()
         self.plan = plan
         names = [t.name for t in plan.tiers]
         if len(set(names)) != len(names):
@@ -411,6 +188,9 @@ class TieredBackend(StorageBackend):
         self._released_below: Dict[int, int] = {}
         self.tier_writes: Dict[str, int] = {t.name: 0 for t in plan.tiers}
         self.tier_bytes: Dict[str, int] = {t.name: 0 for t in plan.tiers}
+        self.writes = 0  # save() calls (checkpoint commits)
+        self.bytes_written = 0  # modeled bytes across all copies
+        self.write_ns_total = 0
         self.invalidated_copies = 0
         self._topology: Optional["Topology"] = None
         # Event-driven I/O (built at bind_engine).
@@ -425,16 +205,35 @@ class TieredBackend(StorageBackend):
         self.background_write_ns_total = 0  # flow durations, not app stall
 
     def bind_topology(self, topology: "Topology") -> None:
+        """Tell the store where ranks physically live (partner copies
+        are placed by node).  Called once when the protocol attaches to
+        a world."""
         self._topology = topology
 
     def bind_engine(self, engine: "Engine") -> None:
+        """Give the store the simulation engine, for the
+        :class:`~repro.storage.iosched.IOScheduler` that runs background
+        I/O flows (async flush, partner rebuild, overlapped restart
+        reads).  Called once when the protocol attaches to a world."""
         if self.iosched is not None and self.iosched.engine is engine:
             return
         self.iosched = IOScheduler(engine, self.plan.tiers)
 
     @property
     def flows_active(self) -> bool:
+        """True when restart reads and flushes run as flows on the I/O
+        scheduler (async mode with a bound engine)."""
         return self.async_flush and self.iosched is not None
+
+    @property
+    def writes_free(self) -> bool:
+        """True when no tier of the plan costs anything to write (the
+        ``memory`` plan): there is no write cost to optimise a cadence
+        against, and a zero-byte checkpoint models nothing wrong."""
+        return all(
+            t.latency_ns == 0 and t.bandwidth_bytes_per_s == math.inf
+            for t in self.plan.tiers
+        )
 
     def _telemetry(self):
         """The bound engine's telemetry (null until bind_engine)."""
@@ -444,6 +243,8 @@ class TieredBackend(StorageBackend):
 
     @property
     def charge_decompress(self) -> bool:
+        """True when the restart path charges the modeled decompression
+        time (``RestoreReceipt.decompress_ns``) to the restart delay."""
         return self._charge_decompress
 
     def _tier(self, name: str) -> StorageTier:
@@ -464,7 +265,9 @@ class TieredBackend(StorageBackend):
         return node
 
     def round_writes(self, round_no: int) -> RoundWrites:
-        """Built once per residue of the plan's cycle from
+        """The plan's decision for checkpoint round ``round_no``: which
+        tiers it writes inside the commit, which drain behind it, and
+        whether a shared tier is scheduled.  Built once per residue of the plan's cycle from
         :meth:`MultiLevelPlan.tiers_written`.  Under async flush the
         shared tiers, plus node-local tiers that declare
         ``background_drain`` (the local SSD: its copy drains behind the
@@ -481,18 +284,31 @@ class TieredBackend(StorageBackend):
             writes = self._writes[residue] = RoundWrites(
                 committed=tuple(t for t in written if t not in deferred),
                 deferred=deferred,
-                durable_scheduled=any(t.survives_node_failure for t in written),
                 shared_scheduled=any(t.shared for t in written),
             )
         return writes
 
+    def write_cost_ns(self, ckpt: "Checkpoint", concurrent_writers: int = 1) -> int:
+        """Modeled time to persist ``ckpt``, without committing it.
+
+        The protocol charges this to the simulation clock *before*
+        calling :meth:`save`: a copy must not become restorable until
+        its write has finished (a failure mid-write falls back to the
+        previous round)."""
+        return self.round_writes(ckpt.round_no).commit_ns(
+            ckpt.stored_bytes, concurrent_writers
+        )
+
     def amortized_write_cost_ns(
         self, nbytes: int, concurrent_writers: int = 1
     ) -> int:
-        # Mean over one whole cycle of the plan.  Under async flush the
-        # app only stalls for the committed tiers — the PFS/SSD drains
-        # overlap compute, so the Young/Daly cadence optimizes against
-        # the *stall* cost, not the hidden drain.
+        """Expected per-round cost of writing ``nbytes``: the mean over
+        one whole cycle of the plan.  Feeds the Young/Daly cadence when
+        the data plane supplies an *expected* payload size instead of
+        the committed round's actual one.  Under async flush the app
+        only stalls for the committed tiers — the PFS/SSD drains overlap
+        compute, so the cadence optimizes against the *stall* cost, not
+        the hidden drain."""
         cycle = self.plan.cycle
         return sum(
             self.round_writes(r).commit_ns(nbytes, concurrent_writers)
@@ -621,6 +437,11 @@ class TieredBackend(StorageBackend):
         return True
 
     def cancel_inflight_above(self, rank: int, round_no: int) -> int:
+        """A restarted rank is re-executing rounds above ``round_no``:
+        abort its in-flight background flushes for those rounds (the
+        re-execution will commit fresh copies; letting a stale flow land
+        would register a dead incarnation's cut).  Returns the number of
+        flows cancelled."""
         cancelled = 0
         for flow in list(self._inflight.get(rank, [])):
             if flow.meta["round_no"] > round_no:
@@ -629,6 +450,9 @@ class TieredBackend(StorageBackend):
         return cancelled
 
     def shared_flow_windows(self) -> List[Tuple[int, int, int, int]]:
+        """Completed background write bursts on shared tiers, as
+        ``(start_ns, end_ns, rank, round_no)`` — the *measured* PFS
+        timeline feeding ``SPBC.peak_concurrent_pfs_writers``."""
         if self.iosched is None:
             return []
         return list(self.iosched.shared_write_windows)
@@ -642,6 +466,11 @@ class TieredBackend(StorageBackend):
         return list(self.iosched.shared_read_windows)
 
     def invalidate_node_copies(self, ranks: Iterable[int]) -> int:
+        """The node(s) hosting ``ranks`` were lost: drop every checkpoint
+        copy *hosted on those nodes* whose tier does not survive node
+        failure.  With a bound topology this includes copies owned by
+        ranks on other nodes but placed here (partner copies).  Returns
+        the number of copies invalidated."""
         dropped = 0
         dead = set(ranks)
         if self._topology is None:
@@ -727,6 +556,12 @@ class TieredBackend(StorageBackend):
             rnd = payload.base_round
 
     def release_below(self, rank: int, floor: int) -> None:
+        """``rank``'s log-GC floor reached round ``floor``: no restart
+        can target a round below the first round of ``floor``'s delta
+        chain, so drop those rounds' restart bodies
+        (:meth:`~repro.core.checkpoint.Checkpoint.release`).  Round
+        numbers, timestamps, sizes and payloads stay, so commit history,
+        chain walks, costs and :meth:`restorable_rounds` do not change."""
         base = self._chain_rounds(rank, floor)[0]  # a floor round is durable
         start = self._released_below.get(rank, 1)
         per_rank = self._copies[rank]
@@ -736,8 +571,10 @@ class TieredBackend(StorageBackend):
         self._released_below[rank] = max(start, base)
 
     def guaranteed_round(self, rank: int) -> int:
-        """Latest round whose *whole chain* sits on tiers that survive
-        node failure.  Partner copies do not qualify: they survive any
+        """Latest round ``rank`` can never be forced to roll back past,
+        no matter what fails later: the latest round whose *whole chain*
+        sits on tiers that survive node failure (0 when only volatile
+        copies exist).  Receiver-driven log GC keys off this.  Partner copies do not qualify: they survive any
         *single* node loss, but a later failure of the buddy can still
         take them.  A durable delta whose base is only volatile does not
         qualify either — losing the base loses the round.
@@ -766,6 +603,7 @@ class TieredBackend(StorageBackend):
         return 0
 
     def surviving_rounds(self, rank: int) -> List[int]:
+        """Rounds of ``rank`` with at least one surviving copy, ascending."""
         return sorted(
             rnd for rnd, copies in self._copies.get(rank, {}).items() if copies
         )
@@ -791,6 +629,10 @@ class TieredBackend(StorageBackend):
     def restore_plan(
         self, rank: int, round_no: int, concurrent_readers: int = 1
     ) -> Optional[RestorePlan]:
+        """The restart read of ``rank``'s ``round_no``: its delta chain,
+        each link from the cheapest surviving copy at
+        ``concurrent_readers`` (None when the round is not restorable).
+        Costs nothing, so it is also the inspection lookup."""
         chain = self._chain_rounds(rank, round_no)
         if chain is None:
             return None
@@ -823,6 +665,8 @@ class TieredBackend(StorageBackend):
     def retrieve(
         self, rank: int, round_no: int, concurrent_readers: int = 1
     ) -> Optional[RestoreReceipt]:
+        """:meth:`restore_plan` priced in closed form: the receipt of
+        reading ``round_no`` back with ``concurrent_readers`` readers."""
         plan = self.restore_plan(rank, round_no, concurrent_readers)
         if plan is None:
             return None
@@ -949,42 +793,19 @@ class TieredBackend(StorageBackend):
         return next(iter(copies.values()))
 
     def load_latest(self, rank: int) -> Optional["Checkpoint"]:
+        """Latest *restorable* checkpoint of ``rank`` (no cost charged)."""
         rounds = self.restorable_rounds(rank)
         if not rounds:
             return None
         return self.restore_plan(rank, rounds[-1]).ckpt
 
+    def has_checkpoint(self, rank: int) -> bool:
+        return self.load_latest(rank) is not None
+
     def rounds_of(self, rank: int) -> List[int]:
+        """Every round ever saved for ``rank`` (including copies that
+        were later invalidated), ascending."""
         return list(self._all_rounds.get(rank, []))
-
-
-class PartnerCopyBackend(TieredBackend):
-    """A :class:`TieredBackend` whose plan mirrors checkpoints into a
-    buddy node's RAM (the ``partner`` tier).  The partner copy survives
-    the owner's node dying — a single-node failure restarts from the
-    latest round instead of falling back to the last durable round — and
-    is invalidated only when both partners' nodes are lost."""
-
-    def __init__(
-        self,
-        plan: Optional[MultiLevelPlan] = None,
-        async_flush: bool = False,
-        partner_rebuild: bool = True,
-        charge_decompress: Optional[bool] = None,
-    ) -> None:
-        plan = plan or partner_default_plan()
-        if not any(t.name == "partner" for t in plan.tiers):
-            raise ValueError(
-                "a PartnerCopyBackend plan must include the 'partner' "
-                f"tier, got {[t.name for t in plan.tiers]} "
-                "(e.g. 'partner:ram@1,partner@1,pfs@16')"
-            )
-        super().__init__(
-            plan,
-            async_flush=async_flush,
-            partner_rebuild=partner_rebuild,
-            charge_decompress=charge_decompress,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -1073,10 +894,11 @@ def _split_flush_mode(spec: str, rest: str) -> Tuple[str, bool]:
     return rest, False
 
 
-def make_backend(spec: str) -> StorageBackend:
-    """Build a backend from a spec string.
+def make_backend(spec: str) -> TieredBackend:
+    """Build the store from a spec string.
 
-    * ``"memory"`` — the free in-memory default;
+    * ``"memory"`` — one :func:`~repro.storage.model.memory_tier`, the
+      free default (the paper's configuration);
     * ``"tiered"`` — :func:`default_plan` (ram@1, ssd@4, pfs@16);
     * ``"tiered:ram@1,pfs@4"`` — an explicit tier plan;
     * ``"partner"`` — :func:`partner_default_plan` (ram@1, partner@1,
@@ -1096,7 +918,7 @@ def make_backend(spec: str) -> StorageBackend:
                 f"the memory backend takes no arguments, got {rest!r} "
                 f"in spec {spec!r}"
             )
-        return InMemoryBackend()
+        return TieredBackend(MultiLevelPlan(tiers=[memory_tier()], periods=[1]))
     if name == "tiered":
         rest, async_flush = _split_flush_mode(spec, rest)
         return TieredBackend(
@@ -1105,9 +927,14 @@ def make_backend(spec: str) -> StorageBackend:
         )
     if name == "partner":
         rest, async_flush = _split_flush_mode(spec, rest)
-        return PartnerCopyBackend(
-            parse_plan(rest) if rest else None, async_flush=async_flush
-        )
+        plan = parse_plan(rest) if rest else partner_default_plan()
+        if not any(t.name == "partner" for t in plan.tiers):
+            raise ValueError(
+                "a partner plan must include the 'partner' tier, got "
+                f"{[t.name for t in plan.tiers]} "
+                "(e.g. 'partner:ram@1,partner@1,pfs@16')"
+            )
+        return TieredBackend(plan, async_flush=async_flush)
     raise ValueError(
         f"unknown storage backend {name!r} in spec {spec!r} "
         f"(valid backends: {', '.join(_BACKEND_NAMES)})"

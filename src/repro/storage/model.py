@@ -7,11 +7,13 @@ A tier models where checkpoints (state + logs) can be written:
   contention the paper's introduction warns about);
 * node-local storage (SSD) — per-node bandwidth, survives process
   crashes but not node loss (hence multi-level schemes);
-* RAM (partner-copy style) — fastest, least resilient.
+* RAM (partner-copy style) — fastest, least resilient;
+* the paper's free store — no cost, survives everything.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -135,11 +137,24 @@ def partner_tier(gb_s: float = 1.25) -> StorageTier:
     the copy still lives in somebody's RAM; what makes it useful is
     *placement* — a topology-aware backend invalidates it only when the
     buddy's node is lost, so it survives the common single-node failure
-    (see :class:`~repro.storage.backend.PartnerCopyBackend`)."""
+    (see ``make_backend("partner")`` in :mod:`repro.storage.backend`)."""
     return StorageTier(
         name="partner",
         latency_ns=8 * US,
         bandwidth_bytes_per_s=gb_s * GB,
         shared=False,
         survives_node_failure=False,
+    )
+
+
+def memory_tier() -> StorageTier:
+    """The paper's experimental store ("none of our experiments include
+    checkpointing" I/O): zero latency and infinite bandwidth, so every
+    write and read costs exactly 0 ns, and no failure loses a copy."""
+    return StorageTier(
+        name="memory",
+        latency_ns=0,
+        bandwidth_bytes_per_s=math.inf,
+        shared=False,
+        survives_node_failure=True,
     )

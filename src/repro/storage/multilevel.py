@@ -3,8 +3,7 @@
 SPBC composes with multi-level checkpointing (paper reference [4]):
 cluster checkpoints and logs go to fast local tiers at high frequency,
 with periodic propagation to the PFS.  The plan here decides which
-tiers each round writes (the storage backends only execute that
-decision), and the Young/Daly-style optimal interval puts the
+tiers each round writes (the store only executes that decision), and the Young/Daly-style optimal interval puts the
 clustering trade-off's log-size numbers in context.
 """
 

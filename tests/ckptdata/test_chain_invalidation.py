@@ -50,7 +50,7 @@ def save_chain(backend, rounds=4, full_period=100, rank=0, full_on_durable=False
     for rnd in range(1, rounds + 1):
         payload = plane.build_payload(
             rank, rnd, iters_since_prev=1,
-            durable_round=backend.round_writes(rnd).durable_scheduled,
+            durable_round=backend.round_writes(rnd).shared_scheduled,
         )
         c = ckpt(rank=rank, round_no=rnd, payload=payload)
         backend.save(c)

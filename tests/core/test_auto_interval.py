@@ -11,7 +11,7 @@ import pytest
 from repro.core.clusters import ClusterMap
 from repro.core.protocol import SPBC, SPBCConfig
 from repro.harness.runner import run_native, run_online_failure, run_spbc
-from repro.storage.backend import InMemoryBackend, make_backend
+from repro.storage.backend import make_backend
 from repro.apps.synthetic import ring_app
 
 NRANKS = 8
@@ -44,7 +44,7 @@ def test_auto_requires_cost_modeled_backend():
             SPBCConfig(
                 clusters=clusters,
                 checkpoint_every="auto",
-                storage=InMemoryBackend(),
+                storage=make_backend("memory"),
             )
         )
 

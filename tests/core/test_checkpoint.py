@@ -4,9 +4,9 @@ import pytest
 
 from repro.core.clusters import ClusterMap
 from repro.core.protocol import SPBC, SPBCConfig
-from repro.core.checkpoint import StableStorage
 from repro.harness.runner import run_spbc
 from repro.apps.synthetic import halo2d_app, ring_app
+from repro.storage.backend import make_backend
 
 
 def run_with_ckpt(app, nranks, k, every, **kw):
@@ -78,7 +78,7 @@ def test_logs_saved_with_checkpoint():
 
 
 def test_shared_storage_instance():
-    storage = StableStorage()
+    storage = make_backend("memory")
     clusters = ClusterMap.block(4, 2)
     cfg = SPBCConfig(clusters=clusters, checkpoint_every=2, storage=storage)
     run_spbc(ring_app(iters=4, compute_ns=1_000), 4, clusters, config=cfg, ranks_per_node=2)

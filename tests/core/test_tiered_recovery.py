@@ -7,7 +7,7 @@ import pytest
 from repro.core.clusters import ClusterMap
 from repro.core.protocol import SPBCConfig
 from repro.harness.runner import run_native, run_online_failure, run_spbc
-from repro.storage.backend import InMemoryBackend, make_backend
+from repro.storage.backend import make_backend
 from repro.apps.synthetic import ring_app
 
 NRANKS = 8
@@ -52,7 +52,7 @@ def test_tiered_run_charges_write_time_to_the_clock():
 
 
 def test_in_memory_backend_keeps_seed_numbers_bit_identical():
-    """The default (storage=None) and an explicit InMemoryBackend are the
+    """The default (storage=None) and an explicit "memory" store are the
     same run: zero write time, identical event timing, identical output —
     the seed's failure-free numbers are untouched by the storage layer."""
     clusters = ClusterMap.block(NRANKS, 2)
@@ -61,9 +61,9 @@ def test_in_memory_backend_keeps_seed_numbers_bit_identical():
     )
     explicit = run_spbc(
         app(), NRANKS, clusters,
-        config=cfg(clusters, storage=InMemoryBackend()), ranks_per_node=2,
+        config=cfg(clusters, storage=make_backend("memory")), ranks_per_node=2,
     )
-    assert isinstance(default.hooks.storage, InMemoryBackend)
+    assert [t.name for t in default.hooks.storage.plan.tiers] == ["memory"]
     assert default.makespan_ns == explicit.makespan_ns
     assert default.finish_ns == explicit.finish_ns
     assert default.results == explicit.results

@@ -673,14 +673,14 @@ def _rebuild_app():
 
 
 def _sequential_buddy_failure(partner_rebuild):
-    from repro.storage.backend import PartnerCopyBackend, parse_plan
+    from repro.storage.backend import TieredBackend, parse_plan
 
     factory = _rebuild_app()
     ref = reference(("ring-slow", NRANKS), factory)
     clusters = ClusterMap.block(NRANKS, 4)
 
     def backend():
-        return PartnerCopyBackend(
+        return TieredBackend(
             parse_plan(REBUILD_PLAN), partner_rebuild=partner_rebuild
         )
 

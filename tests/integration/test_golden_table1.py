@@ -1,6 +1,6 @@
 """Golden-value regression pin for the seed's failure-free numbers.
 
-The simulator is deterministic and the default :class:`InMemoryBackend`
+The simulator is deterministic and the default "memory" store
 charges nothing, so the Table 1 pipeline must keep producing these exact
 numbers no matter how the storage/failure subsystems evolve.  A refactor
 that shifts them is either a bug or an intentional model change — and an
@@ -14,7 +14,6 @@ Pinned at: minighost, 16 ranks, 4 ranks/node, k in {2, 4, 16}
 import pytest
 
 from repro.harness.experiments import make_logging_run, table1_log_growth
-from repro.storage.backend import InMemoryBackend
 
 NRANKS = 16
 RPN = 4
@@ -47,6 +46,6 @@ def test_logging_run_raw_counters_pinned():
     """The raw quantities beneath Table 1: exact makespan and exact bytes
     logged under singleton clusters, on the default free store."""
     run = make_logging_run("minighost", NRANKS, RPN)
-    assert isinstance(run.result.hooks.storage, InMemoryBackend)
+    assert [t.name for t in run.result.hooks.storage.plan.tiers] == ["memory"]
     assert run.result.makespan_ns == GOLDEN_MAKESPAN_NS
     assert run.result.hooks.total_bytes_logged() == GOLDEN_TOTAL_LOGGED_BYTES

@@ -80,17 +80,6 @@ def test_stop_halts_run():
     assert fired == [1]
 
 
-def test_max_events_guard():
-    eng = Engine()
-
-    def rearm():
-        eng.schedule(1, rearm)
-
-    eng.schedule(1, rearm)
-    with pytest.raises(SimError):
-        eng.run(max_events=100)
-
-
 def test_nested_run_rejected():
     eng = Engine()
 

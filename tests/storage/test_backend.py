@@ -13,17 +13,16 @@ from hypothesis.stateful import (
 )
 
 from repro.ckptdata.plane import CkptPayload
-from repro.core.checkpoint import Checkpoint, StableStorage
+from repro.core.checkpoint import Checkpoint
 from repro.sim.engine import Engine
 from repro.sim.network import Topology
 from repro.storage.backend import (
-    InMemoryBackend,
     TieredBackend,
     default_plan,
     make_backend,
     parse_plan,
 )
-from repro.storage.model import local_ssd_tier, pfs_tier, ram_tier
+from repro.storage.model import local_ssd_tier, memory_tier, pfs_tier, ram_tier
 from repro.storage.multilevel import MultiLevelPlan
 from repro.util.units import MB
 
@@ -52,15 +51,20 @@ def two_level():
 
 
 # ----------------------------------------------------------------------
-# InMemoryBackend: the free, indestructible default
+# The "memory" plan: the free, indestructible default
 # ----------------------------------------------------------------------
 
-def test_stable_storage_is_the_in_memory_backend():
-    assert StableStorage is InMemoryBackend
+def test_memory_store_is_a_one_tier_plan():
+    b = make_backend("memory")
+    assert list(b.plan.tiers) == [memory_tier()] and list(b.plan.periods) == [1]
+    tier = memory_tier()
+    assert tier.latency_ns == 0 and tier.survives_node_failure and not tier.shared
+    assert tier.write_time_ns(2**40, 512) == tier.read_time_ns(2**40, 512) == 0
+    assert b.writes_free and not make_backend("tiered").writes_free
 
 
 def test_in_memory_is_free_and_durable():
-    b = InMemoryBackend()
+    b = make_backend("memory")
     r = b.save(ckpt(round_no=1), concurrent_writers=512)
     assert r.write_ns == 0 and r.durable and r.tiers == ("memory",)
     assert b.invalidate_node_copies([0]) == 0
@@ -140,7 +144,9 @@ def test_duplicate_tier_names_rejected():
 # ----------------------------------------------------------------------
 
 def test_make_backend_specs():
-    assert isinstance(make_backend("memory"), InMemoryBackend)
+    memory = make_backend("memory")
+    assert isinstance(memory, TieredBackend)
+    assert [x.name for x in memory.plan.tiers] == ["memory"]
     t = make_backend("tiered")
     assert isinstance(t, TieredBackend)
     assert [x.name for x in t.plan.tiers] == [x.name for x in default_plan().tiers]

@@ -1,15 +1,11 @@
-"""PartnerCopyBackend: buddy-node placement and invalidation semantics."""
+"""Partner plans: buddy-node placement and invalidation semantics."""
 
 import pytest
 
 from repro.core.checkpoint import Checkpoint
 from repro.core.logstore import LogStore
 from repro.sim.network import Topology
-from repro.storage.backend import (
-    PartnerCopyBackend,
-    make_backend,
-    parse_plan,
-)
+from repro.storage.backend import make_backend
 
 
 def ckpt(rank, round_no, nbytes=1024):
@@ -37,7 +33,7 @@ def backend(nranks=8, rpn=2, spec="partner:ram@1,partner@1,pfs@4"):
 
 def test_partner_plan_must_include_partner_tier():
     with pytest.raises(ValueError, match="partner"):
-        PartnerCopyBackend(parse_plan("ram@1,pfs@4"))
+        make_backend("partner:ram@1,pfs@4:async")
     with pytest.raises(ValueError, match="partner"):
         make_backend("partner:ram@1,pfs@4")
 

@@ -19,7 +19,7 @@ from repro.core.clusters import ClusterMap
 from repro.core.protocol import SPBCConfig
 from repro.harness.runner import run_spbc
 from repro.journal.recorder import commit_history_of
-from repro.storage.backend import InMemoryBackend, TieredBackend
+from repro.storage.backend import TieredBackend
 from repro.storage.model import pfs_tier, ram_tier
 from repro.storage.multilevel import MultiLevelPlan
 from repro.util.units import MB
@@ -108,15 +108,3 @@ def test_tiered_release_stops_at_the_chain_base_and_is_incremental():
     assert b.restorable_rounds(0) == [1, 2, 3, 4, 5, 6]
     assert b.retrieve(0, 3).chain == (1, 2, 3)
 
-
-def test_in_memory_release_follows_save_order():
-    b = InMemoryBackend()
-    for rnd in (1, 2, 3, 2, 3, 4):  # a rollback to round 1 re-took 2, 3
-        b.save(_ckpt(rnd))
-    b.release_below(0, 2)
-    assert [c.released for c in b._history[0]] == [True] + [False] * 5
-    assert b._released[0] == 1
-    b.release_below(0, 4)
-    assert [c.released for c in b._history[0]] == [True] * 5 + [False]
-    assert b._released[0] == 5
-    assert b.retrieve(0, 4).ckpt.app_state == {"i": 1}

@@ -22,7 +22,7 @@ from repro.core.protocol import SPBCConfig
 from repro.harness.runner import run_spbc
 from repro.journal.recorder import commit_history_of
 from repro.sim.engine import Engine
-from repro.storage.backend import InMemoryBackend, TieredBackend, make_backend
+from repro.storage.backend import TieredBackend, make_backend
 from repro.storage.model import local_ssd_tier, partner_tier, pfs_tier, ram_tier
 from repro.storage.multilevel import MultiLevelPlan
 from repro.util.units import MB
@@ -104,8 +104,10 @@ def test_write_record_matches_the_per_round_rule(plan, async_flush, writers, nby
         rec = b.round_writes(r)
         assert list(rec.committed) == committed
         assert list(rec.deferred) == deferred
-        assert rec.durable_scheduled == durable
-        assert rec.shared_scheduled == shared
+        # On the factory tiers the PFS is the only tier that survives
+        # node failure and the only shared one, so the one flag serves
+        # both the stagger and the data plane's forced full.
+        assert rec.shared_scheduled == shared == durable
         assert b.write_cost_ns(ckpt(r, nbytes), writers) == sum(
             t.write_time_ns(nbytes, writers) for t in committed
         )
@@ -164,10 +166,11 @@ def test_amortized_cost_averages_a_non_nested_plan_over_its_lcm():
     assert b.amortized_write_cost_ns(n) == mean_12
 
 
-def test_memory_backend_schedules_nothing_and_stays_durable():
-    b = InMemoryBackend()
+def test_memory_plan_writes_for_free_and_stays_durable():
+    b = make_backend("memory")
     rec = b.round_writes(7)
-    assert not rec.durable_scheduled and not rec.shared_scheduled
+    assert [t.name for t in rec.committed] == ["memory"]
+    assert not rec.deferred and not rec.shared_scheduled
     assert b.write_cost_ns(ckpt(7)) == 0
     assert b.amortized_write_cost_ns(MB) == 0
     assert b.save(ckpt(7)).durable
