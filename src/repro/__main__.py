@@ -51,6 +51,13 @@ def _spec(parse):
     return check
 
 
+def positive_int(text: str) -> int:
+    """``--ranks``/``--rpn``: a count of at least one."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r}: must be an integer >= 1")
+    return int(text)
+
+
 def positive_int_or_auto(text: str):
     """``--checkpoint-every``: iterations between checkpoints, or 'auto'."""
     if text == "auto":
@@ -101,8 +108,12 @@ def main(argv=None) -> int:
         help="journal/replay/trace: the journal file to record, inspect, "
         "replay, or render as a timeline",
     )
-    parser.add_argument("--ranks", type=int, default=None, help="simulated ranks")
-    parser.add_argument("--rpn", type=int, default=None, help="ranks per node")
+    parser.add_argument(
+        "--ranks", type=positive_int, default=None, help="simulated ranks"
+    )
+    parser.add_argument(
+        "--rpn", type=positive_int, default=None, help="ranks per node"
+    )
     parser.add_argument(
         "--apps", type=str, default=None, help="comma-separated app subset"
     )

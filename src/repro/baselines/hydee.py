@@ -155,12 +155,6 @@ class HydEEPlan:
     # causal depth per message, kept for diagnostics/statistics
     levels: Dict[MessageKey, int] = field(default_factory=dict)
 
-    @property
-    def max_level(self) -> int:
-        return max(
-            (self.levels.get(k, 0) for k in self.tracked), default=0
-        )
-
     @classmethod
     def from_run(
         cls,

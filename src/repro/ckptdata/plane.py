@@ -14,8 +14,8 @@ Chain semantics
   immediately preceding checkpoint round; walking base links from any
   round reaches the chain's full checkpoint.
 * A full payload is produced: on a rank's first checkpoint, every
-  ``full_period`` rounds, when the chain would exceed ``chain_cap``
-  deltas, after a restart (a delta must never span a rollback — the
+  ``full_period`` rounds (so a chain holds at most ``full_period - 1``
+  deltas), after a restart (a delta must never span a rollback — the
   re-executed state has no committed base), and — unless
   ``full_on_durable=False`` — on rounds the storage plan propagates to
   the shared durable tier (so a PFS round is self-contained, FTI/SCR
@@ -82,7 +82,6 @@ class _RankChain:
 
     last_round: int = 0
     chain_len: int = 0  # deltas since the last full
-    rounds_since_full: int = 0
     force_full: bool = True  # first checkpoint / after restart
 
 
@@ -97,7 +96,6 @@ class CkptDataPlane:
         self,
         mode: str = "incr",
         full_period: int = 8,
-        chain_cap: Optional[int] = None,
         compression: CompressionModel = NO_COMPRESSION,
         profile: Optional[WriteLocalityProfile] = None,
         full_on_durable: bool = True,
@@ -106,13 +104,8 @@ class CkptDataPlane:
             raise ValueError(f"ckpt-data mode must be full|incr, got {mode!r}")
         if full_period < 1:
             raise ValueError(f"full_period must be >= 1, got {full_period}")
-        if chain_cap is not None and chain_cap < 1:
-            raise ValueError(f"chain_cap must be >= 1, got {chain_cap}")
         self.mode = mode
         self.full_period = full_period
-        # Longest admissible run of deltas; full_period already bounds it,
-        # chain_cap tightens it independently of the full cadence.
-        self.chain_cap = chain_cap if chain_cap is not None else full_period - 1
         self.compression = compression
         self.profile = profile or synthetic_default_profile()
         self.full_on_durable = full_on_durable
@@ -138,7 +131,6 @@ class CkptDataPlane:
         ch = self._chain(rank)
         ch.last_round = round_no
         ch.chain_len = 0
-        ch.rounds_since_full = 0
         ch.force_full = True
 
     def _wants_full(self, ch: _RankChain, round_no: int, durable_round: bool) -> bool:
@@ -146,9 +138,7 @@ class CkptDataPlane:
             return True
         if round_no != ch.last_round + 1:
             return True  # non-contiguous rounds (re-taken after rollback)
-        if ch.rounds_since_full + 1 >= self.full_period:
-            return True
-        if ch.chain_len + 1 > self.chain_cap:
+        if ch.chain_len + 1 >= self.full_period:
             return True
         if durable_round and self.full_on_durable:
             return True
@@ -200,7 +190,6 @@ class CkptDataPlane:
         )
         ch.last_round = round_no
         ch.chain_len = chain_len
-        ch.rounds_since_full = 0 if kind == FULL else ch.rounds_since_full + 1
         ch.force_full = False
         if kind == FULL:
             self.full_payloads += 1
@@ -222,10 +211,9 @@ class CkptDataPlane:
 
         ``full_period`` overrides the configured one with the *effective*
         full cadence when something forces fulls more often (the caller
-        knows the storage plan's PFS-round density; ``chain_cap`` is
-        applied here)."""
+        knows the storage plan's PFS-round density)."""
         period = full_period if full_period is not None else self.full_period
-        period = max(1, min(period, self.chain_cap + 1))
+        period = max(1, min(period, self.full_period))
         full_stored, _ = self.compression.compress(self.profile.total_bytes)
         if self.mode == "full" or period <= 1:
             return full_stored
@@ -238,7 +226,6 @@ class CkptDataPlane:
         return {
             "mode": self.mode,
             "full_period": self.full_period,
-            "chain_cap": self.chain_cap,
             "compression": self.compression.name,
             "full_payloads": self.full_payloads,
             "delta_payloads": self.delta_payloads,

@@ -7,7 +7,6 @@ node graph into k balanced clusters minimizing the logged volume (the
 weight of edges cut).
 """
 
-from repro.clustering.commstats import comm_matrix_from_trace, profile_app
 from repro.clustering.partition import (
     cluster_by_communication,
     cut_bytes,
@@ -16,8 +15,6 @@ from repro.clustering.partition import (
 )
 
 __all__ = [
-    "comm_matrix_from_trace",
-    "profile_app",
     "cluster_by_communication",
     "cut_bytes",
     "greedy_kway",

@@ -45,9 +45,6 @@ class ClusterMap:
     def members(self, cluster: int) -> List[int]:
         return list(self._members[cluster])
 
-    def same_cluster(self, a: int, b: int) -> bool:
-        return self.cluster_of[a] == self.cluster_of[b]
-
     def is_intercluster(self, src: int, dst: int) -> bool:
         return self.cluster_of[src] != self.cluster_of[dst]
 
@@ -91,12 +88,6 @@ class ClusterMap:
     def single(cls, nranks: int) -> "ClusterMap":
         """Everything in one cluster == pure coordinated checkpointing."""
         return cls([0] * nranks)
-
-    @classmethod
-    def per_node(cls, topology: Topology) -> "ClusterMap":
-        """One cluster per physical node == log all inter-node messages
-        (Table 1's 64-cluster row)."""
-        return cls([topology.node_of(r) for r in range(topology.nranks)])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ClusterMap) and self.cluster_of == other.cluster_of

@@ -156,17 +156,6 @@ class LogStore:
         must still cover it)."""
         return set(self.channels) | set(self._stable) | set(self._collected)
 
-    def records_to(self, dst: int) -> List[LogRecord]:
-        """All records destined to ``dst``, across communicators, in send
-        order (send_time then seqnum keeps cross-comm order sensible)."""
-        out: List[LogRecord] = []
-        for area in (self._stable, self.channels):
-            for (cid, d), recs in area.items():
-                if d == dst:
-                    out.extend(recs)
-        out.sort(key=lambda r: (r.send_time_ns, r.comm_id, r.seqnum))
-        return out
-
     def all_records(self) -> Iterator[LogRecord]:
         for area in (self._stable, self.channels):
             for recs in area.values():

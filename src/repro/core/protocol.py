@@ -40,7 +40,6 @@ from typing import (
 
 from repro.ckptdata.plane import CkptDataPlane
 from repro.core.checkpoint import Checkpoint
-from repro.core.mtbf import MTBFEstimator
 from repro.storage.backend import SaveReceipt, TieredBackend, make_backend
 from repro.storage.multilevel import optimal_interval_ns, optimal_interval_rounds
 from repro.core.clusters import ClusterMap
@@ -117,13 +116,7 @@ class SPBCConfig:
     # storage plan with a write cost (any plan but "memory").
     checkpoint_every: Union[int, str, None] = None
     # Node MTBF driving the "auto" cadence (Young: sqrt(2*C*MTBF)).
-    # "observed" estimates it per cluster from injected failures
-    # (exponential smoothing over inter-failure gaps, see
-    # repro.core.mtbf), starting from ``mtbf_prior_ns``.
-    mtbf_ns: Union[int, str] = 60 * SEC
-    # Starting estimate for mtbf_ns="observed" until the second failure
-    # provides the first inter-failure gap.
-    mtbf_prior_ns: int = 60 * SEC
+    mtbf_ns: int = 60 * SEC
     # Where checkpoints are persisted and what that costs: the store
     # executes a multi-level plan and its write time is charged to the
     # simulation clock inside the coordinated checkpoint.  The default
@@ -141,12 +134,6 @@ class SPBCConfig:
     # registered app checkpoints zero bytes against a cost-modeled
     # backend.
     state_nbytes: int = 0
-    # Cross-cluster staggering of shared-tier (PFS) rounds: cluster c
-    # delays its durable write burst by c * pfs_stagger_ns, smoothing
-    # the shared-bandwidth burst.  While staggered, the write cost is
-    # charged at cluster-level concurrency (the offsets de-conflict the
-    # clusters on the shared medium).  0 disables staggering.
-    pfs_stagger_ns: int = 0
     # "known" sends Rollback only on channels with recorded traffic;
     # "all" broadcasts to every inter-cluster rank (safe for apps whose
     # communication graph changes between checkpoint and failure).
@@ -348,12 +335,10 @@ class SPBC(ProtocolHooks):
         self._emulated = config.emulated_recovering
         self._cadences: Dict[int, _AutoCadence] = {}  # cluster -> cadence
         self._plane: Optional[CkptDataPlane] = config.ckpt_data
-        self._mtbf_estimators: Dict[int, MTBFEstimator] = {}
         self._warned_zero_bytes = False
-        # (start_ns, end_ns, cluster) of every shared-tier write burst —
-        # the staggering test measures peak concurrent PFS writers here.
-        # Async-flush backends record their bursts as *measured* flow
-        # windows instead (merged in peak_concurrent_pfs_writers).
+        # (start_ns, end_ns, cluster) of every shared-tier write burst,
+        # behind peak_concurrent_pfs_writers.  Async-flush backends
+        # record their bursts as *measured* flow windows instead.
         self.pfs_write_windows: List[Tuple[int, int, int]] = []
         # Time each rank spent stalled inside coordinated checkpoints
         # (barriers + drain + compression + the charged write burst) —
@@ -362,18 +347,10 @@ class SPBC(ProtocolHooks):
         self._validate_config(config)
 
     def _validate_config(self, config: SPBCConfig) -> None:
-        if isinstance(config.mtbf_ns, str) and config.mtbf_ns != "observed":
+        mtbf = config.mtbf_ns
+        if isinstance(mtbf, bool) or not isinstance(mtbf, int) or mtbf <= 0:
             raise ValueError(
-                f"mtbf_ns accepts a positive integer or 'observed', got "
-                f"{config.mtbf_ns!r}"
-            )
-        if config.mtbf_prior_ns <= 0:
-            raise ValueError(
-                f"mtbf_prior_ns must be positive, got {config.mtbf_prior_ns}"
-            )
-        if config.pfs_stagger_ns < 0:
-            raise ValueError(
-                f"pfs_stagger_ns must be >= 0, got {config.pfs_stagger_ns}"
+                f"mtbf_ns must be a positive integer MTBF in ns, got {mtbf!r}"
             )
         if config.state_nbytes < 0:
             raise ValueError(
@@ -397,45 +374,10 @@ class SPBC(ProtocolHooks):
                     "backend (e.g. --storage tiered): the free in-memory "
                     "store has no write cost to optimize against"
                 )
-            if not isinstance(config.mtbf_ns, str) and config.mtbf_ns <= 0:
-                raise ValueError(
-                    f"checkpoint_every='auto' needs a positive MTBF, got "
-                    f"mtbf_ns={config.mtbf_ns}"
-                )
         elif every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1 (or None/'auto'), got {every}"
             )
-
-    # -- MTBF: configured constant or observed online ------------------
-    def _mtbf_for(self, cluster: int) -> int:
-        """MTBF the cluster's cadence optimizes against."""
-        if self.config.mtbf_ns == "observed":
-            est = self._mtbf_estimators.get(cluster)
-            return est.mtbf_ns() if est is not None else self.config.mtbf_prior_ns
-        return self.config.mtbf_ns
-
-    def note_failure_observed(self, clusters, now_ns: int) -> None:
-        """Record an injected failure for per-cluster MTBF estimation
-        (called by the RecoveryManager for every affected cluster)."""
-        for c in clusters:
-            est = self._mtbf_estimators.get(c)
-            if est is None:
-                est = self._mtbf_estimators[c] = MTBFEstimator(
-                    prior_ns=self.config.mtbf_prior_ns
-                )
-            est.note_failure(now_ns)
-
-    def mtbf_report(self) -> Dict[int, dict]:
-        """Per-cluster view of the observed-MTBF estimators."""
-        return {
-            c: {
-                "mtbf_ns": est.mtbf_ns(),
-                "samples": est.samples,
-                "observed": est.observed,
-            }
-            for c, est in sorted(self._mtbf_estimators.items())
-        }
 
     # ------------------------------------------------------------------
     def attach(self, runtime) -> None:
@@ -626,16 +568,14 @@ class SPBC(ProtocolHooks):
                 st.ckpt_calls,
                 runtime.engine.now,
                 receipt,
-                self._mtbf_for(st.cluster),
-                expected_cost_ns=self._expected_write_cost_ns(cad, st.cluster),
+                self.config.mtbf_ns,
+                expected_cost_ns=self._expected_write_cost_ns(cad),
             )
             return st.ckpt_round
         yield from self._coordinated_checkpoint(runtime, state_fn)
         return st.ckpt_round
 
-    def _expected_write_cost_ns(
-        self, cad: _AutoCadence, cluster: int
-    ) -> Optional[int]:
+    def _expected_write_cost_ns(self, cad: _AutoCadence) -> Optional[int]:
         """Expected per-round write cost under the data plane's
         full/delta cycle (None without a plane: the cadence falls back
         to the committed round's actual cost)."""
@@ -657,15 +597,9 @@ class SPBC(ProtocolHooks):
             iters_per_round=max(1, cad.every), full_period=full_period
         )
         # Price the expectation at the same concurrency the charged
-        # costs use: staggered shared rounds run at cluster-level
-        # concurrency, unstaggered ones contend with the whole world.
-        writers = (
-            len(self.clusters.members(cluster))
-            if self.config.pfs_stagger_ns > 0
-            else self._world.nranks
-        )
+        # costs use: every cluster contends with the whole world.
         cost = self.storage.amortized_write_cost_ns(
-            exp_bytes, concurrent_writers=writers
+            exp_bytes, concurrent_writers=self._world.nranks
         )
         return cost if cost > 0 else None
 
@@ -703,23 +637,10 @@ class SPBC(ProtocolHooks):
         st.ckpt_round += 1
         writes = self.storage.round_writes(st.ckpt_round)
         async_mode = self.storage.flows_active
-        # Cross-cluster staggering of shared-tier rounds: cluster c
-        # starts its durable burst c * pfs_stagger_ns later, so the
-        # shared medium sees the clusters one after another instead of
-        # all at once.  The write cost is then charged at cluster-level
-        # concurrency — the offsets de-conflict the clusters.  Under
-        # async flush the offset delays the background *flow* instead of
-        # stalling the rank, and no concurrency has to be assumed at
-        # all: the flows share the PFS bandwidth for real.
+        # Every cluster checkpoints on the same cadence, so the whole
+        # world contends for shared tiers.  (Under async flush the
+        # background flows share the PFS bandwidth for real.)
         writers = self._world.nranks
-        flush_delay_ns = 0
-        if writes.shared_scheduled and self.config.pfs_stagger_ns > 0:
-            writers = len(members)
-            offset = st.cluster * self.config.pfs_stagger_ns
-            if async_mode:
-                flush_delay_ns = offset
-            elif offset > 0:
-                yield from runtime.compute(offset)
         ckpt = self._build_checkpoint(
             runtime, st, state_fn(), durable_round=writes.shared_scheduled
         )
@@ -731,10 +652,8 @@ class SPBC(ProtocolHooks):
         write_ns = writes.commit_ns(ckpt.stored_bytes, writers)
         if write_ns > 0:
             # Charge the storage backend's modeled write time to the
-            # simulation clock (every cluster checkpoints on the same
-            # cadence, so the whole world contends for shared tiers).
-            # Under async flush this is the *local* tiers only — the
-            # shared tier drains in the background.
+            # simulation clock.  Under async flush this is the *local*
+            # tiers only — the shared tier drains in the background.
             yield from runtime.compute(write_ns)
         write_end_ns = runtime.engine.now
         if writes.shared_scheduled and write_ns > 0 and not async_mode:
@@ -754,14 +673,7 @@ class SPBC(ProtocolHooks):
         # a copy whose write never finished.  An async round's PFS copy
         # is launched here as a background flow and becomes restorable
         # only when it lands.
-        if async_mode:
-            receipt = self.storage.save(
-                ckpt,
-                concurrent_writers=writers,
-                flush_delay_ns=flush_delay_ns,
-            )
-        else:
-            receipt = self.storage.save(ckpt, concurrent_writers=writers)
+        receipt = self.storage.save(ckpt, concurrent_writers=writers)
         if self.journal is not None:
             # The committed-checkpoint observable: keyed by the cut's
             # taken_at time (the commit-history invariant's timestamp),
@@ -1288,12 +1200,11 @@ class SPBC(ProtocolHooks):
 
     def peak_concurrent_pfs_writers(self) -> int:
         """Maximum number of ranks with overlapping shared-tier write
-        bursts — what cross-cluster staggering is meant to flatten.
+        bursts.
 
         Sync bursts come from the closed-form window bookkeeping; async
         bursts are the backend's *measured* flow windows (start/finish
-        of the actual background transfers), so under async flush the
-        stagger's effect is observed, not assumed."""
+        of the actual background transfers)."""
         return peak_overlap(self.pfs_write_windows, self.storage.shared_flow_windows())
 
     def total_checkpoint_stall_ns(self) -> int:

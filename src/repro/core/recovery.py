@@ -90,8 +90,8 @@ class FailureEvent:
     restored_tier: Optional[str] = None
     # Modeled restart-read time added before the cluster comes back.
     restore_read_ns: int = 0
-    # Modeled decompression time on the restart path (charged only
-    # under the store's charge_decompress; always reported).
+    # Modeled decompression time on the restart path (charged only by
+    # async-flush stores' flow restores; always reported).
     restore_decompress_ns: int = 0
     # Background flushes aborted by this failure (async mode): in-flight
     # PFS copies of the dead node never land, so recovery restarts from
@@ -120,17 +120,11 @@ class RecoveryManager:
         app_factory: AppFactory,
         restart_delay_ns: int = 2 * MS,
         topology: Optional[Topology] = None,
-        restart_stagger_ns: int = 0,
     ) -> None:
         self.world = world
         self.spbc = spbc
         self.app_factory = app_factory
         self.restart_delay_ns = restart_delay_ns
-        # When one blast radius rolls back several clusters, offset the
-        # i-th cluster's restart (and therefore its chain-read pipeline)
-        # by i * restart_stagger_ns, so the simultaneous PFS read bursts
-        # are spread out instead of melting the shared read lane.
-        self.restart_stagger_ns = restart_stagger_ns
         # Node -> ranks placement defining the node-failure blast radius
         # (defaults to the world's own topology).
         self.topology = topology or world.topology
@@ -183,9 +177,6 @@ class RecoveryManager:
         # its checkpoint is a coordinated cut, so partial membership
         # cannot survive a member's loss.
         affected = sorted({clusters.cluster(r) for r in dead_ranks})
-        # Per-cluster MTBF estimation (mtbf_ns="observed"): every cluster
-        # in the blast radius observes this failure.
-        self.spbc.note_failure_observed(affected, self.world.engine.now)
         members_all: set = set()
         for c in affected:
             members_all |= set(clusters.members(c))
@@ -220,7 +211,7 @@ class RecoveryManager:
                 self._pending_restart[c].cancel()
                 self._restart(c)
         primary = clusters.cluster(rank)
-        for stagger_idx, c in enumerate(affected):
+        for c in affected:
             ckpt = self.spbc.storage.load_latest(clusters.members(c)[0])
             event = FailureEvent(
                 time_ns=self.world.engine.now,
@@ -259,11 +250,10 @@ class RecoveryManager:
             pending = self._pending_restart.get(c)
             if pending is not None:
                 pending.cancel()
-            delay = self.restart_delay_ns + stagger_idx * self.restart_stagger_ns
             self._pending_restart[c] = self.world.engine.schedule(
-                delay, self._restart, c
+                self.restart_delay_ns, self._restart, c
             )
-            self._pending_at[c] = self.world.engine.now + delay
+            self._pending_at[c] = self.world.engine.now + self.restart_delay_ns
 
     # ------------------------------------------------------------------
     def _owns_cluster(self, cluster: int) -> bool:
@@ -304,11 +294,11 @@ class RecoveryManager:
             self._pending_restart[cluster] = handle
             handle.begin()
             return
+        # Closed-form restart read (no flows active, so no async flush):
+        # the decompression is reported but not charged.
         restores: Dict[int, Optional[RestoreReceipt]] = {}
         read_ns = 0
-        delay_ns = 0
         decompress_ns = 0
-        charge_decompress = self.spbc.storage.charge_decompress
         for r in members:
             rec = (
                 self.spbc.storage.retrieve(
@@ -321,10 +311,6 @@ class RecoveryManager:
             if rec is not None:
                 read_ns = max(read_ns, rec.read_ns)
                 decompress_ns = max(decompress_ns, rec.decompress_ns)
-                total = rec.read_ns + (
-                    rec.decompress_ns if charge_decompress else 0
-                )
-                delay_ns = max(delay_ns, total)
         event = self._last_event.get(cluster)
         if event is not None:
             event.restarted_from_round = round_no
@@ -333,14 +319,13 @@ class RecoveryManager:
             event.restored_tier = next(
                 (rec.tier for rec in restores.values() if rec is not None), None
             )
-        if delay_ns > 0:
+        if read_ns > 0:
             # The restart-time read burst: the cluster only comes back
-            # once every member has its copy off stable storage (plus
-            # the modeled decompression, when the backend charges it).
+            # once every member has its copy off stable storage.
             self._pending_restart[cluster] = self.world.engine.schedule(
-                delay_ns, self._complete_restart, cluster, restores
+                read_ns, self._complete_restart, cluster, restores
             )
-            self._pending_at[cluster] = self.world.engine.now + delay_ns
+            self._pending_at[cluster] = self.world.engine.now + read_ns
         else:
             self._complete_restart(cluster, restores)
 

@@ -13,7 +13,7 @@ under SPBC.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.core.clusters import ClusterMap
 from repro.harness.runner import RunResult
@@ -90,18 +90,3 @@ def traffic_split(result: RunResult, clusters: ClusterMap) -> TrafficSplit:
         total_bytes=sum(pair_bytes.values()), intercluster_bytes=inter
     )
 
-
-def explain_recovery_potential(
-    result: RunResult, clusters: ClusterMap
-) -> Dict[str, float]:
-    """The section-6.4 diagnosis in one call: an app recovers fast when
-    (a) it spends real time communicating and (b) that communication
-    crosses clusters (so it is replayed from logs / skipped)."""
-    frac = comm_fraction_stats(result)
-    split = traffic_split(result, clusters)
-    return {
-        "comm_fraction_mean": frac.mean,
-        "comm_fraction_max": frac.maximum,
-        "intercluster_byte_share": split.inter_fraction,
-        "recovery_gain_bound": frac.mean * split.inter_fraction,
-    }

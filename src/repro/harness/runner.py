@@ -309,7 +309,6 @@ class RunSpec:
     config: Optional[SPBCConfig] = None  # None = SPBCConfig(clusters=clusters)
     schedule: Sequence[FailureSpec] = ()
     restart_delay_ns: int = 2_000_000
-    restart_stagger_ns: int = 0
     ranks_per_node: int = 8
     seed: int = 0
     net_params: Optional[NetworkParams] = None
@@ -331,9 +330,10 @@ class RunSpec:
             # The config's map is the one the protocol simulates; a
             # disagreeing one would silently override the argument.
             raise ValueError("config.clusters disagrees with the clusters argument")
-        for name in ("restart_delay_ns", "restart_stagger_ns"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.restart_delay_ns < 0:
+            raise ValueError(
+                f"restart_delay_ns must be >= 0, got {self.restart_delay_ns}"
+            )
         object.__setattr__(self, "schedule", tuple(tuple(e) for e in self.schedule))
         for i, (at_ns, rank, kind) in enumerate(self.schedule):
             if not 0 <= rank < self.nranks:
@@ -404,7 +404,6 @@ def build_world(
         hooks,
         spec.app_factory,
         restart_delay_ns=spec.restart_delay_ns,
-        restart_stagger_ns=spec.restart_stagger_ns,
     )
     manager.journal = sink
     for r in range(spec.nranks) if ranks is None else ranks:

@@ -228,7 +228,6 @@ def build_header(spec, recorded_shards: Optional[int] = None) -> Dict[str, Any]:
         "clusters": list(spec.clusters.cluster_of),
         "schedule": [[int(t), int(r), str(k)] for t, r, k in spec.schedule],
         "restart_delay_ns": int(spec.restart_delay_ns),
-        "restart_stagger_ns": int(spec.restart_stagger_ns),
         "net_params": None if net_params is None else asdict(net_params),
         "trace": bool(spec.trace),
         "storage": storage_spec,
@@ -240,9 +239,7 @@ def build_header(spec, recorded_shards: Optional[int] = None) -> Dict[str, Any]:
             "cost": asdict(config.cost),
             "checkpoint_every": config.checkpoint_every,
             "mtbf_ns": config.mtbf_ns,
-            "mtbf_prior_ns": config.mtbf_prior_ns,
             "state_nbytes": config.state_nbytes,
-            "pfs_stagger_ns": config.pfs_stagger_ns,
             "rollback_scope": config.rollback_scope,
         },
         "recorded_shards": recorded_shards,

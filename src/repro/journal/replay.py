@@ -32,6 +32,13 @@ from repro.journal.format import (
     strip_lsn,
 )
 from repro.journal.recorder import JournalWriter, journaled_app, rewrite_complete
+from repro.util.units import SEC
+
+#: Header fields of retired options, each with the one value this code
+#: still runs (the old default): older journals replay when they carry
+#: that value and are refused otherwise.
+_RETIRED_FIELDS = {"restart_stagger_ns": 0}
+_RETIRED_CONFIG_FIELDS = {"mtbf_prior_ns": 60 * SEC, "pfs_stagger_ns": 0}
 
 
 @dataclass
@@ -57,9 +64,25 @@ def _load(journal) -> Journal:
     return Journal.load(journal)
 
 
+def _check_retired(
+    fields: Dict[str, Any], retired: Dict[str, Any], where: str
+) -> None:
+    """Refuse a header whose retired field holds anything but the value
+    every run now has."""
+    for name, only in retired.items():
+        value = fields.get(name, only)
+        if value != only:
+            raise JournalError(
+                f"header {where}{name}={value!r}: the option is retired "
+                f"and this code only runs {name}={only!r}"
+            )
+
+
 def spec_from_header(journal: Journal, app_factory=None):
     """The :class:`~repro.harness.runner.RunSpec` the header describes
-    (the inverse of :func:`~repro.journal.recorder.build_header`)."""
+    (the inverse of :func:`~repro.journal.recorder.build_header`).
+    Headers written before an option was retired still replay when its
+    field holds the value every run now has."""
     from repro.ckptdata.regions import MemoryRegion, WriteLocalityProfile
     from repro.core.clusters import ClusterMap
     from repro.core.protocol import LogCostModel, SPBCConfig
@@ -77,7 +100,16 @@ def spec_from_header(journal: Journal, app_factory=None):
             )
         app_factory = journaled_app(h["app"]["name"], **h["app"]["params"])
     clusters = ClusterMap(list(h["clusters"]))
-    cfg_h = dict(h["config"])
+    _check_retired(h, _RETIRED_FIELDS, "")
+    _check_retired(h["config"], _RETIRED_CONFIG_FIELDS, "config.")
+    cfg_h = {
+        k: v for k, v in h["config"].items() if k not in _RETIRED_CONFIG_FIELDS
+    }
+    if cfg_h.get("mtbf_ns") == "observed":
+        raise JournalError(
+            "header config.mtbf_ns='observed': the observed-MTBF mode is "
+            "retired and mtbf_ns must be a positive integer"
+        )
     config = SPBCConfig(
         clusters=clusters, cost=LogCostModel(**cfg_h.pop("cost")), **cfg_h
     )
@@ -97,7 +129,6 @@ def spec_from_header(journal: Journal, app_factory=None):
         config=config,
         schedule=h["schedule"],
         restart_delay_ns=h["restart_delay_ns"],
-        restart_stagger_ns=h["restart_stagger_ns"],
         ranks_per_node=h["ranks_per_node"],
         seed=h["seed"],
         net_params=None if net is None else NetworkParams(**net),

@@ -78,7 +78,6 @@ class Telemetry:
         timeline: bool = True,
         shard: int = 0,
         sample_queue: bool = True,
-        queue_sample_interval_ns: int = QUEUE_SAMPLE_INTERVAL_NS,
     ) -> None:
         self.metrics: Optional[MetricsRegistry] = (
             MetricsRegistry() if metrics else None
@@ -88,7 +87,6 @@ class Telemetry:
         )
         self.shard = shard
         self.sample_queue = sample_queue
-        self.queue_sample_interval_ns = queue_sample_interval_ns
 
     # -- metrics passthrough -------------------------------------------
     def inc(self, name: str, value: int = 1, **labels: Any) -> None:
@@ -159,13 +157,12 @@ class Telemetry:
             self.metrics is None and self.timeline is None
         ):
             return
-        interval = self.queue_sample_interval_ns
 
         def _sample() -> None:
             depth = engine.pending_events
             self.queue_depth(engine.now, depth)
             if depth:
-                engine.schedule_fast(interval, _sample)
+                engine.schedule_fast(QUEUE_SAMPLE_INTERVAL_NS, _sample)
 
         engine.schedule_fast(0, _sample)
 

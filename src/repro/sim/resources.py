@@ -109,7 +109,7 @@ class Flow:
         self.requested_ns = requested_ns  # when start_flow was called
         self.start_ns: Optional[int] = None  # when bytes started moving
         self.end_ns: Optional[int] = None
-        # Absolute admission time (requested + delay + latency): the
+        # Absolute admission time (requested + latency): the
         # instant the flow joins the sharing pool on *every* shard.
         self.admit_at_ns: int = requested_ns
         # Position in the lane's admission order while the flow is in
@@ -131,14 +131,14 @@ class Flow:
 
     @property
     def duration_ns(self) -> int:
-        """Admission-to-completion time (latency/delay excluded)."""
+        """Admission-to-completion time (latency excluded)."""
         if self.end_ns is None or self.start_ns is None:
             raise ValueError("flow still in flight")
         return self.end_ns - self.start_ns
 
     @property
     def elapsed_ns(self) -> int:
-        """Request-to-completion time (latency/delay included)."""
+        """Request-to-completion time (latency included)."""
         if self.end_ns is None:
             raise ValueError("flow still in flight")
         return self.end_ns - self.requested_ns
@@ -193,28 +193,26 @@ class BandwidthResource:
         self,
         nbytes: int,
         latency_ns: int = 0,
-        delay_ns: int = 0,
         on_done: Optional[Callable[[Flow], None]] = None,
         meta: Optional[Dict[str, Any]] = None,
     ) -> Flow:
         """Begin moving ``nbytes``; the flow joins the sharing pool after
-        ``delay_ns + latency_ns`` and completes once its bytes drained."""
+        ``latency_ns`` and completes once its bytes drained."""
         if nbytes < 0:
             raise ValueError("negative size")
-        if latency_ns < 0 or delay_ns < 0:
-            raise ValueError("negative latency/delay")
+        if latency_ns < 0:
+            raise ValueError("negative latency")
         flow = Flow(self, nbytes, self.engine.now, on_done, meta)
         self.flows_started += 1
-        lead = delay_ns + latency_ns
-        flow.admit_at_ns = self.engine.now + lead
+        flow.admit_at_ns = self.engine.now + latency_ns
         if self.export_sink is not None and self.shared:
             flow.gid = (self.shard_tag, self._gid_seq)
             self._gid_seq += 1
             self.export_sink(
                 ("start", self.name, flow.gid, nbytes, flow.admit_at_ns)
             )
-        if lead > 0:
-            self.engine.schedule(lead, self._admit, flow)
+        if latency_ns > 0:
+            self.engine.schedule(latency_ns, self._admit, flow)
         else:
             self._admit(flow)
         return flow

@@ -226,9 +226,6 @@ class Trace:
             out.setdefault(rank, []).append(tuple(rest))
         return out
 
-    def deliveries_of_rank(self, rank: int) -> List[CommEvent]:
-        return [e for e in self.delivers() if e.rank == rank]
-
     def comm_bytes_matrix(self, nranks: int):
         """Dense (nranks x nranks) numpy matrix of bytes sent src->dst."""
         import numpy as np

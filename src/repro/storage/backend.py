@@ -79,8 +79,8 @@ class RoundWrites:
     # the ``background_drain`` ones.
     deferred: Tuple[StorageTier, ...]
     # Some tier this round writes, deferred ones included, is shared
-    # (the PFS): the rounds cross-cluster staggering spreads out and the
-    # data plane forces a full payload on.
+    # (the PFS): the rounds the data plane forces a full payload on and
+    # the protocol records a PFS write window for.
     shared_scheduled: bool
 
     def commit_ns(self, nbytes: int, concurrent_writers: int = 1) -> int:
@@ -107,8 +107,8 @@ class RestoreReceipt:
     # payload-less checkpoints (the opaque-blob model reads one round).
     chain: Tuple[int, ...] = ()
     # Modeled decompression CPU time to reinflate the chain's payloads
-    # (charged to the restart only under charge_decompress —
-    # the seed's closed-form path keeps its original read-only delay).
+    # (charged to the restart only by async-flush flow restores — the
+    # seed's closed-form path keeps its original read-only delay).
     decompress_ns: int = 0
 
 
@@ -151,27 +151,20 @@ class TieredBackend:
     the background as a bandwidth flow overlapping compute, and the copy
     becomes restorable only when the flow completes — a failure
     mid-flush cancels the flow, so recovery restarts from the last
-    *fully drained* round.  ``charge_decompress`` (default: follows
-    ``async_flush``) additionally charges the payloads' modeled
-    decompression time to the restart path.
+    *fully drained* round, and the restart reads charge the payloads'
+    modeled decompression time.
     """
 
     def __init__(
         self,
         plan: MultiLevelPlan,
         async_flush: bool = False,
-        partner_rebuild: bool = True,
-        charge_decompress: Optional[bool] = None,
     ) -> None:
         self.plan = plan
         names = [t.name for t in plan.tiers]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tier names in plan: {names}")
         self.async_flush = async_flush
-        self.partner_rebuild = partner_rebuild
-        self._charge_decompress = (
-            async_flush if charge_decompress is None else charge_decompress
-        )
         # rank -> round -> tier name -> checkpoint copy
         self._copies: Dict[int, Dict[int, Dict[str, "Checkpoint"]]] = {}
         self._durable_tiers = frozenset(
@@ -241,12 +234,6 @@ class TieredBackend:
             return NULL_TELEMETRY
         return self.iosched.engine.telemetry
 
-    @property
-    def charge_decompress(self) -> bool:
-        """True when the restart path charges the modeled decompression
-        time (``RestoreReceipt.decompress_ns``) to the restart delay."""
-        return self._charge_decompress
-
     def _tier(self, name: str) -> StorageTier:
         for t in self.plan.tiers:
             if t.name == name:
@@ -315,12 +302,7 @@ class TieredBackend:
             for r in range(1, cycle + 1)
         ) // cycle
 
-    def save(
-        self,
-        ckpt: "Checkpoint",
-        concurrent_writers: int = 1,
-        flush_delay_ns: int = 0,
-    ) -> SaveReceipt:
+    def save(self, ckpt: "Checkpoint", concurrent_writers: int = 1) -> SaveReceipt:
         writes = self.round_writes(ckpt.round_no)
         if writes.deferred and self.iosched is None:
             raise RuntimeError(
@@ -343,7 +325,7 @@ class TieredBackend:
             if tele.enabled:
                 tele.inc("storage.tier_bytes", ckpt.stored_bytes, tier=t.name)
         for t in writes.deferred:
-            self._start_flush(t, ckpt, flush_delay_ns)
+            self._start_flush(t, ckpt)
         self._guaranteed.pop(ckpt.rank, None)
         self.writes += 1
         self.write_ns_total += write_ns
@@ -361,9 +343,7 @@ class TieredBackend:
         )
 
     # -- background flushes (async mode) -------------------------------
-    def _start_flush(
-        self, tier: StorageTier, ckpt: "Checkpoint", delay_ns: int
-    ) -> None:
+    def _start_flush(self, tier: StorageTier, ckpt: "Checkpoint") -> None:
         # A rolled-back cluster re-taking a round supersedes any stale
         # in-flight flush of the same (rank, round, tier).
         for old in list(self._inflight.get(ckpt.rank, [])):
@@ -381,11 +361,7 @@ class TieredBackend:
             "src_node": self.host_node(tier.name, ckpt.rank),
         }
         flow = self.iosched.write(
-            tier.name,
-            ckpt.stored_bytes,
-            delay_ns=delay_ns,
-            on_done=self._flow_landed,
-            meta=meta,
+            tier.name, ckpt.stored_bytes, on_done=self._flow_landed, meta=meta
         )
         self._inflight.setdefault(ckpt.rank, []).append(flow)
         self.flush_flows_started += 1
@@ -456,14 +432,6 @@ class TieredBackend:
         if self.iosched is None:
             return []
         return list(self.iosched.shared_write_windows)
-
-    def shared_read_flow_windows(self) -> List[Tuple[int, int, int, int]]:
-        """Completed restart-read bursts on shared tiers, as
-        ``(start_ns, end_ns, rank, round_no)`` — the measured PFS read
-        timeline the cross-cluster restart stagger flattens."""
-        if self.iosched is None:
-            return []
-        return list(self.iosched.shared_read_windows)
 
     def invalidate_node_copies(self, ranks: Iterable[int]) -> int:
         """The node(s) hosting ``ranks`` were lost: drop every checkpoint
@@ -690,7 +658,8 @@ class TieredBackend:
 
         Returns the cancellable :class:`ChainRead` (None when the plan
         is None, i.e. the round is not restorable — ``on_done(None)``
-        fires synchronously then).
+        fires synchronously then).  Each link's decompression runs as a
+        stage of the pipeline.
         The receipt's ``read_ns`` is *measured* from the flow timeline,
         so concurrent restores genuinely contend for the tiers' read
         bandwidth instead of assuming a reader count."""
@@ -710,23 +679,13 @@ class TieredBackend:
                     tier=plan.tier,
                     read_ns=chain_read.read_ns,
                     chain=plan.chain,
-                    # Always *reported* (matching the closed-form path),
-                    # even when charge_decompress leaves the pipeline's
-                    # decode stages uncharged.
                     decompress_ns=sum(l.decompress_ns for l in plan.links),
                 )
             )
 
         return ChainRead(
             self.iosched,
-            [
-                (
-                    link.tier,
-                    link.nbytes,
-                    link.decompress_ns if self.charge_decompress else 0,
-                )
-                for link in plan.links
-            ],
+            [(link.tier, link.nbytes, link.decompress_ns) for link in plan.links],
             on_done=_finish,
             meta={"rank": plan.ckpt.rank, "round_no": plan.ckpt.round_no},
         )
@@ -741,8 +700,7 @@ class TieredBackend:
         round again instead of falling back to the last PFS round.
         Returns the number of rebuild flows started."""
         if (
-            not self.partner_rebuild
-            or self.iosched is None
+            self.iosched is None
             or self._topology is None
             or not any(t.name == "partner" for t in self.plan.tiers)
         ):
@@ -798,9 +756,6 @@ class TieredBackend:
         if not rounds:
             return None
         return self.restore_plan(rank, rounds[-1]).ckpt
-
-    def has_checkpoint(self, rank: int) -> bool:
-        return self.load_latest(rank) is not None
 
     def rounds_of(self, rank: int) -> List[int]:
         """Every round ever saved for ``rank`` (including copies that

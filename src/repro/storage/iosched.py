@@ -2,8 +2,8 @@
 
 The closed-form tier models in :mod:`repro.storage.model` price a
 transfer with ``bandwidth / concurrent_writers`` computed at the call
-site — so staggering has to *assume* perfect de-confliction and nothing
-can overlap compute.  The :class:`IOScheduler` turns each tier into a
+site — so contention has to be *assumed* and nothing can overlap
+compute.  The :class:`IOScheduler` turns each tier into a
 pair of :class:`~repro.sim.resources.BandwidthResource` objects (write
 side and read side, honoring a tier's asymmetric read bandwidth) on the
 simulation engine, so concurrent checkpoint flushes, restart reads, and
@@ -80,10 +80,6 @@ class IOScheduler:
         # rank, round_no) windows — the measured (not assumed) PFS burst
         # timeline behind ``SPBC.peak_concurrent_pfs_writers``.
         self.shared_write_windows: List[Tuple[int, int, int, int]] = []
-        # Completed read flows on *shared* tiers (restart-read bursts),
-        # same shape — the timeline the cross-cluster restart stagger
-        # (``RecoveryManager(restart_stagger_ns=...)``) flattens.
-        self.shared_read_windows: List[Tuple[int, int, int, int]] = []
 
     def tier(self, name: str) -> StorageTier:
         return self._tiers[name]
@@ -137,7 +133,6 @@ class IOScheduler:
         self,
         tier_name: str,
         nbytes: int,
-        delay_ns: int = 0,
         on_done: Optional[Callable[[Flow], None]] = None,
         meta: Optional[Dict[str, Any]] = None,
     ) -> Flow:
@@ -173,11 +168,7 @@ class IOScheduler:
                 on_done(flow)
 
         return self._write[tier_name].start_flow(
-            nbytes,
-            latency_ns=tier.latency_ns,
-            delay_ns=delay_ns,
-            on_done=_done,
-            meta=meta,
+            nbytes, latency_ns=tier.latency_ns, on_done=_done, meta=meta
         )
 
     def read(
@@ -193,15 +184,6 @@ class IOScheduler:
         meta.setdefault("tier", tier_name)
 
         def _done(flow: Flow) -> None:
-            if tier.shared:
-                self.shared_read_windows.append(
-                    (
-                        flow.start_ns,
-                        flow.end_ns,
-                        flow.meta.get("rank", -1),
-                        flow.meta.get("round_no", 0),
-                    )
-                )
             tele = self.engine.telemetry
             if tele.enabled:
                 tele.storage_span(

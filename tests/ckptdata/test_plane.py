@@ -120,10 +120,12 @@ def test_delta_base_links_form_a_chain():
     assert [x.chain_len for x in payloads] == [0, 1, 2, 3]
 
 
-def test_chain_cap_tightens_the_full_period():
-    p = plane(full_period=10, chain_cap=2)
-    kinds = [p.build_payload(0, rnd, 1).kind for rnd in range(1, 7)]
-    assert kinds == ["full", "delta", "delta", "full", "delta", "delta"]
+def test_a_chain_holds_at_most_full_period_minus_one_deltas():
+    p = plane(full_period=3)
+    lens = [p.build_payload(0, rnd, 1).chain_len for rnd in range(1, 5)]
+    p.note_restore(0, 4)  # a restart restarts the chain
+    lens += [p.build_payload(0, rnd, 1).chain_len for rnd in range(5, 9)]
+    assert lens == [0, 1, 2, 0, 0, 1, 2, 0]
 
 
 def test_full_mode_never_produces_deltas():
@@ -242,8 +244,6 @@ def test_plane_constructor_validation():
         CkptDataPlane(mode="diff")
     with pytest.raises(ValueError, match="full_period"):
         CkptDataPlane(full_period=0)
-    with pytest.raises(ValueError, match="chain_cap"):
-        CkptDataPlane(chain_cap=0)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Region-level restart cost: modeled decompression on retrieve/restart.
 
-Compression is charged on the write path since PR 3; the restart path
-now has the matching decode stage with its own (asymmetric) throughput.
-The closed-form default keeps the seed's read-only restart delay —
-``RestoreReceipt.decompress_ns`` is always reported, but only backends
-with ``charge_decompress`` (on by default in async mode) add it to the
-restart delay.
+Compression is charged on the write path; the restart path has the
+matching decode stage with its own (asymmetric) throughput.  The
+closed-form default keeps the seed's read-only restart delay —
+``RestoreReceipt.decompress_ns`` is always reported, but only async
+flush's flow restores add it to the restart delay
+(tests/storage/test_iosched.py).
 """
 
 import pytest
@@ -105,16 +105,3 @@ def test_receipt_reports_decompress_ns_for_compressed_chains():
     )
     assert rec.decompress_ns == expected
 
-
-def test_charge_decompress_delays_the_restart():
-    free = _failure_run(lambda: TieredBackend(parse_plan("ram@1,pfs@2")))
-    charged = _failure_run(
-        lambda: TieredBackend(parse_plan("ram@1,pfs@2"), charge_decompress=True)
-    )
-    ev_free = free.manager.failures[0]
-    ev_charged = charged.manager.failures[0]
-    # Identical timeline up to the restart; the charged run then waits
-    # out the decode stage on top of the read burst.
-    assert ev_charged.restarted_from_round == ev_free.restarted_from_round
-    assert ev_charged.restore_decompress_ns == ev_free.restore_decompress_ns
-    assert charged.makespan_ns > free.makespan_ns

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering.commstats import profile_app
 from repro.clustering.partition import (
     cluster_by_communication,
     cut_bytes,
@@ -14,7 +13,6 @@ from repro.clustering.partition import (
 )
 from repro.core.clusters import ClusterMap
 from repro.sim.network import Topology
-from repro.apps.synthetic import ring_app
 
 
 def ring_weights(n, w=100.0):
@@ -119,14 +117,6 @@ def test_matrix_validation():
         cluster_by_communication(np.zeros((3, 4)), 2)
     with pytest.raises(ValueError):
         cluster_by_communication(np.zeros((4, 4)), 2, topology=Topology(nranks=8))
-
-
-def test_profile_app_produces_symmetric_matrix():
-    w = profile_app(ring_app(iters=2, msg_bytes=100, compute_ns=1000), 8, ranks_per_node=4)
-    assert w.shape == (8, 8)
-    assert np.allclose(w, w.T)
-    assert w[0, 1] == 2 * 100 + w[1, 0] - w[1, 0]  # ring: both directions summed
-    assert w[0, 3] == 0.0
 
 
 @settings(max_examples=25, deadline=None)

@@ -10,9 +10,8 @@ tiers land and drains the PFS copy in the background:
   round;
 * log GC credit arrives when the drain lands (deferred, cluster-
   consistent), not at the commit barrier;
-* the PFS burst timeline is *measured* from the actual flows, so
-  ``pfs_stagger_ns`` is observed to de-conflict the clusters instead of
-  being assumed to.
+* the PFS burst timeline is *measured* from the actual flows instead
+  of being assumed.
 """
 
 import pytest
@@ -35,14 +34,9 @@ def app(iters=8):
     return ring_app(iters=iters, msg_bytes=2048, compute_ns=2 * MS)
 
 
-def run_mode(spec, iters=8, stagger_ns=0, allreduce_every=None):
+def run_mode(spec, iters=8, allreduce_every=None):
     cm = ClusterMap.block(NRANKS, K)
-    cfg = SPBCConfig(
-        clusters=cm,
-        checkpoint_every=2,
-        state_nbytes=STATE,
-        pfs_stagger_ns=stagger_ns,
-    )
+    cfg = SPBCConfig(clusters=cm, checkpoint_every=2, state_nbytes=STATE)
     factory = (
         ring_app(
             iters=iters, msg_bytes=2048, compute_ns=2 * MS,
@@ -165,32 +159,18 @@ def test_async_deferred_gc_collects_once_the_drain_lands():
     assert res.hooks.total_collected_log_bytes() > 0
 
 
-def test_async_stagger_peak_writers_measured_not_assumed():
-    flat = run_mode(PLAN + ":async", allreduce_every=2)
-    spread = run_mode(PLAN + ":async", stagger_ns=2 * MS, allreduce_every=2)
-    peak_flat = flat.hooks.peak_concurrent_pfs_writers()
-    peak_spread = spread.hooks.peak_concurrent_pfs_writers()
-    assert peak_flat == NRANKS
-    assert peak_spread == NRANKS // K
-    # Contention *emerges*: the unstaggered flows share the PFS and each
-    # drains slower than a staggered (de-conflicted) flow.
-    def avg_duration(res):
-        ws = res.hooks.storage.shared_flow_windows()
-        return sum(e - s for s, e, _r, _n in ws) / len(ws)
-
-    assert avg_duration(spread) < avg_duration(flat)
-
-
-def test_async_stagger_aliasing_is_observable():
-    """The sync path *assumes* the offsets de-conflict the clusters.
-    The measured flow timeline shows when they do not: a stagger close
-    to the checkpoint cadence pushes cluster c's round-r burst onto
-    cluster c+1's round-(r-1) burst, and the peak exceeds one cluster's
-    worth of writers — the event-driven scheduler catches what the
-    closed-form charge cannot."""
-    aliased = run_mode(PLAN + ":async", stagger_ns=10 * MS, allreduce_every=2)
-    peak = aliased.hooks.peak_concurrent_pfs_writers()
-    assert NRANKS // K < peak < NRANKS
+@pytest.mark.parametrize("spec", [PLAN, PLAN + ":async"])
+def test_every_rank_writes_the_pfs_at_once(spec):
+    """Every cluster checkpoints on the same cadence, so every rank's
+    PFS burst overlaps: the sync path records closed-form burst windows,
+    the async path reads the same peak off its measured flows."""
+    res = run_mode(spec, allreduce_every=2)
+    assert res.hooks.peak_concurrent_pfs_writers() == NRANKS
+    closed_form = res.hooks.pfs_write_windows
+    flows = res.hooks.storage.shared_flow_windows()
+    assert (len(closed_form) > 0, len(flows) > 0) == (
+        (True, False) if spec == PLAN else (False, True)
+    )
 
 
 def test_async_auto_cadence_optimizes_against_the_stall_cost():

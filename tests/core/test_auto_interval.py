@@ -49,12 +49,13 @@ def test_auto_requires_cost_modeled_backend():
         )
 
 
-def test_auto_requires_positive_mtbf():
+@pytest.mark.parametrize("mtbf_ns", [0, -5, "observed", 1.5e9, True])
+def test_mtbf_must_be_a_positive_integer(mtbf_ns):
     clusters = ClusterMap.block(NRANKS, 4)
-    with pytest.raises(ValueError, match="MTBF"):
-        SPBC(auto_cfg(clusters, mtbf_ns=0))
-    with pytest.raises(ValueError, match="MTBF"):
-        SPBC(auto_cfg(clusters, mtbf_ns=-5))
+    with pytest.raises(ValueError, match="mtbf_ns must be a positive integer MTBF"):
+        SPBC(auto_cfg(clusters, mtbf_ns=mtbf_ns))
+    with pytest.raises(ValueError, match="mtbf_ns"):
+        SPBC(SPBCConfig(clusters=clusters, mtbf_ns=mtbf_ns))
 
 
 def test_checkpoint_every_rejects_other_strings_and_nonpositive_ints():

@@ -83,4 +83,4 @@ def test_shared_storage_instance():
     cfg = SPBCConfig(clusters=clusters, checkpoint_every=2, storage=storage)
     run_spbc(ring_app(iters=4, compute_ns=1_000), 4, clusters, config=cfg, ranks_per_node=2)
     assert storage.writes == 4 * 2  # 4 ranks x 2 rounds
-    assert all(storage.has_checkpoint(r) for r in range(4))
+    assert all(storage.load_latest(r) is not None for r in range(4))

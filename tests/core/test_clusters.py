@@ -14,8 +14,7 @@ def test_block_partition():
     assert cm.members(0) == [0, 1, 2, 3]
     assert cm.members(1) == [4, 5, 6, 7]
     assert cm.cluster(5) == 1
-    assert cm.same_cluster(0, 3) and not cm.same_cluster(3, 4)
-    assert cm.is_intercluster(3, 4)
+    assert not cm.is_intercluster(0, 3) and cm.is_intercluster(3, 4)
 
 
 def test_block_uneven_rejected():
@@ -34,13 +33,6 @@ def test_singletons_and_single():
     assert ClusterMap.singletons(4).nclusters == 4
     assert ClusterMap.single(4).nclusters == 1
     assert not ClusterMap.single(4).is_intercluster(0, 3)
-
-
-def test_per_node():
-    topo = Topology(nranks=8, ranks_per_node=4)
-    cm = ClusterMap.per_node(topo)
-    assert cm.nclusters == 2
-    assert cm.members(0) == [0, 1, 2, 3]
 
 
 def test_noncontiguous_ids_rejected():

@@ -50,15 +50,6 @@ def test_replay_after_filters_and_orders():
     assert [r.seqnum for r in log.replay_after(0, 1, 0)] == [1, 2, 3, 4, 5]
 
 
-def test_records_to_merges_comms_in_send_order():
-    log = LogStore(0)
-    log.append(rec(comm=0, seq=1, t=10))
-    log.append(rec(comm=1, seq=1, t=5))
-    log.append(rec(comm=0, seq=2, t=20))
-    out = log.records_to(1)
-    assert [(r.comm_id, r.seqnum) for r in out] == [(1, 1), (0, 1), (0, 2)]
-
-
 def test_growth_rate():
     log = LogStore(0)
     log.append(rec(seq=1, nbytes=2 * MB))

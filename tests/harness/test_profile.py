@@ -8,7 +8,6 @@ from repro.apps.calibration import PAPER_NET
 from repro.core.clusters import ClusterMap
 from repro.harness.profile import (
     comm_fraction_stats,
-    explain_recovery_potential,
     profile_run,
     traffic_split,
 )
@@ -86,16 +85,3 @@ def test_paper_comm_fraction_claims():
     assert maxes["amg"] > 0.50, maxes
     # the separation the paper's Figure 5 discussion rests on
     assert means["amg"] > 3 * max(means["cm1"], means["gtc"], means["minife"])
-
-
-def test_explain_recovery_potential_keys():
-    app = ring_app(iters=3, msg_bytes=4096, compute_ns=20_000)
-    res = run_native(app, 8, ranks_per_node=4)
-    out = explain_recovery_potential(res, ClusterMap.block(8, 4))
-    assert set(out) == {
-        "comm_fraction_mean",
-        "comm_fraction_max",
-        "intercluster_byte_share",
-        "recovery_gain_bound",
-    }
-    assert 0 <= out["recovery_gain_bound"] <= 1

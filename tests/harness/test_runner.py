@@ -110,7 +110,6 @@ MALFORMED_SPECS = {
                      "schedule[0]: unknown failure kind 'meteor' "
                      "(valid kinds: process, node)"),
     "negative-delay": (dict(restart_delay_ns=-1), "restart_delay_ns"),
-    "negative-stagger": (dict(restart_stagger_ns=-1), "restart_stagger_ns"),
     "map-for-other-nranks": (dict(clusters=ClusterMap.block(8, 4)),
                              "clusters: the map covers 8 ranks"),
     "config-map-disagrees": (
@@ -194,8 +193,8 @@ def test_headers_of_both_engines_differ_only_in_recorded_shards(tmp_path):
 
 
 def test_run_online_failure_forwards_every_knob(monkeypatch):
-    """restart_stagger_ns/warp/shards/journal used to be silently
-    dropped on the sugar path; assert they all reach the schedule
+    """warp/shards/journal used to be silently dropped on the sugar
+    path; assert they, and restart_delay_ns, all reach the schedule
     runner."""
     from repro.harness import runner
 
@@ -208,12 +207,12 @@ def test_run_online_failure_forwards_every_knob(monkeypatch):
     monkeypatch.setattr(runner, "run_failure_schedule", fake)
     out = runner.run_online_failure(
         ring_app(iters=1), 4, ClusterMap.block(4, 2), 5_000,
-        fail_rank=3, failure_kind="node", restart_stagger_ns=77,
+        fail_rank=3, failure_kind="node", restart_delay_ns=77,
         warp=9, shards=2, journal="x.journal", ranks_per_node=2,
     )
     assert out == "ran"
     assert seen["schedule"] == [(5_000, 3, "node")]
-    assert seen["restart_stagger_ns"] == 77
+    assert seen["restart_delay_ns"] == 77
     assert seen["warp"] == 9
     assert seen["shards"] == 2
     assert seen["journal"] == "x.journal"

@@ -656,9 +656,9 @@ def test_full_on_durable_restores_the_latest_pfs_round():
 # Partner rebuild: tolerance to *sequential* buddy failures.  After the
 # buddy node returns, its hosted partner copies are re-replicated as
 # background flows — so a later failure of the owners' node restarts
-# from the latest round again.  Without rebuild, the window between the
-# buddy's death and the owners' next commit has no partner mirror, and
-# the same schedule falls back to the last PFS round.
+# from the latest round again.  Before the buddy returns there is no
+# partner mirror to restart from, and the owners' node failing then
+# falls back to the last PFS round.
 # ----------------------------------------------------------------------
 
 REBUILD_PLAN = "ram@1,partner@1,pfs@4"
@@ -672,7 +672,7 @@ def _rebuild_app():
     return ring_app(iters=12, msg_bytes=2048, compute_ns=2_000_000)
 
 
-def _sequential_buddy_failure(partner_rebuild):
+def _sequential_buddy_failure(after_rebuild):
     from repro.storage.backend import TieredBackend, parse_plan
 
     factory = _rebuild_app()
@@ -680,9 +680,7 @@ def _sequential_buddy_failure(partner_rebuild):
     clusters = ClusterMap.block(NRANKS, 4)
 
     def backend():
-        return TieredBackend(
-            parse_plan(REBUILD_PLAN), partner_rebuild=partner_rebuild
-        )
+        return TieredBackend(parse_plan(REBUILD_PLAN))
 
     probe = run_failure_schedule(
         factory, NRANKS, clusters, [],
@@ -700,7 +698,10 @@ def _sequential_buddy_failure(partner_rebuild):
         for r in clusters.members(0)
     )
     t0 = commit + 100_000  # node 1 (the buddy hosting rank 0's mirrors) dies
-    t1 = t0 + REBUILD_MS + 800_000  # after restart + rebuild flows land
+    if after_rebuild:
+        t1 = t0 + REBUILD_MS + 800_000  # after restart + rebuild flows land
+    else:
+        t1 = t0 + REBUILD_MS // 2  # the buddy has not returned yet
     # ...but before cluster 0's next commit would re-mirror by itself.
     next_commit = min(
         b.retrieve(r, target + 1).ckpt.taken_at_ns
@@ -727,8 +728,6 @@ def test_partner_rebuild_survives_sequential_buddy_failures():
     assert second.restored_tier == "partner"
 
 
-def test_without_rebuild_sequential_buddy_failure_loses_the_round():
-    target, last_pfs, first, second = _sequential_buddy_failure(False)
-    assert first.partner_rebuilds == 0
+def test_buddy_failure_before_the_rebuild_loses_the_round():
+    target, last_pfs, _first, second = _sequential_buddy_failure(False)
     assert second.restarted_from_round == last_pfs < target
-    assert second.restored_tier == "pfs"

@@ -186,11 +186,24 @@ def random_schedule(seed, makespan_ns, max_failures=3):
     ]
 
 
-def _fuzz_case(seed, k, shards, storage="tiered:ram@1,pfs@2", stagger=0):
+def overlapping(schedule, k):
+    """``schedule`` plus a process crash of the next cluster 1 ms after
+    the first crash: inside the first crash's 2 ms restart window, so
+    the two clusters come back at different instants (and a next
+    cluster the first crash already took down has its pending restart
+    superseded)."""
+    at_ns, rank, _kind = schedule[0]
+    second = (at_ns + 1_000_000, (rank + NRANKS // k) % NRANKS, "process")
+    return sorted([*schedule, second])
+
+
+def _fuzz_case(seed, k, shards, storage="tiered:ram@1,pfs@2", overlap=False):
     factory = ring_app(iters=14, msg_bytes=2048, compute_ns=200_000)
     cm = ClusterMap.block(NRANKS, k)
     probe = run_spbc(factory, NRANKS, cm, ranks_per_node=RPN)
     schedule = random_schedule(seed, probe.makespan_ns)
+    if overlap:
+        schedule = overlapping(schedule, k)
 
     def kw():
         return dict(
@@ -199,7 +212,6 @@ def _fuzz_case(seed, k, shards, storage="tiered:ram@1,pfs@2", stagger=0):
             ),
             storage=storage,
             ranks_per_node=RPN,
-            restart_stagger_ns=stagger,
         )
 
     seq = run_failure_schedule(factory, NRANKS, cm, schedule, **kw())
@@ -256,9 +268,9 @@ def test_fuzz_failure_schedules_are_bit_identical(seed, k, shards):
     _fuzz_case(seed, k, shards)
 
 
-def test_fuzz_with_partner_copies_and_stagger():
+def test_fuzz_with_partner_copies_and_overlapping_restarts():
     _fuzz_case(
-        5, 8, 4, storage="partner:ram@1,partner@1,pfs@3", stagger=100_000
+        5, 8, 4, storage="partner:ram@1,partner@1,pfs@3", overlap=True
     )
 
 
@@ -330,10 +342,9 @@ def test_fuzz_async_ssd_drain_is_bit_identical():
 def test_fuzz_async_partner_rebuild_is_bit_identical():
     """Node failures with partner copies under async flush: rebuild
     flows after the node returns, summed across shards, must match the
-    sequential count — and restart staggering still lines up."""
+    sequential count — and overlapping restarts still line up."""
     _fuzz_case(
-        5, 8, 4, storage="partner:ram@1,partner@1,pfs@3:async",
-        stagger=100_000,
+        5, 8, 4, storage="partner:ram@1,partner@1,pfs@3:async", overlap=True
     )
 
 
@@ -509,16 +520,20 @@ OBSERVER_APPS = {
     "milc": (milc_app, "face_bytes", dict(iters=6, compute_ns=2_000_000)),
 }
 
-#: name -> (message bytes or None for the app's own, failure kind or
-#: None, restart stagger).  The
-#: crash lands at 55 % of the failure-free makespan on rank 0; 2-rank
-#: clusters on 4-rank nodes make a node loss roll back two clusters, so
-#: the stagger has something to spread.
+#: name -> (message bytes or None for the app's own, crashes as
+#: ``(ns after the first, rank, kind)``).  The first crash lands at 55 %
+#: of the failure-free makespan.  2-rank clusters on 4-rank nodes make a
+#: node loss roll back two clusters; in "overlapping-restart" a process
+#: crash of the second one 1.5 ms later, inside its 2 ms restart delay,
+#: supersedes its restart, so cluster 0 re-executes while cluster 1 is
+#: still down (the lost wake-up's shape, docs/failure_model.md).
 OBSERVER_SCENARIOS = {
-    "failure-free": (None, None, 0),
-    "one-failure": (None, "process", 0),
-    "staggered-restart": (None, "node", 5_000_000),
-    "rendezvous": (RVZ_BYTES, "process", 0),
+    "failure-free": (None, ()),
+    "one-failure": (None, ((0, 0, "process"),)),
+    "overlapping-restart": (
+        None, ((0, 0, "node"), (1_500_000, 2, "process")),
+    ),
+    "rendezvous": (RVZ_BYTES, ((0, 0, "process"),)),
 }
 
 
@@ -543,7 +558,7 @@ def test_trace_is_an_observer(app_name, scenario):
     host-independent gate that keeps a traced/untraced fork from
     growing back into the send path (docs/performance.md, "Why tracing
     cost a third of a paper run")."""
-    nbytes, kind, stagger = OBSERVER_SCENARIOS[scenario]
+    nbytes, crashes = OBSERVER_SCENARIOS[scenario]
     make_app, size_param, params = OBSERVER_APPS[app_name]
     factory = make_app(**{**params, **({size_param: nbytes} if nbytes else {})})
     cm = ClusterMap.block(NRANKS, 8)
@@ -557,14 +572,13 @@ def test_trace_is_an_observer(app_name, scenario):
         )
         if schedule is None:
             return run_spbc(factory, NRANKS, cm, **kw)
-        return run_failure_schedule(
-            factory, NRANKS, cm, schedule, restart_stagger_ns=stagger, **kw
-        )
+        return run_failure_schedule(factory, NRANKS, cm, schedule, **kw)
 
     free = run(True)
-    schedule = (
-        None if kind is None else [(int(0.55 * free.makespan_ns), 0, kind)]
-    )
+    first = int(0.55 * free.makespan_ns)
+    schedule = [
+        (first + after, rank, kind) for after, rank, kind in crashes
+    ] or None
     traced = free if schedule is None else run(True, schedule)
     untraced = run(False, schedule)
     assert len(traced.world.trace) > 0 and len(untraced.world.trace) == 0
@@ -572,6 +586,8 @@ def test_trace_is_an_observer(app_name, scenario):
     if schedule is not None:
         assert traced.results == free.results
         assert traced.restarted_ranks == untraced.restarted_ranks != set()
+        superseded = [ev.superseded for ev in untraced.manager.failures]
+        assert any(superseded) == (len(crashes) > 1)
 
 
 # ----------------------------------------------------------------------

@@ -21,10 +21,11 @@ from repro.journal import (
     resume,
     spec_from_header,
 )
-from repro.journal.format import canonical_json, strip_lsn
+from repro.journal.format import canonical_json, fingerprint, strip_lsn
 from repro.journal.recorder import JournalWriter, build_header, journaled_app
 from repro.sim.network import NetworkParams
 from repro.sim.warp import WarpConfig
+from repro.util.units import SEC
 
 
 def _tamper(path, predicate, mutate):
@@ -264,9 +265,8 @@ def run_specs(draw):
         ident_matching=draw(st.booleans()),
         cost=LogCostModel(log_ns_per_byte=draw(st.floats(0, 8))),
         checkpoint_every=draw(st.sampled_from([None, 1, 3, "auto"])),
-        mtbf_ns=draw(st.sampled_from([10**9, "observed"])),
+        mtbf_ns=draw(st.sampled_from([10**9, 60 * 10**9])),
         state_nbytes=draw(st.integers(0, 1 << 20)),
-        pfs_stagger_ns=draw(st.integers(0, 10**6)),
         rollback_scope=draw(st.sampled_from(["known", "all"])),
     )
     profile = WriteLocalityProfile(regions=tuple(
@@ -285,7 +285,6 @@ def run_specs(draw):
         config,
         schedule=schedule + schedule[:1],
         restart_delay_ns=draw(st.integers(0, 10**7)),
-        restart_stagger_ns=draw(st.integers(0, 10**7)),
         ranks_per_node=draw(st.sampled_from([2, 4, 8])),
         seed=draw(st.integers(0, 2**31)),
         net_params=draw(st.sampled_from([
@@ -319,16 +318,79 @@ def test_header_round_trips_the_run_spec(spec):
     assert build_header(back) == header
 
 
-def test_golden_header_is_reproduced_byte_for_byte(tmp_path):
-    """The version-1 layout is unchanged: the committed first line,
-    fingerprint included, is what its own RunSpec serialises to."""
-    golden = os.path.join(
-        os.path.dirname(__file__), os.pardir, "data", "golden.journal"
-    )
-    spec = spec_from_header(Journal.load(golden))
-    rewritten = tmp_path / "header.journal"
-    writer = JournalWriter(str(rewritten))
+GOLDEN = os.path.join(
+    os.path.dirname(__file__), os.pardir, "data", "golden.journal"
+)
+
+
+def test_golden_header_is_reproduced_without_its_retired_fields():
+    """The version-1 layout is unchanged except that the retired fields
+    are no longer written: the committed first line, minus the three
+    retired fields at their only values, is what its own RunSpec
+    serialises to (the fingerprint follows the fields)."""
+    golden = Journal.load(GOLDEN).header
+    spec = spec_from_header(Journal.load(GOLDEN))
+    expected = json.loads(canonical_json(golden))
+    assert expected.pop("restart_stagger_ns") == 0
+    assert expected["config"].pop("mtbf_prior_ns") == 60 * SEC
+    assert expected["config"].pop("pfs_stagger_ns") == 0
+    expected["fingerprint"] = fingerprint(expected)
+    writer = JournalWriter(None)
     writer.write_header(build_header(spec))
-    writer.close()
-    with open(golden) as fh:
-        assert rewritten.read_text() == fh.readline()
+    assert canonical_json(writer.header) == canonical_json(expected)
+
+
+def _rewrite_header(path, mutate):
+    """Edit a journal's header in place, fingerprint recomputed (an
+    older writer's header, not a tampered one)."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    header = json.loads(lines[0])
+    mutate(header)
+    header["fingerprint"] = fingerprint(header)
+    lines[0] = canonical_json(header)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _with_retired(
+    restart_stagger_ns=0, mtbf_prior_ns=60 * SEC, pfs_stagger_ns=0
+):
+    """A header mutation adding the retired fields, as older writers
+    recorded them."""
+
+    def mutate(header):
+        header["restart_stagger_ns"] = restart_stagger_ns
+        header["config"].update(
+            mtbf_prior_ns=mtbf_prior_ns, pfs_stagger_ns=pfs_stagger_ns
+        )
+    return mutate
+
+
+def test_new_headers_carry_no_retired_field(journal):
+    assert "restart_stagger_ns" not in journal.header
+    assert not {"mtbf_prior_ns", "pfs_stagger_ns"} & set(journal.header["config"])
+
+
+def test_header_with_retired_fields_at_their_defaults_replays(
+    recorded, journal_copy
+):
+    _rewrite_header(journal_copy, _with_retired())
+    assert "restart_stagger_ns" in Journal.load(journal_copy).header
+    res = replay_strict(journal_copy)
+    assert res.makespan_ns == recorded[1].makespan_ns
+
+
+@pytest.mark.parametrize("field, mutate", [
+    ("config.pfs_stagger_ns", _with_retired(pfs_stagger_ns=5)),
+    ("config.mtbf_prior_ns", _with_retired(mtbf_prior_ns=SEC)),
+    ("restart_stagger_ns", _with_retired(restart_stagger_ns=7)),
+    ("config.mtbf_ns", lambda h: h["config"].update(mtbf_ns="observed")),
+])
+def test_header_with_a_retired_setting_is_refused(journal_copy, field, mutate):
+    """A journal recorded with a retired option at another value
+    describes a run this code cannot reproduce: refused up front, and
+    the message names the field."""
+    _rewrite_header(journal_copy, mutate)
+    with pytest.raises(JournalError, match=f"header {field}="):
+        replay_strict(journal_copy)

@@ -92,6 +92,14 @@ def test_latency_delays_admission_not_drain():
     assert f.elapsed_ns == 1_005_000
 
 
+def test_start_flow_rejects_negative_size_and_latency():
+    res = BandwidthResource(Engine(), "test", BW, shared=True)
+    with pytest.raises(ValueError, match="negative size"):
+        res.start_flow(-1)
+    with pytest.raises(ValueError, match="negative latency"):
+        res.start_flow(1, latency_ns=-1)
+
+
 def test_zero_byte_flow_costs_latency_only():
     _e, _r, (f,) = run_flows([0], latency_ns=7_000)
     assert f.end_ns == 7_000
@@ -104,7 +112,7 @@ def test_staggered_admission_overlap_is_partial():
     engine = Engine()
     res = BandwidthResource(engine, "test", BW, shared=True)
     first = res.start_flow(s)
-    second = res.start_flow(s, delay_ns=s // 2)
+    second = res.start_flow(s, latency_ns=s // 2)
     engine.run()
     # first: s/2 alone + s/2 remaining at half rate -> 1.5s total.
     assert abs(first.end_ns - (s + s // 2)) <= 2
@@ -280,8 +288,7 @@ def play(lane_cls, steps, shared, bandwidth, export):
         if kind == "start":
             key, nbytes, lead, then = args
             flows[key] = lane.start_flow(
-                nbytes, latency_ns=lead // 2, delay_ns=lead - lead // 2,
-                on_done=lambda f: on_done(f, key, then),
+                nbytes, latency_ns=lead, on_done=lambda f: on_done(f, key, then),
             )
         elif kind == "mirror":
             key, nbytes, admit_at = args

@@ -58,14 +58,6 @@ def test_per_process_send_sequences_cross_channel_order():
     assert len(per_proc[1]) == 1
 
 
-def test_deliveries_of_rank():
-    t = Trace()
-    t.record(ev(kind="deliver", rank=2))
-    t.record(ev(kind="deliver", rank=3))
-    assert len(t.deliveries_of_rank(2)) == 1
-    assert t.deliveries_of_rank(9) == []
-
-
 def test_comm_bytes_matrix():
     t = Trace()
     t.record(ev(chan=(0, 1, 0), nbytes=100))

@@ -72,7 +72,7 @@ def test_in_memory_is_free_and_durable():
     rec = b.retrieve(0, 1)
     assert rec.read_ns == 0 and rec.tier == "memory"
     assert b.load_latest(0).round_no == 1
-    assert b.has_checkpoint(0) and not b.has_checkpoint(1)
+    assert b.load_latest(1) is None
 
 
 # ----------------------------------------------------------------------

@@ -151,6 +151,29 @@ def test_flow_restore_measures_contention():
     assert got[0].read_ns > solo_ns  # shared read bandwidth split
 
 
+def test_flow_restore_waits_out_each_link_decode_stage():
+    """A flow restore charges each chain link's modeled decompression
+    after its read: the restore ends ``read_ns + decompress_ns`` after
+    it started."""
+    from dataclasses import replace
+
+    engine = Engine()
+    b = async_backend(engine, plan="pfs@1")
+    b.save(ckpt(0, 1))
+    engine.run()
+    plan = b.restore_plan(0, 1)
+    plan = replace(
+        plan,
+        links=tuple(replace(link, decompress_ns=3_000_000) for link in plan.links),
+    )
+    start, got = engine.now, {}
+    b.start_restore(plan, on_done=lambda rec: got.setdefault(0, rec))
+    engine.run()
+    assert got[0].decompress_ns == 3_000_000
+    assert got[0].read_ns > 0
+    assert engine.now - start == got[0].read_ns + 3_000_000
+
+
 def test_unified_lane_restore_read_steals_bandwidth_from_a_flush():
     """StorageTier(unified_lane=True): a restore read and an in-flight
     async flush share ONE lane, so the flush measurably slows while the
@@ -235,10 +258,10 @@ def test_partner_rebuild_restores_the_buddy_mirror():
     assert b.rebuild_partner_copies(1) == 0  # nothing left to rebuild
 
 
-def test_partner_rebuild_can_be_disabled():
+def test_plan_without_partner_tier_rebuilds_nothing():
     engine = Engine()
-    plan = MultiLevelPlan(tiers=[ram_tier(), partner_tier()], periods=[1, 1])
-    b = TieredBackend(plan, partner_rebuild=False)
+    plan = MultiLevelPlan(tiers=[ram_tier(), pfs_tier()], periods=[1, 1])
+    b = TieredBackend(plan)
     b.bind_engine(engine)
     b.bind_topology(Topology(nranks=4, ranks_per_node=2))
     b.save(ckpt(0, 1))

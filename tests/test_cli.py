@@ -62,6 +62,15 @@ def test_cli_passes_the_row_only_the_scale(name, monkeypatch, capsys):
     assert calls == [dict(row.args, nranks=8, ranks_per_node=2)]
 
 
+@pytest.mark.parametrize("flag", ["--ranks", "--rpn"])
+@pytest.mark.parametrize("value", ["-4", "0", "eight"])
+def test_scale_flags_must_be_positive_integers(flag, value, capsys):
+    """``--ranks -4`` used to reach the driver and fail there as
+    ``table1: empty cluster map``; now argparse names the flag."""
+    err = _rejected(["table1", flag, value], capsys)
+    assert f"argument {flag}: {value!r}: must be an integer >= 1" in err
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         main(["tableX"])
