@@ -36,17 +36,17 @@ def main():
         app, NRANKS, ClusterMap.singletons(NRANKS),
         ranks_per_node=RPN, net_params=PAPER_NET,
     )
-    bytes_mat = full.trace.comm_bytes_matrix(NRANKS).astype(float)
+    pairs = full.trace.send_pair_bytes()  # (src, dst) -> bytes sent
     topo = Topology(NRANKS, RPN)
 
     rows = []
     for k in sorted({2, 4, 8, NRANKS // RPN}):
-        cm = cluster_by_communication(bytes_mat + bytes_mat.T, k, topology=topo)
+        cm = cluster_by_communication(pairs, k, topology=topo)
         assign = cm.cluster_of
-        logged = [
-            sum(bytes_mat[r, d] for d in range(NRANKS) if assign[r] != assign[d])
-            for r in range(NRANKS)
-        ]
+        logged = [0] * NRANKS
+        for (src, dst), nbytes in pairs.items():
+            if assign[src] != assign[dst]:
+                logged[src] += nbytes
         plan = ReplayPlan.from_run(full.hooks, full.makespan_ns, clusters=cm)
         rec = run_emulated_recovery(
             app, NRANKS, cm, plan,
@@ -58,10 +58,10 @@ def main():
             k,
             NRANKS // k,
             mb_per_s(int(sum(logged) / NRANKS), full.makespan_ns),
-            mb_per_s(int(max_logged), full.makespan_ns),
+            mb_per_s(max_logged, full.makespan_ns),
             rec.normalized,
-            local_ssd_tier().write_time_ns(int(max_logged) + 200 * MB) / 1e6,
-            pfs_tier().write_time_ns(int(max_logged) + 200 * MB, NRANKS) / 1e6,
+            local_ssd_tier().write_time_ns(max_logged + 200 * MB) / 1e6,
+            pfs_tier().write_time_ns(max_logged + 200 * MB, NRANKS) / 1e6,
         ])
 
     print(format_table(

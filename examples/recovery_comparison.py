@@ -12,7 +12,7 @@ Run:  python examples/recovery_comparison.py   (~1 min)
 
 from repro.apps.base import get_app
 from repro.apps.calibration import PAPER_NET
-from repro.baselines.hydee import HydEEPlan, compute_levels, run_hydee_recovery
+from repro.baselines.hydee import HydEEPlan, run_hydee_recovery
 from repro.core.clusters import ClusterMap
 from repro.core.emulated import ReplayPlan
 from repro.harness.runner import run_emulated_recovery, run_native, run_spbc

@@ -12,12 +12,10 @@ global rollback; the k=1 row of ``python -m repro ablation_online``) and
 
 from repro.baselines.hydee import (
     HydEEPlan,
-    compute_levels,
     run_hydee_recovery,
 )
 
 __all__ = [
     "HydEEPlan",
-    "compute_levels",
     "run_hydee_recovery",
 ]

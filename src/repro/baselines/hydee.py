@@ -10,20 +10,21 @@ messages this message depends on have been replayed".
 
 Model
 -----
-* **Causal levels** are extracted from the failure-free trace: the level
-  of an inter-cluster message is one plus the maximum level in the causal
-  past of its send event (levels propagate through intra-cluster messages
-  and program order).  Replaying level by level is exactly "everything a
-  message depends on has been replayed" — conservative, like the real
-  protocol's phase-based release.
+* **Dependency vectors** are extracted from the failure-free trace: for
+  each inter-cluster message on a channel touching the recovering
+  cluster, the per-channel high-water marks of its send event's causal
+  past (propagated through intra-cluster messages and program order).
+  A message is grantable once the recovering side has confirmed every
+  mark — exactly "everything a message depends on has been replayed".
 * The **coordinator** is an extra rank.  Replayers request a grant per
   logged message; recovering ranks acknowledge each replayed delivery and
   report each suppressed (logically replayed) inter-cluster send.  The
   coordinator serializes all handling (a per-message processing cost) and
-  advances to level l+1 only when every level-l message is done.
-* Per-sender level sequences are non-decreasing (a send's level includes
-  its causal past), so in-order per-replayer granting cannot deadlock;
-  a short REQ pipeline (``grant_window``) keeps the wire busy.
+  queues a request until its dependency vector is satisfied.
+* A sender's dependency vectors only grow along its send order (each
+  send's causal past includes the previous one's), so in-order
+  per-replayer granting cannot deadlock; a short REQ pipeline
+  (``grant_window``) keeps the wire busy.
 
 SPBC needs none of this: its replayers stream per channel independently —
 that difference is Figure 6.
@@ -61,38 +62,6 @@ DONE = "hydee.done"
 DEFAULT_COORD_PROC_NS = 40 * US
 #: Outstanding grant requests a replayer may pipeline.
 DEFAULT_GRANT_WINDOW = 4
-
-
-def compute_levels(trace: Trace, clusters: ClusterMap) -> Dict[MessageKey, int]:
-    """Causal level of every inter-cluster message in a trace.
-
-    Single chronological pass with per-rank depth counters: D_r is the
-    highest inter-cluster-message level in r's causal past; an
-    inter-cluster send gets level D_r + 1; levels ride along intra-cluster
-    messages and deliveries propagate them.
-    """
-    depth: Dict[int, int] = {}
-    levels: Dict[MessageKey, int] = {}
-    carried: Dict[MessageKey, int] = {}
-    for e in trace.events:
-        if e.kind == "send":
-            src, dst, _cid = e.channel
-            d = depth.get(e.rank, 0)
-            if clusters.is_intercluster(src, dst):
-                lvl = d + 1
-                levels[e.message_key] = lvl
-                depth[e.rank] = lvl
-            else:
-                carried[e.message_key] = d
-        elif e.kind == "deliver":
-            src, dst, _cid = e.channel
-            if clusters.is_intercluster(src, dst):
-                lvl = levels.get(e.message_key, 0)
-            else:
-                lvl = carried.get(e.message_key, 0)
-            if lvl > depth.get(e.rank, 0):
-                depth[e.rank] = lvl
-    return levels
 
 
 Channel = Tuple[int, int, int]  # (src, dst, comm_id)
@@ -152,8 +121,6 @@ class HydEEPlan:
     # everything the coordinator waits for: replayed records + the
     # recovering ranks' own (suppressed) inter-cluster sends
     tracked: Set[MessageKey] = field(default_factory=set)
-    # causal depth per message, kept for diagnostics/statistics
-    levels: Dict[MessageKey, int] = field(default_factory=dict)
 
     @classmethod
     def from_run(
@@ -167,7 +134,6 @@ class HydEEPlan:
         cmap = clusters if clusters is not None else spbc.clusters
         base = ReplayPlan.from_run(spbc, failure_free_ns, cluster_id, clusters=cmap)
         deps = compute_dependencies(trace, cmap, base.recovering_ranks)
-        levels = compute_levels(trace, cmap)
         tracked: Set[MessageKey] = set()
         for sender, recs in base.records_by_sender.items():
             for r in recs:
@@ -179,7 +145,7 @@ class HydEEPlan:
                     continue
                 for r in chan:
                     tracked.add((rank, dst, cid, r.seqnum))
-        return cls(base=base, deps=deps, tracked=tracked, levels=levels)
+        return cls(base=base, deps=deps, tracked=tracked)
 
 
 class HydEEHooks(SPBC):
@@ -283,7 +249,7 @@ class HydEEHooks(SPBC):
             and env.dst not in self._emulated
         ):
             # A suppressed ("logically replayed") send: confirm it so the
-            # coordinator can open later levels.
+            # coordinator can grant the messages that depend on it.
             runtime.control_send(
                 self.coordinator_rank, DONE, {"key": env.message_key}, nbytes=32
             )

@@ -1,10 +1,10 @@
 """Communication-driven process clustering (the paper's tool from [30]).
 
-Pipeline: profile a few iterations of the application, build the
-rank-to-rank communication-volume matrix, contract it to the node level
-(ranks of one physical node always cluster together), and partition the
-node graph into k balanced clusters minimizing the logged volume (the
-weight of edges cut).
+Pipeline: profile a few iterations of the application, sum the bytes
+each rank sent to each other rank into sparse ``{(src, dst): bytes}``
+pairs, contract them to an undirected node graph (ranks of one physical
+node always cluster together), and partition it into k balanced
+clusters minimizing the logged volume (the weight of edges cut).
 """
 
 from repro.clustering.partition import (

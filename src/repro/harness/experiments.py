@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from typing import (
-    TYPE_CHECKING,
     AbstractSet,
     Any,
     Callable,
@@ -28,12 +27,14 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
 from repro.apps.base import get_app
 from repro.apps.calibration import PAPER_NET
 from repro.baselines.hydee import HydEEPlan, run_hydee_recovery
+from repro.clustering.partition import cluster_by_communication, cut_bytes
 from repro.core.clusters import ClusterMap
 from repro.core.emulated import ReplayPlan
 from repro.core.protocol import SPBCConfig
@@ -51,9 +52,6 @@ from repro.storage.multilevel import MultiLevelPlan, optimal_interval_rounds
 from repro.util.stats import summarize
 from repro.util.table import format_table
 from repro.util.units import SEC, mb_per_s
-
-if TYPE_CHECKING:  # pragma: no cover - numpy loads only where a matrix is built
-    import numpy as np
 
 PAPER_APPS = ["amg", "cm1", "gtc", "milc", "minife", "minighost"]
 NAS_APPS = ["bt", "lu", "mg", "sp"]
@@ -129,7 +127,7 @@ class LoggingRun:
     nranks: int
     ranks_per_node: int
     result: RunResult
-    bytes_matrix: np.ndarray  # directed bytes src -> dst, from the sender logs
+    pair_bytes: Dict[Tuple[int, int], int]  # directed src -> dst, from the sender logs
     maps: Dict[int, ClusterMap] = field(default_factory=dict)
 
     @property
@@ -141,40 +139,37 @@ class LoggingRun:
         logged volume; k == nranks means pure message logging."""
         cm = self.maps.get(k)
         if cm is None:
-            from repro.clustering.partition import cluster_by_communication
-
-            nnodes = self.nranks // self.ranks_per_node
-            sym = self.bytes_matrix + self.bytes_matrix.T
             if k >= self.nranks:
                 cm = ClusterMap.singletons(self.nranks)
-            elif k <= nnodes:
-                topo = Topology(self.nranks, self.ranks_per_node)
-                cm = cluster_by_communication(sym, k, topology=topo)
             else:
-                # More clusters than nodes: node alignment is impossible
-                # (like the paper's pure-logging column); partition ranks.
-                cm = cluster_by_communication(sym, k, topology=None)
+                rpn = self.ranks_per_node
+                if k > self.nranks // rpn:
+                    # More clusters than nodes: node alignment is impossible
+                    # (like the paper's pure-logging column); partition ranks.
+                    rpn = 1
+                cm = cluster_by_communication(
+                    self.pair_bytes, k, Topology(self.nranks, rpn)
+                )
             self.maps[k] = cm
         return cm
 
-    def per_rank_logged_bytes(self, cm: ClusterMap) -> np.ndarray:
+    def per_rank_logged_bytes(self, cm: ClusterMap) -> List[int]:
         """Bytes each rank would log under cluster map ``cm``."""
-        import numpy as np
+        cluster_of = cm.cluster_of
+        logged = [0] * self.nranks
+        for (src, dst), nbytes in self.pair_bytes.items():
+            if cluster_of[src] != cluster_of[dst]:
+                logged[src] += nbytes
+        return logged
 
-        assign = np.asarray(cm.cluster_of)
-        cross = assign[:, None] != assign[None, :]
-        return (self.bytes_matrix * cross).sum(axis=1)
 
-
-def _sent_bytes_matrix(hooks, nranks: int) -> np.ndarray:
-    """Directed bytes src -> dst summed over every rank's sender log.
+def _sent_pair_bytes(hooks, nranks: int) -> Dict[Tuple[int, int], int]:
+    """Directed bytes (src, dst) -> sum over every rank's sender log.
 
     Exact only while each log still holds every record it appended:
     receiver garbage collection deletes records, so a log with
     ``collected_records > 0`` is refused rather than undercounted."""
-    import numpy as np
-
-    mat = np.zeros((nranks, nranks), dtype=np.float64)
+    pairs: Dict[Tuple[int, int], int] = {}
     for r in range(nranks):
         log = hooks.state[r].log
         if log.collected_records:
@@ -182,10 +177,9 @@ def _sent_bytes_matrix(hooks, nranks: int) -> np.ndarray:
                 f"rank {r}: {log.collected_records} log records were "
                 "garbage-collected; its log no longer sums to what it sent"
             )
-        row = mat[r]
         for rec in log.all_records():
-            row[rec.dst] += rec.nbytes
-    return mat
+            pairs[r, rec.dst] = pairs.get((r, rec.dst), 0) + rec.nbytes
+    return pairs
 
 
 def make_logging_run(
@@ -199,11 +193,11 @@ def make_logging_run(
     """Run app ``name`` under pure message logging (singleton clusters),
     failure-free and without checkpoints.  Every non-loopback send then
     crosses a cluster boundary and is logged exactly once, and no log is
-    ever collected, so the sender logs hold the run's communication
-    matrix (loopback, which crosses no boundary, aside) and
-    :attr:`LoggingRun.bytes_matrix` is summed from them.  ``trace=True``
+    ever collected, so the sender logs hold every byte the run sent
+    (loopback, which crosses no boundary, aside) and
+    :attr:`LoggingRun.pair_bytes` is summed from them.  ``trace=True``
     also records the event trace, for consumers of the message order
-    (HydEE's causal levels, Figure 6)."""
+    (HydEE's dependency vectors, Figure 6)."""
     res = run_spbc(
         app_factory(name, overrides),
         nranks,
@@ -218,7 +212,7 @@ def make_logging_run(
         nranks=nranks,
         ranks_per_node=ranks_per_node,
         result=res,
-        bytes_matrix=_sent_bytes_matrix(res.hooks, nranks),
+        pair_bytes=_sent_pair_bytes(res.hooks, nranks),
     )
 
 
@@ -251,7 +245,7 @@ def table1_log_growth(
         for k in ks:
             cm = run.clustering_for(k)
             logged = run.per_rank_logged_bytes(cm)
-            rates = [mb_per_s(int(b), run.duration_ns) for b in logged]
+            rates = [mb_per_s(b, run.duration_ns) for b in logged]
             stats = summarize(rates)
             rows.append(
                 Table1Row(
@@ -464,7 +458,7 @@ def fig6_hydee_vs_spbc(
         app = app_factory(name)
         native = run_native(app, nranks, **world)
         # Phase 1 with the actual k-cluster map, traced: the trace yields
-        # the causal levels HydEE needs.
+        # the dependency vectors HydEE needs.
         run = make_logging_run(name, nranks, ranks_per_node, trace=True)
         cm = run.clustering_for(k)
         plan = ReplayPlan.from_run(run.result.hooks, run.duration_ns, clusters=cm)
@@ -942,10 +936,7 @@ def clustering_comparison(
 ) -> List[ClusteringRow]:
     """The communication-driven partitioner against naive block and
     round-robin-over-nodes maps of ``k`` clusters, on the logged volume."""
-    from repro.clustering.partition import cut_bytes
-
     run = make_logging_run(_one_app(apps), nranks, ranks_per_node)
-    sym = run.bytes_matrix + run.bytes_matrix.T
     strategies = {
         "comm-driven": run.clustering_for(k),
         "block": ClusterMap.block(nranks, k),
@@ -959,9 +950,9 @@ def clustering_comparison(
         rows.append(
             ClusteringRow(
                 strategy=name,
-                cut_mib=cut_bytes(sym, cm.cluster_of) / 2**20,
-                avg=mb_per_s(int(logged.mean()), run.duration_ns),
-                max=mb_per_s(int(logged.max()), run.duration_ns),
+                cut_mib=cut_bytes(run.pair_bytes, cm.cluster_of) / 2**20,
+                avg=mb_per_s(int(sum(logged) / nranks), run.duration_ns),
+                max=mb_per_s(max(logged), run.duration_ns),
             )
         )
     return rows
@@ -991,7 +982,7 @@ def containment_sweep(
             ContainmentRow(
                 clusters=k,
                 rolled_back=nranks // k,
-                avg=mb_per_s(int(logged.mean()), run.duration_ns),
+                avg=mb_per_s(int(sum(logged) / nranks), run.duration_ns),
             )
         )
     return rows

@@ -697,8 +697,9 @@ class TieredBackend:
         lost their buddy mirror with it; re-replicate their latest
         restorable round to the returned node as background flows, so a
         *sequential* failure of the buddy pair restarts from the latest
-        round again instead of falling back to the last PFS round.
-        Returns the number of rebuild flows started."""
+        round again instead of falling back to the last PFS round.  A
+        rank whose own node is down too has nothing to mirror from and
+        is skipped.  Returns the number of rebuild flows started."""
         if (
             self.iosched is None
             or self._topology is None
@@ -716,14 +717,27 @@ class TieredBackend:
             copies = self._copies[rank][rnd]
             if "partner" in copies or (rank, rnd) in self._rebuilding:
                 continue
-            ckpt = next(iter(copies.values()))
+            # Mirror from the owner's node-local volatile copy: it is
+            # alive only while the owner's node is up.
+            src_node = self._topology.node_of(rank)
+            ckpt = next(
+                (
+                    c
+                    for name, c in copies.items()
+                    if not self._tier(name).survives_node_failure
+                    and self.host_node(name, rank) == src_node
+                ),
+                None,
+            )
+            if ckpt is None:
+                continue
             meta = {
                 "kind": "rebuild",
                 "rank": rank,
                 "round_no": rnd,
                 "tier": "partner",
                 "ckpt": ckpt,
-                "src_node": self._topology.node_of(rank),
+                "src_node": src_node,
                 "dst_node": node,
             }
             flow = self.iosched.write(

@@ -1,10 +1,10 @@
-"""HydEE baseline: causal levels, coordinator protocol, recovery runs."""
+"""HydEE baseline: dependency vectors, coordinator protocol, recovery runs."""
 
 import pytest
 
 from repro.baselines.hydee import (
     HydEEPlan,
-    compute_levels,
+    compute_dependencies,
     run_hydee_recovery,
 )
 from repro.core.clusters import ClusterMap
@@ -15,60 +15,29 @@ from repro.apps.synthetic import ring_app
 from repro.sim.tracing import CommEvent, Trace
 
 
-def chain_trace():
-    """m1: 0->1 (clusters A|B), m2: 1->2 (B|C), m3: 2->0 (C|A)."""
-    t = Trace()
-    t.record(CommEvent("send", 0, 10, (0, 1, 0), 1))
-    t.record(CommEvent("deliver", 1, 20, (0, 1, 0), 1))
-    t.record(CommEvent("send", 1, 30, (1, 2, 0), 1))
-    t.record(CommEvent("deliver", 2, 40, (1, 2, 0), 1))
-    t.record(CommEvent("send", 2, 50, (2, 0, 0), 1))
-    t.record(CommEvent("deliver", 0, 60, (2, 0, 0), 1))
-    return t
-
-
-def test_levels_grow_along_causal_chain():
-    clusters = ClusterMap([0, 1, 2])
-    levels = compute_levels(chain_trace(), clusters)
-    assert levels[(0, 1, 0, 1)] == 1
-    assert levels[(1, 2, 0, 1)] == 2
-    assert levels[(2, 0, 0, 1)] == 3
-
-
-def test_levels_propagate_through_intra_cluster_messages():
-    # 0 and 1 in one cluster: inter 2->0, intra 0->1, inter 1->2
-    clusters = ClusterMap([0, 0, 1])
-    t = Trace()
-    t.record(CommEvent("send", 2, 10, (2, 0, 0), 1))
-    t.record(CommEvent("deliver", 0, 20, (2, 0, 0), 1))
-    t.record(CommEvent("send", 0, 30, (0, 1, 0), 1))  # intra, carries level
-    t.record(CommEvent("deliver", 1, 40, (0, 1, 0), 1))
-    t.record(CommEvent("send", 1, 50, (1, 2, 0), 1))
-    levels = compute_levels(t, clusters)
-    assert levels[(2, 0, 0, 1)] == 1
-    assert (0, 1, 0, 1) not in levels  # intra messages have no level
-    assert levels[(1, 2, 0, 1)] == 2
-
-
-def test_concurrent_messages_share_level():
+def test_concurrent_messages_depend_on_nothing():
     clusters = ClusterMap([0, 1, 2, 3])
     t = Trace()
     t.record(CommEvent("send", 0, 10, (0, 1, 0), 1))
     t.record(CommEvent("send", 2, 10, (2, 3, 0), 1))
-    levels = compute_levels(t, clusters)
-    assert levels[(0, 1, 0, 1)] == levels[(2, 3, 0, 1)] == 1
+    deps = compute_dependencies(t, clusters, recovering={1, 3})
+    assert deps == {(0, 1, 0, 1): {}, (2, 3, 0, 1): {}}
 
 
-def test_per_sender_levels_nondecreasing_in_real_app():
-    """The property the pipelined replayer relies on."""
+def test_per_sender_dependencies_only_grow_in_real_app():
+    """The property the pipelined replayer relies on: each logged
+    message's dependency vector covers the previous one's from the same
+    sender, so in-order granting cannot deadlock."""
     app = get_app("lu").factory(iters=2, block_ns=20_000)
     clusters = ClusterMap.block(8, 4)
     res = run_spbc(app, 8, clusters, ranks_per_node=2)
-    levels = compute_levels(res.trace, clusters)
     plan = HydEEPlan.from_run(res.hooks, res.trace, res.makespan_ns)
     for sender, recs in plan.base.records_by_sender.items():
-        lvls = [levels[(sender, r.dst, r.comm_id, r.seqnum)] for r in recs]
-        assert lvls == sorted(lvls), f"sender {sender} levels decrease"
+        vectors = [plan.deps[(sender, r.dst, r.comm_id, r.seqnum)] for r in recs]
+        for before, after in zip(vectors, vectors[1:]):
+            assert all(after.get(c, 0) >= s for c, s in before.items()), (
+                f"sender {sender}: a dependency vector shrank"
+            )
 
 
 def test_plan_tracks_replayed_and_suppressed():
@@ -79,15 +48,14 @@ def test_plan_tracks_replayed_and_suppressed():
     # recovering cluster is {0}; replayed: 4 msgs from rank 3; suppressed:
     # 4 msgs from rank 0 to rank 1
     assert len(plan.tracked) == 8
-    assert max(plan.levels.get(k, 0) for k in plan.tracked) >= 1
+    # the coordinator has a dependency vector for everything it tracks
+    assert plan.tracked <= plan.deps.keys()
 
 
 def test_dependency_vectors_follow_causal_chains():
     """Ring sendrecv: a rank's iteration-(i+1) send causally follows both
     its own iteration-i send (program order) and the iteration-i message
     it received."""
-    from repro.baselines.hydee import compute_dependencies
-
     app = ring_app(iters=3, msg_bytes=512, compute_ns=20_000)
     clusters = ClusterMap.block(4, 4)
     res = run_spbc(app, 4, clusters, ranks_per_node=2)

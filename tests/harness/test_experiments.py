@@ -4,7 +4,6 @@ accounting from a single logging run."""
 import json
 import pathlib
 
-import numpy as np
 import pytest
 
 from repro.apps.calibration import PAPER_NET
@@ -14,7 +13,7 @@ from repro.harness.experiments import (
     EXPERIMENTS,
     PAPER_APPS,
     LoggingRun,
-    _sent_bytes_matrix,
+    _sent_pair_bytes,
     app_factory,
     cluster_counts,
     fig6_hydee_vs_spbc,
@@ -45,10 +44,10 @@ def test_logging_run_posthoc_accounting():
     logged = run.per_rank_logged_bytes(cm)
     # ranks 1,3,5,7 sit at block boundaries (their right neighbor is in
     # the next cluster): they log 4 * 1000 bytes; others log nothing
-    assert [int(b) for b in logged] == [0, 4000, 0, 4000, 0, 4000, 0, 4000]
+    assert logged == [0, 4000, 0, 4000, 0, 4000, 0, 4000]
     # pure logging: everyone logs everything they send
     singles = run.per_rank_logged_bytes(ClusterMap.singletons(8))
-    assert all(int(b) == 4000 for b in singles)
+    assert singles == [4000] * 8
 
 
 def test_logging_run_clustering_cache_and_node_alignment():
@@ -91,7 +90,7 @@ def test_fig5_formatting_grid():
 
 
 @pytest.mark.parametrize("app", PAPER_APPS)
-def test_logging_run_matrix_is_the_traced_send_matrix(app):
+def test_logging_run_pairs_are_the_traced_send_pairs(app):
     """The sender logs of a pure-logging run sum to exactly what a
     traced twin of the same run sent, without recording a trace."""
     n, rpn = 8, 2
@@ -102,14 +101,14 @@ def test_logging_run_matrix_is_the_traced_send_matrix(app):
         ranks_per_node=rpn, net_params=PAPER_NET,
     )
     assert twin.makespan_ns == run.duration_ns
-    ref = twin.trace.comm_bytes_matrix(n)
-    assert ref.sum() > 0
-    assert (run.bytes_matrix == ref).all()
+    ref = twin.trace.send_pair_bytes()
+    assert sum(ref.values()) > 0
+    assert run.pair_bytes == ref
 
 
 def test_fig6_logging_run_is_traced(monkeypatch):
-    """HydEE's causal levels come from the trace: Figure 6 alone asks
-    the logging run to record one."""
+    """HydEE's dependency vectors come from the trace: Figure 6 alone
+    asks the logging run to record one."""
     runs = []
 
     def spy(*args, **kwargs):
@@ -123,17 +122,17 @@ def test_fig6_logging_run_is_traced(monkeypatch):
     assert len(runs[0].result.trace) > 0
 
 
-def test_sent_bytes_matrix_refuses_a_collected_log():
+def test_sent_pair_bytes_refuses_a_collected_log():
     run = make_logging_run("ring", nranks=8, ranks_per_node=2, overrides=dict(
         iters=3, msg_bytes=100, compute_ns=1_000,
     ))
     hooks = run.result.hooks
-    assert (_sent_bytes_matrix(hooks, 8) == run.bytes_matrix).all()
+    assert _sent_pair_bytes(hooks, 8) == run.pair_bytes
     log = hooks.state[5].log
     (comm_id, dst), = log.channel_keys()
     assert log.collect(comm_id, dst, 1) == 1
     with pytest.raises(ValueError, match="rank 5"):
-        _sent_bytes_matrix(hooks, 8)
+        _sent_pair_bytes(hooks, 8)
 
 
 def test_online_ablation_runs_at_the_scale_it_is_given():

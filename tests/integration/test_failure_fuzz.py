@@ -729,5 +729,9 @@ def test_partner_rebuild_survives_sequential_buddy_failures():
 
 
 def test_buddy_failure_before_the_rebuild_loses_the_round():
-    target, last_pfs, _first, second = _sequential_buddy_failure(False)
+    target, last_pfs, first, second = _sequential_buddy_failure(False)
     assert second.restarted_from_round == last_pfs < target
+    # The owners' node was down when the buddy returned: no mirror was
+    # copied out of it, so the round comes back from the PFS.
+    assert first.partner_rebuilds == 0
+    assert second.restored_tier == "pfs"

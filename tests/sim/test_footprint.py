@@ -225,6 +225,7 @@ import sys
 import repro, repro.harness.experiments, repro.harness.parallel
 from repro.apps.synthetic import ring_app
 from repro.core.clusters import ClusterMap
+from repro.harness.experiments import fig5_recovery, table1_log_growth
 from repro.harness.runner import run_spbc
 
 app = ring_app(iters=4, msg_bytes=4096, compute_ns=100_000)
@@ -232,14 +233,19 @@ cm = ClusterMap.block(8, 4)
 seq = run_spbc(app, 8, cm, trace=False)
 sharded = run_spbc(app, 8, cm, trace=False, shards=2)
 assert sharded.results == seq.results
+# The paper pipeline: sender-log pair sums, partitioner, replay.
+paper = dict(apps=("milc",), nranks=8, ranks_per_node=2)
+assert table1_log_growth(**paper)
+assert fig5_recovery(ks=(2,), **paper)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy")[:3])
 """
 
 
 def test_run_path_loads_no_numpy():
-    """numpy costs ~14 MiB of resident memory; only the analysis paths
-    (traced matrices, clustering) may load it.  Checked in a fresh
-    interpreter: the pytest process has numpy loaded already."""
+    """numpy costs ~14 MiB of resident memory; only the traced analysis
+    paths may load it, and the paper pipeline (Table 1, Figure 5) is
+    not one of them.  Checked in a fresh interpreter: the pytest process
+    has numpy loaded already."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
