@@ -381,6 +381,7 @@ def run_hydee_recovery(
     for r, proc in world.processes.items():
         if proc.exception is not None:
             raise RuntimeError(f"rank {r} raised: {proc.exception!r}") from proc.exception
+    world.release()
     rework = max(
         world.processes[r].finish_time for r in plan.base.recovering_ranks
     )

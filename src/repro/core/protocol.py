@@ -329,7 +329,10 @@ class SPBC(ProtocolHooks):
         # Journal event sink (anything with .emit(kind, t, **fields));
         # installed by the runners when a run is being recorded.
         self.journal = None
-        self._world = None
+        # The world's communicator registry, bound at the first attach.
+        # The world itself is not kept: a protocol pointing back at it
+        # would make a finished world a reference cycle.
+        self._comms = None
         self._cluster_comms: Dict[int, Any] = {}
         self.storage: TieredBackend = config.storage or make_backend("memory")
         self._emulated = config.emulated_recovering
@@ -385,8 +388,8 @@ class SPBC(ProtocolHooks):
         # gated by this capability flag: the ident is always just its
         # active_ident, so there is no per-message hook to dispatch.
         runtime.stamp_idents = self.config.ident_matching
-        if self._world is None:
-            self._world = runtime.world
+        if self._comms is None:
+            self._comms = runtime.world.comms
             if self.clusters.nranks != runtime.world.nranks:
                 raise ValueError(
                     f"cluster map covers {self.clusters.nranks} ranks but the "
@@ -404,7 +407,7 @@ class SPBC(ProtocolHooks):
     def _cluster_comm(self, cluster: int):
         comm = self._cluster_comms.get(cluster)
         if comm is None:
-            comm = self._world.comms.create(
+            comm = self._comms.create(
                 self.clusters.members(cluster), name=f"spbc.cluster{cluster}"
             )
             self._cluster_comms[cluster] = comm
@@ -599,7 +602,7 @@ class SPBC(ProtocolHooks):
         # Price the expectation at the same concurrency the charged
         # costs use: every cluster contends with the whole world.
         cost = self.storage.amortized_write_cost_ns(
-            exp_bytes, concurrent_writers=self._world.nranks
+            exp_bytes, concurrent_writers=self.clusters.nranks
         )
         return cost if cost > 0 else None
 
@@ -640,7 +643,7 @@ class SPBC(ProtocolHooks):
         # Every cluster checkpoints on the same cadence, so the whole
         # world contends for shared tiers.  (Under async flush the
         # background flows share the PFS bandwidth for real.)
-        writers = self._world.nranks
+        writers = self.clusters.nranks
         ckpt = self._build_checkpoint(
             runtime, st, state_fn(), durable_round=writes.shared_scheduled
         )
@@ -961,8 +964,8 @@ class SPBC(ProtocolHooks):
     def _known_out_channels(self, runtime, st: _RankState) -> Set[ChannelOut]:
         if self.config.rollback_scope == "all" or st.broadcast_rollback:
             out: Set[ChannelOut] = set()
-            wcid = self._world.comm_world.comm_id
-            for r in range(self._world.nranks):
+            wcid = self._comms.world.comm_id
+            for r in range(self.clusters.nranks):
                 if self.clusters.is_intercluster(runtime.rank, r):
                     out.add((wcid, r))
             return out
@@ -984,7 +987,7 @@ class SPBC(ProtocolHooks):
         if st.broadcast_rollback:
             peers |= {
                 r
-                for r in range(self._world.nranks)
+                for r in range(self.clusters.nranks)
                 if self.clusters.is_intercluster(runtime.rank, r)
             }
         comm_ids = self._comm_ids_by_peer(st)
@@ -1037,7 +1040,7 @@ class SPBC(ProtocolHooks):
                 by_peer.setdefault(p, []).append(cid)
             tables.append(by_peer)
         first, *rest = tables
-        wcid = self._world.comm_world.comm_id
+        wcid = self._comms.world.comm_id
 
         def comm_ids(peer: int) -> Set[int]:
             cids = set(first.get(peer, ()))

@@ -236,26 +236,38 @@ def table1_log_growth(
     counts: Optional[Sequence[int]] = None,
     overrides: Optional[Dict[str, dict]] = None,
 ) -> List[Table1Row]:
+    # Per-app helpers, here and in the other paper experiments: an app's
+    # runs live only in its helper's frame, so each is freed before the
+    # next app simulates and the process peaks at its largest world.
     rows: List[Table1Row] = []
     for name in apps:
-        run = make_logging_run(
-            name, nranks, ranks_per_node, (overrides or {}).get(name)
+        rows += _table1_rows(
+            name, nranks, ranks_per_node, counts, (overrides or {}).get(name)
         )
-        ks = counts or cluster_counts(run.nranks, run.ranks_per_node)
-        for k in ks:
-            cm = run.clustering_for(k)
-            logged = run.per_rank_logged_bytes(cm)
-            rates = [mb_per_s(b, run.duration_ns) for b in logged]
-            stats = summarize(rates)
-            rows.append(
-                Table1Row(
-                    app=name,
-                    k=k,
-                    avg_mb_s=stats.mean,
-                    max_mb_s=stats.maximum,
-                    min_mb_s=stats.minimum,
-                )
+    return rows
+
+
+def _table1_rows(
+    name: str,
+    nranks: int,
+    ranks_per_node: int,
+    counts: Optional[Sequence[int]],
+    overrides: Optional[dict],
+) -> List[Table1Row]:
+    run = make_logging_run(name, nranks, ranks_per_node, overrides)
+    rows: List[Table1Row] = []
+    for k in counts or cluster_counts(nranks, ranks_per_node):
+        logged = run.per_rank_logged_bytes(run.clustering_for(k))
+        stats = summarize([mb_per_s(b, run.duration_ns) for b in logged])
+        rows.append(
+            Table1Row(
+                app=name,
+                k=k,
+                avg_mb_s=stats.mean,
+                max_mb_s=stats.maximum,
+                min_mb_s=stats.minimum,
             )
+        )
     return rows
 
 
@@ -284,17 +296,25 @@ def table2_failure_free_overhead(
     world = _paper_world(ranks_per_node)
     rows: List[Table2Row] = []
     for name in apps:
-        app = app_factory(name)
-        native = run_native(app, nranks, **world)
-        run = make_logging_run(name, nranks, ranks_per_node)
-        for k in ks:
-            spbc = run_spbc(app, nranks, run.clustering_for(k), **world)
-            rows.append(
-                Table2Row(
-                    app=name, k=k, native_ns=native.makespan_ns, spbc_ns=spbc.makespan_ns
-                )
-            )
+        rows += _table2_rows(name, ks, nranks, ranks_per_node, world)
     return rows
+
+
+def _table2_rows(
+    name: str, ks: Sequence[int], nranks: int, ranks_per_node: int, world: dict
+) -> List[Table2Row]:
+    app = app_factory(name)
+    native_ns = run_native(app, nranks, **world).makespan_ns
+    run = make_logging_run(name, nranks, ranks_per_node)
+    return [
+        Table2Row(
+            app=name,
+            k=k,
+            native_ns=native_ns,
+            spbc_ns=run_spbc(app, nranks, run.clustering_for(k), **world).makespan_ns,
+        )
+        for k in ks
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -406,30 +426,40 @@ def fig5_recovery(
     world = _paper_world(ranks_per_node)
     rows: List[Fig5Row] = []
     for name in apps:
-        app = app_factory(name)
-        native = run_native(app, nranks, **world)
-        run = make_logging_run(name, nranks, ranks_per_node)
-        for k in ks:
-            if k > run.nranks:
-                continue
-            cm = run.clustering_for(k)
-            plan = ReplayPlan.from_run(
-                run.result.hooks, run.duration_ns, clusters=cm
+        rows += _fig5_rows(name, ks, nranks, ranks_per_node, window, world)
+    return rows
+
+
+def _fig5_rows(
+    name: str,
+    ks: Sequence[int],
+    nranks: int,
+    ranks_per_node: int,
+    window: int,
+    world: dict,
+) -> List[Fig5Row]:
+    app = app_factory(name)
+    native_ns = run_native(app, nranks, **world).makespan_ns
+    run = make_logging_run(name, nranks, ranks_per_node)
+    rows: List[Fig5Row] = []
+    for k in ks:
+        if k > nranks:
+            continue
+        cm = run.clustering_for(k)
+        plan = ReplayPlan.from_run(run.result.hooks, run.duration_ns, clusters=cm)
+        rework_ns = run_emulated_recovery(
+            app, nranks, cm, plan, reference_ns=native_ns, window=window, **world,
+        ).rework_ns
+        rows.append(
+            Fig5Row(
+                app=name,
+                k=k,
+                rework_ns=rework_ns,
+                native_ns=native_ns,
+                replayed_records=plan.total_records,
+                replayed_bytes=plan.total_bytes,
             )
-            rec = run_emulated_recovery(
-                app, nranks, cm, plan,
-                reference_ns=native.makespan_ns, window=window, **world,
-            )
-            rows.append(
-                Fig5Row(
-                    app=name,
-                    k=k,
-                    rework_ns=rec.rework_ns,
-                    native_ns=native.makespan_ns,
-                    replayed_records=plan.total_records,
-                    replayed_bytes=plan.total_bytes,
-                )
-            )
+        )
     return rows
 
 
@@ -453,37 +483,38 @@ def fig6_hydee_vs_spbc(
     ranks_per_node: int = 8,
 ) -> List[Fig6Row]:
     world = _paper_world(ranks_per_node)
-    rows: List[Fig6Row] = []
-    for name in apps:
-        app = app_factory(name)
-        native = run_native(app, nranks, **world)
-        # Phase 1 with the actual k-cluster map, traced: the trace yields
-        # the dependency vectors HydEE needs.
-        run = make_logging_run(name, nranks, ranks_per_node, trace=True)
-        cm = run.clustering_for(k)
-        plan = ReplayPlan.from_run(run.result.hooks, run.duration_ns, clusters=cm)
-        # The HydEE plan (dependency vectors + tracked set) is derived
-        # against the same k-cluster map from the same phase-1 trace.
-        hplan = HydEEPlan.from_run(
-            run.result.hooks, run.result.trace, run.duration_ns, clusters=cm
-        )
-        spbc_rec = run_emulated_recovery(
-            app, nranks, cm, plan, reference_ns=native.makespan_ns, **world,
-        )
-        hydee_rec = run_hydee_recovery(
-            app, nranks, cm, hplan, reference_ns=native.makespan_ns,
-            ranks_per_node=ranks_per_node, net_params=PAPER_NET,
-        )
-        rows.append(
-            Fig6Row(
-                app=name,
-                spbc_normalized=spbc_rec.normalized,
-                hydee_normalized=hydee_rec.normalized,
-                hydee_grants=hydee_rec.grants,
-                records=plan.total_records,
-            )
-        )
-    return rows
+    return [_fig6_row(name, k, nranks, ranks_per_node, world) for name in apps]
+
+
+def _fig6_row(
+    name: str, k: int, nranks: int, ranks_per_node: int, world: dict
+) -> Fig6Row:
+    app = app_factory(name)
+    native_ns = run_native(app, nranks, **world).makespan_ns
+    # Phase 1 with the actual k-cluster map, traced: the trace yields
+    # the dependency vectors HydEE needs.
+    run = make_logging_run(name, nranks, ranks_per_node, trace=True)
+    cm = run.clustering_for(k)
+    plan = ReplayPlan.from_run(run.result.hooks, run.duration_ns, clusters=cm)
+    # The HydEE plan (dependency vectors + tracked set) is derived
+    # against the same k-cluster map from the same phase-1 trace.
+    hplan = HydEEPlan.from_run(
+        run.result.hooks, run.result.trace, run.duration_ns, clusters=cm
+    )
+    spbc_normalized = run_emulated_recovery(
+        app, nranks, cm, plan, reference_ns=native_ns, **world,
+    ).normalized
+    hydee_rec = run_hydee_recovery(
+        app, nranks, cm, hplan, reference_ns=native_ns,
+        ranks_per_node=ranks_per_node, net_params=PAPER_NET,
+    )
+    return Fig6Row(
+        app=name,
+        spbc_normalized=spbc_normalized,
+        hydee_normalized=hydee_rec.normalized,
+        hydee_grants=hydee_rec.grants,
+        records=plan.total_records,
+    )
 
 
 # ----------------------------------------------------------------------

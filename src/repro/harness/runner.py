@@ -81,7 +81,10 @@ class RunResult:
     :class:`~repro.journal.ReplayResult` use, so consumers (the journal's
     ``end`` record first) read a result without asking which engine
     produced it.  ``manager`` is None only for unprotected runs
-    (:func:`run_app`)."""
+    (:func:`run_app`).
+
+    ``world`` is released (:meth:`World.release`): it can be read but
+    not run again, and dropping the result frees it by refcount."""
 
     world: World
     hooks: ProtocolHooks
@@ -141,7 +144,8 @@ class RecoveryResult:
 
     ``rework_ns`` is the time for the recovering cluster to re-execute the
     lost segment; ``normalized`` divides by the reference failure-free
-    time (the quantity plotted in Figures 5 and 6)."""
+    time (the quantity plotted in Figures 5 and 6).  ``world`` is
+    released, as a :class:`RunResult`'s is."""
 
     world: World
     plan: ReplayPlan
@@ -163,8 +167,10 @@ def _check_world(world: World, allow_killed: bool = False) -> None:
 
 
 def _collect(world: World, manager: Optional[RecoveryManager] = None) -> RunResult:
-    """The result of a world that ran to completion."""
+    """The result of a world that ran to completion, its world released
+    (:meth:`World.release`)."""
     _check_world(world)
+    world.release()
     finish = {r: p.finish_time for r, p in world.processes.items()}
     return RunResult(
         world=world,
@@ -261,6 +267,7 @@ def run_emulated_recovery(
             world.launch(r, replayer_process(ctx, records, window=window))
     world.run()
     _check_world(world)
+    world.release()
     rework = max(world.processes[r].finish_time for r in plan.recovering_ranks)
     return RecoveryResult(
         world=world,

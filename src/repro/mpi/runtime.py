@@ -1017,3 +1017,23 @@ class World:
     def run(self, until_ns: Optional[int] = None, detect_deadlock: bool = True) -> int:
         with sim_gc(self.nranks):
             return self.engine.run(until_ns=until_ns, detect_deadlock=detect_deadlock)
+
+    def release(self) -> None:
+        """Cut the back-references only a running world needs.
+
+        Every runtime points at its world, the engine lists its
+        processes, which point at the engine, and a warp controller
+        points at the world it observes: a finished world is a reference
+        cycle, which only a full collection frees.  Called once the
+        engine has drained (every process has exited and cleared its
+        wait), this leaves every forward attribute a reader of the result
+        uses — processes and their results, the hooks with their logs
+        and storage, the engine's and network's counters, the trace, the
+        telemetry and the warp counters — and the last reference to the
+        world then frees it by refcount.  The world can be read but not
+        run again."""
+        self.engine.processes = []
+        for rt in self.runtimes:
+            rt.world = None
+        if self.warp is not None:
+            self.warp.world = None

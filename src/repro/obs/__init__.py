@@ -157,14 +157,15 @@ class Telemetry:
             self.metrics is None and self.timeline is None
         ):
             return
+        engine.schedule_fast(0, self._sample_queue, engine)
 
-        def _sample() -> None:
-            depth = engine.pending_events
-            self.queue_depth(engine.now, depth)
-            if depth:
-                engine.schedule_fast(QUEUE_SAMPLE_INTERVAL_NS, _sample)
-
-        engine.schedule_fast(0, _sample)
+    def _sample_queue(self, engine) -> None:
+        # A method, not a closure over itself: a self-referencing closure
+        # is a cycle that would keep the engine for the collector.
+        depth = engine.pending_events
+        self.queue_depth(engine.now, depth)
+        if depth:
+            engine.schedule_fast(QUEUE_SAMPLE_INTERVAL_NS, self._sample_queue, engine)
 
     # -- storage lanes -------------------------------------------------
     def storage_span(

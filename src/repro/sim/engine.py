@@ -64,10 +64,13 @@ def sim_gc(nranks: int) -> Iterator[None]:
     generations and nearly every event promotes an object, forcing old-
     generation and full collections over the whole heap although a run
     creates almost no cyclic garbage (37 % of wall at 4096 ranks, 78 %
-    at 16384).  The in-flight population is O(1) objects per rank; 16
-    per rank is the largest measured multiplier that does not also
-    delay the collection of dropped worlds (docs/performance.md, "Why
-    per-event cost grew with rank count").
+    at 16384).  The in-flight population is O(1) objects per rank, and
+    16 per rank is measured: wall time is flat from 4 to 256 per rank,
+    so a larger young generation buys nothing, while the threshold is
+    process-global and would only let the caller's own cyclic garbage
+    wait longer (docs/performance.md, "Why per-event cost grew with rank
+    count").  A finished world is no such garbage: ``World.release``
+    leaves it to refcounting.
 
     Process-global state under stack discipline: the scope only ever
     raises generation 0, leaves a caller's larger threshold and a

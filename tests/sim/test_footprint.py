@@ -8,11 +8,13 @@ world, that a failure-free run never creates a lazy container, that the
 rare paths still create what they need and reproduce their reference
 results, and that no per-rank class regains an instance ``__dict__``.
 Beyond the per-rank state: the run path loads no numpy, and a completed
-storage flow leaves nothing behind but its callback's effects.
+storage flow leaves nothing behind but its callback's effects, and a
+dropped result frees its world without the cyclic collector.
 """
 
 from __future__ import annotations
 
+import collections
 import gc
 import importlib
 import os
@@ -26,16 +28,22 @@ import pytest
 
 import repro
 from repro.apps.synthetic import fig2_app, ring_app
+from repro.baselines.hydee import HydEEPlan, run_hydee_recovery
 from repro.core.clusters import ClusterMap
+from repro.core.emulated import ReplayPlan
 from repro.core.logstore import LogRecord, LogStore
 from repro.core.protocol import SPBCConfig, _InboundChannel, _RankState
 from repro.harness.runner import (
     RunSpec,
     build_world,
+    execute,
+    run_emulated_recovery,
+    run_failure_schedule,
     run_native,
     run_online_failure,
     run_spbc,
 )
+from repro.journal.recorder import journaled_app
 from repro.mpi.constants import DEFAULT_EAGER_THRESHOLD
 from repro.mpi.matching import MatchingEngine
 from repro.mpi.message import Envelope
@@ -261,3 +269,76 @@ def test_flow_has_no_completion_trigger():
     and a per-flow trigger fired with the flow as its value only left a
     reference cycle behind every flush."""
     assert "done" not in Flow.__slots__
+
+
+_RING = ring_app(iters=6, msg_bytes=2048, compute_ns=50_000)
+_CM = ClusterMap.block(16, 4)
+
+
+def _warp_run(tmp_path):
+    app = ring_app(iters=30, msg_bytes=2048, compute_ns=150_000)
+    res = run_spbc(app, 16, _CM, warp=30)
+    assert res.world.warp.warped_iterations > 0
+    return res
+
+
+def _failure_schedule_run(tmp_path):
+    config = SPBCConfig(clusters=_CM, checkpoint_every=2, state_nbytes=4096)
+    res = run_failure_schedule(
+        ring_app(iters=12, msg_bytes=2048, compute_ns=50_000), 16, _CM,
+        [(300_000, 3, "node"), (900_000, 10, "process")],
+        config=config, ranks_per_node=4,
+        storage="partner:ram@1,partner@1,pfs@4:async",
+        ckpt_data="incr:4:zlib-like",
+    )
+    assert len(res.failures) == 2 and res.hooks.storage.writes
+    return res
+
+
+def _emulated_recovery(tmp_path):
+    phase1 = run_spbc(_RING, 16, _CM, trace=False)
+    plan = ReplayPlan.from_run(phase1.hooks, phase1.makespan_ns)
+    return run_emulated_recovery(_RING, 16, _CM, plan)
+
+
+def _hydee_recovery(tmp_path):
+    phase1 = run_spbc(_RING, 16, _CM, trace=True)
+    plan = HydEEPlan.from_run(phase1.hooks, phase1.trace, phase1.makespan_ns)
+    return run_hydee_recovery(_RING, 16, _CM, plan)
+
+
+DROPPED_RESULTS = {
+    "native": lambda tmp_path: run_native(_RING, 16),
+    "spbc-traced": lambda tmp_path: run_spbc(_RING, 16, _CM, trace=True),
+    "spbc-telemetry": lambda tmp_path: run_spbc(_RING, 16, _CM, telemetry=True),
+    "spbc-warp": _warp_run,
+    "failure-schedule": _failure_schedule_run,
+    "emulated-recovery": _emulated_recovery,
+    "hydee-recovery": _hydee_recovery,
+    "journaled": lambda tmp_path: execute(
+        RunSpec(journaled_app("ring", iters=6), 16, _CM),
+        journal=str(tmp_path / "run.journal"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DROPPED_RESULTS))
+def test_dropped_result_leaves_nothing_for_the_collector(case, tmp_path):
+    """The last reference to a finished run's result frees its world by
+    refcount: with the collector off, nothing of it is left in a cycle."""
+    run = DROPPED_RESULTS[case]
+    run(tmp_path)  # first use pays its imports, which leave cycles of their own
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        run(tmp_path)  # the result is dropped at once
+        gc.set_debug(debug | gc.DEBUG_SAVEALL)
+        gc.collect()
+        found = collections.Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert not found, f"left for the collector: {found}"
